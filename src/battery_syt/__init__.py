@@ -12,7 +12,6 @@ from .arith import Factorization, binomial, factorial, factorize, is_prime, poch
 from .counting import (
     CLOSED_FORM_CASES,
     COUNT_BY_COLUMN,
-    CountResult,
     NonIntegerCountError,
     bullet_profiles,
     closed_form,

@@ -11,7 +11,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .arith import Factorization, factorize
 from .counting import COUNT_BY_COLUMN, closed_form, count_general, match_closed_form
@@ -24,7 +24,7 @@ from .oracle import (
 )
 from .shapes import BatteryShape, Partition, SkewShape, TruncatedShape, as_partition, syt_count_straight
 
-__all__ = ["ShapeParseError", "MethodNotApplicableError", "parse_shape_expr", "run", "main"]
+__all__ = ["ShapeParseError", "parse_shape_expr", "run", "main"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -40,10 +40,6 @@ class ShapeParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"at position {position}: {message}")
         self.position = position
-
-
-class MethodNotApplicableError(ValueError):
-    pass
 
 
 def _parse_int_list(text: str, offset: int) -> tuple[int, ...]:
@@ -156,110 +152,92 @@ def _rect_coords(shape: BatteryShape) -> tuple[int, int, int, int]:
     return shape.lam[0], len(shape.lam), shape.a, shape.k
 
 
-def _count_hyper(shape: Shape, size_cap: int) -> int:
-    if not isinstance(shape, BatteryShape) or not shape.is_rectangle():
-        raise MethodNotApplicableError("hyper needs a battery over a rectangle")
-    m, n, a, k = _rect_coords(shape)
-    if k not in COUNT_BY_COLUMN:
-        raise MethodNotApplicableError(f"no hypergeometric formula for column {k}")
-    return COUNT_BY_COLUMN[k](m, n, a)
-
-
-def _count_general(shape: Shape, size_cap: int) -> int:
-    if not isinstance(shape, BatteryShape) or not shape.is_rectangle():
-        raise MethodNotApplicableError("general needs a battery over a rectangle")
-    m, n, a, k = _rect_coords(shape)
-    return count_general(m, n, a, k)
-
-
-def _count_closed(shape: Shape, size_cap: int) -> int:
-    if not isinstance(shape, BatteryShape) or not shape.is_rectangle():
-        raise MethodNotApplicableError("closed needs a battery over a rectangle")
-    match = match_closed_form(*_rect_coords(shape))
-    if match is None:
-        raise MethodNotApplicableError("no closed-form case covers this shape")
-    case_id, params = match
-    return closed_form(case_id, **params)
-
-
-def _count_dp(shape: Shape, size_cap: int) -> int:
-    if isinstance(shape, BatteryShape):
-        return count_linear_extensions(shape, size_cap)
-    if isinstance(shape, (SkewShape, TruncatedShape)):
-        return count_line_convex(shape.row_spans(), size_cap)
-    return count_linear_extensions(BatteryShape(shape, 0, 1), size_cap)
-
-
-def _count_hlf(shape: Shape, size_cap: int) -> int:
-    if not isinstance(shape, tuple):
-        raise MethodNotApplicableError("hlf applies to straight partitions only")
-    return syt_count_straight(shape)
-
-
-def _count_enum(shape: Shape, size_cap: int) -> int:
-    if isinstance(shape, tuple):
-        shape = BatteryShape(shape, 0, 1)
-    if not isinstance(shape, BatteryShape):
-        raise MethodNotApplicableError("enumeration applies to battery shapes only")
-    if shape.size > ENUMERATION_CAP:
-        raise MethodNotApplicableError(f"enumeration is limited to {ENUMERATION_CAP} cells")
-    return len(enumerate_syt(shape))
-
-
-# monkeypatch point for fault-injection tests
-METHODS = {
-    "hyper": _count_hyper,
-    "general": _count_general,
-    "closed": _count_closed,
-    "dp": _count_dp,
-    "hlf": _count_hlf,
-    "enum": _count_enum,
-}
-
-
-def _resolve_auto(shape: Shape) -> str:
-    if isinstance(shape, BatteryShape):
-        if shape.is_rectangle():
-            if match_closed_form(*_rect_coords(shape)) is not None:
-                return "closed"
-            if shape.k in COUNT_BY_COLUMN:
-                return "hyper"
-            return "general"
-        return "dp"
-    if isinstance(shape, tuple):
-        return "hlf"
-    return "dp"
+def _rect_battery(shape: Shape) -> bool:
+    return isinstance(shape, BatteryShape) and shape.is_rectangle()
 
 
 def _shape_size(shape: Shape) -> int:
     return sum(shape) if isinstance(shape, tuple) else shape.size
 
 
-def _applicable(shape: Shape, method: str, size_cap: int) -> bool:
-    """Cheap static applicability check; never evaluates a count."""
-    rect_battery = isinstance(shape, BatteryShape) and shape.is_rectangle()
-    if method == "hyper":
-        return rect_battery and shape.k in COUNT_BY_COLUMN
-    if method == "general":
-        return rect_battery
-    if method == "closed":
-        return rect_battery and match_closed_form(*_rect_coords(shape)) is not None
-    if method == "hlf":
-        return isinstance(shape, tuple)
-    if method == "enum":
-        return isinstance(shape, (tuple, BatteryShape)) and _shape_size(shape) <= ENUMERATION_CAP
-    if method == "dp":
-        return _shape_size(shape) <= size_cap
-    return False
+def _count_closed(shape: BatteryShape, size_cap: int) -> int:
+    case_id, params = match_closed_form(*_rect_coords(shape))
+    return closed_form(case_id, **params)
 
 
-def _pick_partner(shape: Shape, primary: str, size_cap: int) -> Optional[str]:
-    if primary != "dp" and _applicable(shape, "dp", size_cap):
-        return "dp"
-    for method in ("hyper", "general", "closed", "hlf", "enum"):
-        if method != primary and _applicable(shape, method, size_cap):
-            return method
-    return None
+def _count_dp(shape: Shape, size_cap: int) -> int:
+    if isinstance(shape, (SkewShape, TruncatedShape)):
+        return count_line_convex(shape.row_spans(), size_cap)
+    if isinstance(shape, tuple):
+        shape = BatteryShape(shape, 0, 1)
+    return count_linear_extensions(shape, size_cap)
+
+
+def _count_enum(shape: Shape, size_cap: int) -> int:
+    return len(enumerate_syt(BatteryShape(shape, 0, 1) if isinstance(shape, tuple) else shape))
+
+
+class Method(NamedTuple):
+    """A counting method: what shapes it needs, a cheap static test for that, and the count.
+
+    ``applies`` never evaluates a count, so auto and --verify can pick methods
+    without running them.
+    """
+
+    needs: str  # formatted with size_cap and the shape's size for the not-applicable message
+    applies: Callable[[Shape, int], bool]
+    count: Callable[[Shape, int], int]
+
+
+REGISTRY = {
+    "hyper": Method(
+        f"a battery over a rectangle at column {min(COUNT_BY_COLUMN)}..{max(COUNT_BY_COLUMN)}",
+        lambda shape, size_cap: _rect_battery(shape) and shape.k in COUNT_BY_COLUMN,
+        lambda shape, size_cap: COUNT_BY_COLUMN[shape.k](*_rect_coords(shape)[:3]),
+    ),
+    "general": Method(
+        "a battery over a rectangle",
+        lambda shape, size_cap: _rect_battery(shape),
+        lambda shape, size_cap: count_general(*_rect_coords(shape)),
+    ),
+    "closed": Method(
+        "a battery over a rectangle covered by a closed-form case",
+        lambda shape, size_cap: _rect_battery(shape)
+        and match_closed_form(*_rect_coords(shape)) is not None,
+        _count_closed,
+    ),
+    "dp": Method(
+        "at most {size_cap} cells (--size-cap), the shape has {size}",
+        lambda shape, size_cap: _shape_size(shape) <= size_cap,
+        _count_dp,
+    ),
+    "hlf": Method(
+        "a straight partition",
+        lambda shape, size_cap: isinstance(shape, tuple),
+        lambda shape, size_cap: syt_count_straight(shape),
+    ),
+    "enum": Method(
+        f"a battery or partition of at most {ENUMERATION_CAP} cells",
+        lambda shape, size_cap: isinstance(shape, (tuple, BatteryShape))
+        and _shape_size(shape) <= ENUMERATION_CAP,
+        _count_enum,
+    ),
+}
+
+# monkeypatch point for fault-injection tests; run() counts only through it
+METHODS = {name: method.count for name, method in REGISTRY.items()}
+
+# auto runs the first applicable method, falling back to dp for its size-cap
+# refusal; --verify checks against the first applicable other method
+AUTO_ORDER = ("closed", "hyper", "general", "hlf", "dp")
+PARTNER_ORDER = ("dp", "hyper", "general", "closed", "hlf", "enum")
+
+
+def _first_applicable(shape: Shape, order, size_cap: int, skip: Optional[str] = None) -> Optional[str]:
+    return next(
+        (name for name in order if name != skip and REGISTRY[name].applies(shape, size_cap)),
+        None,
+    )
 
 
 @dataclass
@@ -284,6 +262,16 @@ class RunReport:
         })
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="battery-syt",
@@ -296,13 +284,16 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument("--output", choices=["decimal", "factored", "json"], default="decimal")
     count.add_argument("--verify", action="store_true",
                        help="compute by a second independent method and compare")
-    count.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP, metavar="N",
+    count.add_argument("--size-cap", type=_non_negative_int, default=DEFAULT_SIZE_CAP, metavar="N",
                        help="cell limit for the dynamic-programming counter")
     return parser
 
 
 def run(argv) -> int:
     """Execute the CLI for the given argument list and return the exit status."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact counts may run past CPython's default 4300-digit limit on int/str conversion
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -315,17 +306,19 @@ def run(argv) -> int:
         print(f"error: cannot parse {args.shape!r}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    method = _resolve_auto(shape) if args.method == "auto" else args.method
-    started = time.perf_counter()
-    try:
-        count = METHODS[method](shape, args.size_cap)
-    except (MethodNotApplicableError, ValueError) as exc:
-        print(f"error: method {method!r} not applicable: {exc}", file=sys.stderr)
+    method = args.method
+    if method == "auto":
+        method = _first_applicable(shape, AUTO_ORDER, args.size_cap) or "dp"
+    if not REGISTRY[method].applies(shape, args.size_cap):
+        needs = REGISTRY[method].needs.format(size_cap=args.size_cap, size=_shape_size(shape))
+        print(f"error: method {method!r} not applicable: it needs {needs}", file=sys.stderr)
         return EXIT_METHOD
+    started = time.perf_counter()
+    count = METHODS[method](shape, args.size_cap)
 
     verified = []
     if args.verify:
-        partner = _pick_partner(shape, method, args.size_cap)
+        partner = _first_applicable(shape, PARTNER_ORDER, args.size_cap, skip=method)
         if partner is None:
             print(f"error: no second method available to verify {args.shape!r}", file=sys.stderr)
             return EXIT_METHOD

@@ -4,8 +4,8 @@ Three routes to the same number, kept deliberately independent so they can
 check each other:
 
 * ``count_k2`` .. ``count_k6``: the rectangle tableau count times an exact
-  terminating (possibly nested) hypergeometric value, one transcribed
-  parameter table per battery column position;
+  terminating (possibly nested) hypergeometric value; the parameters for
+  column k are generated by one rule as k-1 nested levels;
 * ``count_general``: a direct sum over bullet profiles, splitting every
   tableau at the pivot cell into a small top-left subtableau, a rotated
   complement subtableau, and a binomial interleaving factor;
@@ -13,14 +13,14 @@ check each other:
   parameter fixed at a small value.
 
 Counts are integers by construction; a non-integer intermediate aborts loudly
-since it can only mean a mis-transcribed parameter table.
+since it can only mean a wrong parameter table.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .arith import Factorization, binomial
+from .arith import binomial
 from .hypergeom import (
     AffineParam,
     MultiPFQSpec,
@@ -45,7 +45,6 @@ __all__ = [
     "closed_form",
     "match_closed_form",
     "CLOSED_FORM_CASES",
-    "CountResult",
 ]
 
 
@@ -81,117 +80,51 @@ def count_k2(m: int, n: int, a: int) -> int:
     return _as_count(value, f"[({m}^{n}), {a}, 2]")
 
 
-def _aff(const: int, *coeffs: int) -> AffineParam:
-    return AffineParam(const, coeffs)
+def _levels(m: int, n: int, a: int, k: int) -> MultiPFQSpec:
+    """Nested-sum parameters for the battery above column k, one level per column left of it.
+
+    Level i sums over x_i; its parameters are affine in the outer indices
+    x_0..x_{i-1}, and the coefficient on x_j sits at position j.
+    """
+    levels = []
+    for i in range(k - 1):
+        sum_x = (1,) * i
+        outer = [(j, (0,) * j + (-1,)) for j in range(i)]
+        levels.append(PFQLevel(
+            numerators=(AffineParam(a, sum_x), AffineParam(m - i), AffineParam(-n - i))
+            + tuple(AffineParam(-(i - 1 - j), x_j) for j, x_j in outer for _ in range(2)),
+            denominators=(AffineParam(-m * n, sum_x),)
+            + tuple(AffineParam(-(i - j), x_j) for j, x_j in outer for _ in range(2))
+            + (AffineParam(1),),
+        ))
+    return MultiPFQSpec(tuple(levels))
 
 
-def _levels_k3(m: int, n: int, a: int) -> MultiPFQSpec:
-    # outer index of level 1: t
-    return MultiPFQSpec((
-        PFQLevel(
-            numerators=(_aff(a), _aff(m), _aff(-n)),
-            denominators=(_aff(-m * n), _aff(1)),
-        ),
-        PFQLevel(
-            numerators=(_aff(a, 1), _aff(m - 1), _aff(-n - 1), _aff(0, -1), _aff(0, -1)),
-            denominators=(_aff(-m * n, 1), _aff(-1, -1), _aff(-1, -1), _aff(1)),
-        ),
-    ))
-
-
-def _levels_k4(m: int, n: int, a: int) -> MultiPFQSpec:
-    # outer indices: t, then (t, v)
-    base = _levels_k3(m, n, a)
-    return MultiPFQSpec(base.levels + (
-        PFQLevel(
-            numerators=(
-                _aff(a, 1, 1), _aff(m - 2), _aff(-n - 2),
-                _aff(-1, -1), _aff(-1, -1),
-                _aff(0, 0, -1), _aff(0, 0, -1),
-            ),
-            denominators=(
-                _aff(-m * n, 1, 1),
-                _aff(-2, -1), _aff(-2, -1),
-                _aff(-1, 0, -1), _aff(-1, 0, -1),
-                _aff(1),
-            ),
-        ),
-    ))
-
-
-def _levels_k5(m: int, n: int, a: int) -> MultiPFQSpec:
-    # outer indices: t, (t, v), (t, v, w)
-    base = _levels_k4(m, n, a)
-    return MultiPFQSpec(base.levels + (
-        PFQLevel(
-            numerators=(
-                _aff(a, 1, 1, 1), _aff(m - 3), _aff(-n - 3),
-                _aff(-2, -1), _aff(-2, -1),
-                _aff(-1, 0, -1), _aff(-1, 0, -1),
-                _aff(0, 0, 0, -1), _aff(0, 0, 0, -1),
-            ),
-            denominators=(
-                _aff(-m * n, 1, 1, 1),
-                _aff(-3, -1), _aff(-3, -1),
-                _aff(-2, 0, -1), _aff(-2, 0, -1),
-                _aff(-1, 0, 0, -1), _aff(-1, 0, 0, -1),
-                _aff(1),
-            ),
-        ),
-    ))
-
-
-def _levels_k6(m: int, n: int, a: int) -> MultiPFQSpec:
-    # outer indices: t, (t, v), (t, v, w), (t, v, w, r)
-    base = _levels_k5(m, n, a)
-    return MultiPFQSpec(base.levels + (
-        PFQLevel(
-            numerators=(
-                _aff(a, 1, 1, 1, 1), _aff(m - 4), _aff(-n - 4),
-                _aff(-3, -1), _aff(-3, -1),
-                _aff(-2, 0, -1), _aff(-2, 0, -1),
-                _aff(-1, 0, 0, -1), _aff(-1, 0, 0, -1),
-                _aff(0, 0, 0, 0, -1), _aff(0, 0, 0, 0, -1),
-            ),
-            denominators=(
-                _aff(-m * n, 1, 1, 1, 1),
-                _aff(-4, -1), _aff(-4, -1),
-                _aff(-3, 0, -1), _aff(-3, 0, -1),
-                _aff(-2, 0, 0, -1), _aff(-2, 0, 0, -1),
-                _aff(-1, 0, 0, 0, -1), _aff(-1, 0, 0, 0, -1),
-                _aff(1),
-            ),
-        ),
-    ))
-
-
-def _count_multi(m: int, n: int, a: int, k: int, spec: MultiPFQSpec) -> int:
-    value = rect_syt_count(m, n) * eval_multi_pfq(spec)
+def _count_multi(m: int, n: int, a: int, k: int) -> int:
+    """Battery above column k: rectangle count times a (k-1)-level nested sum."""
+    _check_rect_args(m, n, a, k)
+    value = rect_syt_count(m, n) * eval_multi_pfq(_levels(m, n, a, k))
     return _as_count(value, f"[({m}^{n}), {a}, {k}]")
 
 
 def count_k3(m: int, n: int, a: int) -> int:
-    """Battery above column 3: rectangle count times a two-level nested sum."""
-    _check_rect_args(m, n, a, 3)
-    return _count_multi(m, n, a, 3, _levels_k3(m, n, a))
+    """Battery above column 3: two-level nested sum."""
+    return _count_multi(m, n, a, 3)
 
 
 def count_k4(m: int, n: int, a: int) -> int:
     """Battery above column 4: three-level nested sum."""
-    _check_rect_args(m, n, a, 4)
-    return _count_multi(m, n, a, 4, _levels_k4(m, n, a))
+    return _count_multi(m, n, a, 4)
 
 
 def count_k5(m: int, n: int, a: int) -> int:
     """Battery above column 5: four-level nested sum."""
-    _check_rect_args(m, n, a, 5)
-    return _count_multi(m, n, a, 5, _levels_k5(m, n, a))
+    return _count_multi(m, n, a, 5)
 
 
 def count_k6(m: int, n: int, a: int) -> int:
     """Battery above column 6: five-level nested sum."""
-    _check_rect_args(m, n, a, 6)
-    return _count_multi(m, n, a, 6, _levels_k6(m, n, a))
+    return _count_multi(m, n, a, 6)
 
 
 COUNT_BY_COLUMN: dict[int, Callable[[int, int, int], int]] = {
@@ -421,39 +354,10 @@ def closed_form(case_id: str, **params: int) -> int:
 
 def match_closed_form(m: int, n: int, a: int, k: int) -> Optional[tuple[str, dict[str, int]]]:
     """First catalog case covering the battery [(m^n), a, k], if any."""
-    candidates = {
-        "k2-a1": {"m": m, "n": n} if (a, k) == (1, 2) else None,
-        "k2-a2": {"m": m, "n": n} if (a, k) == (2, 2) else None,
-        "k2-a3": {"m": m, "n": n} if (a, k) == (3, 2) else None,
-        "k2-m3": {"n": n, "a": a} if (m, k) == (3, 2) else None,
-        "k2-m4": {"n": n, "a": a} if (m, k) == (4, 2) else None,
-        "k2-n2": {"m": m, "a": a} if (n, k) == (2, 2) else None,
-        "k2-n3": {"m": m, "a": a} if (n, k) == (3, 2) else None,
-        "k3-n2": {"m": m, "a": a} if (n, k) == (2, 3) else None,
-        "k3-n3": {"m": m, "a": a} if (n, k) == (3, 3) else None,
-        "k4-n2": {"m": m, "a": a} if (n, k) == (2, 4) else None,
-        "k5-n2": {"m": m, "a": a} if (n, k) == (2, 5) else None,
-    }
-    for case_id, params in candidates.items():
-        if params is None:
-            continue
-        case = CLOSED_FORM_CASES[case_id]
-        if case.valid(*(params[name] for name in case.params)):
+    coords = {"m": m, "n": n, "a": a, "k": k}
+    for case_id, case in CLOSED_FORM_CASES.items():
+        params = {name: coords[name] for name in case.params}
+        args = params.values()
+        if case.coordinates(*args) == (m, n, a, k) and case.valid(*args):
             return case_id, params
     return None
-
-
-@dataclass(frozen=True)
-class CountResult:
-    """A computed count together with how it was obtained."""
-
-    shape: BatteryShape
-    count: int
-    method: str
-    factorization: Optional[Factorization] = None
-
-    def __post_init__(self):
-        if self.factorization is not None and self.factorization.value() != self.count:
-            raise ValueError(
-                f"factorization {self.factorization} does not reconstruct {self.count}"
-            )

@@ -1,9 +1,13 @@
 """Formula-free tableau counting by dynamic programming over order ideals.
 
 A partial filling of a shape with 1..j corresponds to a downward-closed set of
-cells, so tableaux are exactly the maximal chains of ideals. Counting walks
-the ideals level by level (j cells filled, then j+1) and sums transition
-multiplicities, which stays exact for any cell count the state space allows.
+cells, so tableaux are exactly the maximal chains of ideals. Every shape the
+package handles is a line-convex diagram given by per-row column spans (a
+battery's stacked cells are one-cell rows above its k-th column), so an ideal
+is a tuple of per-row filled-prefix lengths. Counting walks the ideals level
+by level (j cells filled, then j+1) and sums transition multiplicities, which
+stays exact for any cell count the state space allows; explicit enumeration
+follows the same rule.
 
 Every counting formula in the package is cross-checked against this module.
 """
@@ -26,41 +30,47 @@ DEFAULT_SIZE_CAP = 120
 ENUMERATION_CAP = 12
 
 
-def _battery_moves(lam, a, k, b, mu):
-    """Legal single-cell extensions of the ideal (b battery cells, sub-shape mu)."""
-    moves = []
-    if b < a:
-        moves.append((b + 1, mu))
-    padded = mu + (0,) * (len(lam) - len(mu))
-    for i in range(len(lam)):
-        if padded[i] >= lam[i] or (i > 0 and padded[i - 1] <= padded[i]):
-            continue
-        # the cell under the battery column opens only once the battery is full
-        if i == 0 and padded[0] + 1 == k and b < a:
-            continue
-        grown = padded[:i] + (padded[i] + 1,) + padded[i + 1:]
-        while grown and grown[-1] == 0:
-            grown = grown[:-1]
-        moves.append((b, grown))
-    return moves
+def _row_rules(spans):
+    """Per row: its index, its column span, and the span of the row above it."""
+    return tuple((i, start, stop) + (spans[i - 1] if i else (0, 0))
+                 for i, (start, stop) in enumerate(spans))
+
+
+def _moves(rules, level):
+    """Yield (state, ways, i) for every row i whose next cell an ideal may add.
+
+    A state holds each row's filled-prefix length. The next cell of a row may
+    be filled once its left neighbour (structurally) and, where the row above
+    covers its column, its upper neighbour are filled.
+    """
+    for state, ways in level:
+        for i, start, stop, up_start, up_stop in rules:
+            col = start + state[i]
+            if col < stop and not (up_start <= col < up_stop and col - up_start >= state[i - 1]):
+                yield state, ways, i
+
+
+def _span_profile(spans, size_cap: int) -> tuple[int, int]:
+    spans = tuple((int(s), int(e)) for s, e in spans)
+    cells = sum(e - s for s, e in spans if e > s)
+    if cells > size_cap:
+        raise ValueError(f"diagram has {cells} cells, above the size cap {size_cap}")
+    rules = _row_rules(spans)
+    level = {(0,) * len(spans): 1}
+    states = 1
+    for _ in range(cells):
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, ways, i in _moves(rules, level.items()):
+            grown = state[:i] + (state[i] + 1,) + state[i + 1:]
+            nxt[grown] = nxt.get(grown, 0) + ways
+        level = nxt
+        states += len(level)
+    return sum(level.values()), states
 
 
 def linear_extension_profile(shape: BatteryShape, size_cap: int = DEFAULT_SIZE_CAP) -> tuple[int, int]:
     """Exact tableau count of a battery shape and the number of ideal states visited."""
-    lam, a, k = shape.lam, shape.a, shape.k
-    cells = shape.size
-    if cells > size_cap:
-        raise ValueError(f"shape has {cells} cells, above the size cap {size_cap}")
-    level = {(0, ()): 1}
-    states = 1
-    for _ in range(cells):
-        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (b, mu), ways in level.items():
-            for state in _battery_moves(lam, a, k, b, mu):
-                nxt[state] = nxt.get(state, 0) + ways
-        level = nxt
-        states += len(level)
-    return level.get((a, lam), 0), states
+    return _span_profile(shape.row_spans(), size_cap)
 
 
 def count_linear_extensions(shape: BatteryShape, size_cap: int = DEFAULT_SIZE_CAP) -> int:
@@ -72,32 +82,10 @@ def count_linear_extensions(shape: BatteryShape, size_cap: int = DEFAULT_SIZE_CA
 def count_line_convex(spans, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     """Tableau count for any line-convex diagram given per-row column spans.
 
-    States are per-row filled-prefix lengths; a cell may be filled once its
-    left neighbour (structurally) and, where the row above covers its column,
-    its upper neighbour are filled. Works for skew and truncated shapes.
+    Works for skew and truncated shapes as well as battery shapes.
     """
-    spans = tuple((int(s), int(e)) for s, e in spans)
-    cells = sum(e - s for s, e in spans if e > s)
-    if cells > size_cap:
-        raise ValueError(f"diagram has {cells} cells, above the size cap {size_cap}")
-    rows = len(spans)
-    level = {(0,) * rows: 1}
-    for _ in range(cells):
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, ways in level.items():
-            for i in range(rows):
-                start, stop = spans[i]
-                col = start + state[i]
-                if col >= stop:
-                    continue
-                if i > 0:
-                    up_start, up_stop = spans[i - 1]
-                    if up_start <= col < up_stop and col - up_start >= state[i - 1]:
-                        continue
-                grown = state[:i] + (state[i] + 1,) + state[i + 1:]
-                nxt[grown] = nxt.get(grown, 0) + ways
-        level = nxt
-    return sum(level.values()) if level else 1
+    count, _ = _span_profile(spans, size_cap)
+    return count
 
 
 @dataclass(frozen=True)
@@ -110,37 +98,29 @@ class BatteryTableau:
 
 def enumerate_syt(shape: BatteryShape, cap: int = ENUMERATION_CAP) -> list[BatteryTableau]:
     """Explicitly build every tableau of a small battery shape."""
-    lam, a, k = shape.lam, shape.a, shape.k
     cells = shape.size
     if cells > cap:
         raise ValueError(f"enumeration is limited to {cap} cells, shape has {cells}")
-    battery = [0] * a
-    grid = [[0] * row for row in lam]
-    filled = [0] * len(lam)
+    spans = shape.row_spans()
+    rules = _row_rules(spans)
+    grid = [[0] * (stop - start) for start, stop in spans]
+    filled = [0] * len(spans)
     found: list[BatteryTableau] = []
 
-    def place(value: int, b: int):
+    def place(value: int):
         if value > cells:
-            found.append(
-                BatteryTableau(tuple(battery), tuple(tuple(row) for row in grid))
-            )
+            battery = tuple(row[0] for row in grid[:shape.a])
+            found.append(BatteryTableau(battery, tuple(tuple(row) for row in grid[shape.a:])))
             return
-        if b < a:
-            battery[b] = value
-            place(value + 1, b + 1)
-            battery[b] = 0
-        for i in range(len(lam)):
-            if filled[i] >= lam[i] or (i > 0 and filled[i - 1] <= filled[i]):
-                continue
-            if i == 0 and filled[0] + 1 == k and b < a:
-                continue
+        # list() takes the open rows before the loop body changes `filled`
+        for _, _, i in list(_moves(rules, [(filled, None)])):
             grid[i][filled[i]] = value
             filled[i] += 1
-            place(value + 1, b)
+            place(value + 1)
             filled[i] -= 1
             grid[i][filled[i]] = 0
 
-    place(1, 0)
+    place(1)
     return found
 
 

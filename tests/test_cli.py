@@ -1,6 +1,8 @@
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from battery_syt import cli
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape
@@ -96,6 +98,8 @@ def test_method_inapplicable_exits_3(capsys):
 
 
 def test_size_cap_flag(capsys):
+    assert cli.run(["count", "partition:2,1", "--size-cap", "-5"]) == 2
+    assert cli.run(["count", "rect:3x3", "--method", "dp", "--size-cap", "-5"]) == 2
     assert cli.run(["count", "rect:4x4", "--method", "dp", "--size-cap", "10"]) == 3
     assert cli.run(["count", "rect:4x4", "--method", "dp", "--size-cap", "16"]) == 0
     assert capsys.readouterr().out.strip() == "24024"
@@ -123,7 +127,8 @@ def test_auto_method_selection():
         "skew:3,2/1": "dp",
     }
     for expr, method in cases.items():
-        assert cli._resolve_auto(cli.parse_shape_expr(expr)) == method
+        shape = cli.parse_shape_expr(expr)
+        assert cli._first_applicable(shape, cli.AUTO_ORDER, cli.DEFAULT_SIZE_CAP) == method
 
 
 def test_skew_and_truncated_counts(capsys):
@@ -131,3 +136,57 @@ def test_skew_and_truncated_counts(capsys):
     assert capsys.readouterr().out.strip() == "61"
     assert cli.run(["count", "truncated:5,5,2,1\\2"]) == 0
     assert capsys.readouterr().out.strip() == "530"
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """Run with CPython's default int/str digit limit, where this Python has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_counts_past_the_int_str_digit_limit(capsys, default_int_str_limit):
+    expr = "partition:" + ",".join(["56"] * 56 + ["9"])  # 4301 digits, one past the limit
+    assert cli.run(["count", expr]) == 0
+    decimal = capsys.readouterr().out.strip()
+    assert len(decimal) == 4301
+    assert cli.run(["count", expr, "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == decimal
+
+
+@st.composite
+def small_batteries(draw):
+    """Batteries of at most 24 cells over rectangles and other partitions."""
+    width = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        lam = (width,) * draw(st.integers(1, 4))
+    else:
+        rows = draw(st.lists(st.integers(1, width), min_size=1, max_size=4))
+        lam = tuple(sorted(rows, reverse=True))
+    return BatteryShape(lam, draw(st.integers(0, 4)), draw(st.integers(1, lam[0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_batteries())
+def test_applicable_methods_agree(shape):
+    counts = {
+        name: method.count(shape, cli.DEFAULT_SIZE_CAP)
+        for name, method in cli.REGISTRY.items()
+        if method.applies(shape, cli.DEFAULT_SIZE_CAP)
+    }
+    assert "dp" in counts
+    assert len(set(counts.values())) == 1, (shape, counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_batteries(), st.sampled_from(["hyper", "general", "closed", "dp"]), st.integers(0, 30))
+def test_method_exits_3_exactly_when_inapplicable(shape, method, size_cap):
+    base = ",".join(map(str, shape.lam))
+    expr = f"battery:part:{base},a={shape.a},k={shape.k}"
+    status = cli.run(["count", expr, "--method", method, "--size-cap", str(size_cap)])
+    assert status == (0 if cli.REGISTRY[method].applies(shape, size_cap) else 3)

@@ -5,7 +5,6 @@ import pytest
 from battery_syt.counting import (
     CLOSED_FORM_CASES,
     COUNT_BY_COLUMN,
-    CountResult,
     NonIntegerCountError,
     _as_count,
     bullet_profiles,
@@ -168,16 +167,3 @@ def test_as_count_guards_integrality():
     assert _as_count(Fraction(7), "test") == 7
     with pytest.raises(NonIntegerCountError):
         _as_count(Fraction(1, 2), "test")
-
-
-def test_count_result_carrier():
-    from battery_syt.arith import factorize
-
-    shape = BatteryShape((2, 2), 1, 2)
-    result = CountResult(shape=shape, count=5, method="hyper")
-    assert result.factorization is None
-    assert result.count == 5
-    with_factors = CountResult(shape, 5, "hyper", factorize(5))
-    assert with_factors.factorization.value() == 5
-    with pytest.raises(ValueError):
-        CountResult(shape, 5, "hyper", factorize(6))
