@@ -3,7 +3,7 @@ requested method, optionally cross-verify with an independent method, and print
 the result as a decimal, a prime factorization, or JSON.
 
 Exit codes: 0 success, 2 parse error, 3 method inapplicable, 4 verification
-mismatch.
+mismatch or an inconsistent count (an arithmetic fault inside a counting route).
 """
 
 import argparse
@@ -18,7 +18,7 @@ from .counting import COUNT_BY_COLUMN, closed_form, count_general, match_closed_
 from .oracle import (
     DEFAULT_SIZE_CAP,
     ENUMERATION_CAP,
-    count_line_convex,
+    count_line_convex,  # noqa: F401  (kept as a module binding that span tracing rebinds)
     count_linear_extensions,
     enumerate_syt,
 )
@@ -166,8 +166,6 @@ def _count_closed(shape: BatteryShape, size_cap: int) -> int:
 
 
 def _count_dp(shape: Shape, size_cap: int) -> int:
-    if isinstance(shape, (SkewShape, TruncatedShape)):
-        return count_line_convex(shape.row_spans(), size_cap)
     if isinstance(shape, tuple):
         shape = BatteryShape(shape, 0, 1)
     return count_linear_extensions(shape, size_cap)
@@ -231,6 +229,19 @@ METHODS = {name: method.count for name, method in REGISTRY.items()}
 # refusal; --verify checks against the first applicable other method
 AUTO_ORDER = ("closed", "hyper", "general", "hlf", "dp")
 PARTNER_ORDER = ("dp", "hyper", "general", "closed", "hlf", "enum")
+
+
+def _run_method(name: str, shape: Shape, size_cap: int) -> Optional[int]:
+    """Count through METHODS; an arithmetic fault is reported on stderr and gives None.
+
+    A non-integer value or a vanished denominator factor means the route's
+    parameters disagree with the shape, the same fault a verify mismatch shows.
+    """
+    try:
+        return METHODS[name](shape, size_cap)
+    except ArithmeticError as exc:
+        print(f"error: inconsistent count from {name}: {exc}", file=sys.stderr)
+        return None
 
 
 def _first_applicable(shape: Shape, order, size_cap: int, skip: Optional[str] = None) -> Optional[str]:
@@ -314,7 +325,9 @@ def run(argv) -> int:
         print(f"error: method {method!r} not applicable: it needs {needs}", file=sys.stderr)
         return EXIT_METHOD
     started = time.perf_counter()
-    count = METHODS[method](shape, args.size_cap)
+    count = _run_method(method, shape, args.size_cap)
+    if count is None:
+        return EXIT_MISMATCH
 
     verified = []
     if args.verify:
@@ -322,7 +335,9 @@ def run(argv) -> int:
         if partner is None:
             print(f"error: no second method available to verify {args.shape!r}", file=sys.stderr)
             return EXIT_METHOD
-        check = METHODS[partner](shape, args.size_cap)
+        check = _run_method(partner, shape, args.size_cap)
+        if check is None:
+            return EXIT_MISMATCH
         if check != count:
             print(
                 f"error: verification mismatch: {method} gives {count}, {partner} gives {check}",

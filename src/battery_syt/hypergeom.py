@@ -4,13 +4,18 @@ a binomial-quotient closed form for 2F1(-a, b; -c; 1) and a contiguous relation
 that trades a 3F2 for two 3F2's with shifted parameters.
 
 All series here terminate because some numerator parameter is a non-positive
-integer; values are exact ``Fraction``s and z is carried exactly even though
-every counting application sets z = 1.
+integer, and values are exact ``Fraction``s; z is carried exactly even though
+every counting application sets z = 1. The series walk is integer Horner: each
+level's step ratios are integer numerator/denominator pairs, the level's sum
+is folded from the tail as one integer fraction, reduced once per level value,
+and only the top level becomes a ``Fraction``. A nested spec's affine
+parameters are compiled once per call into sparse groups, with equal
+parameters merged.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd
 
 from .arith import binomial
 
@@ -64,37 +69,48 @@ def termination_index(numerators) -> int:
     return cap
 
 
-def _term_walk(numerators, denominators, z, bound):
-    """Yield terms t_0..t_bound with t_{j+1} = t_j * prod(a+j)/prod(b+j) * z/(j+1).
+def _ratios(nums, dens, z: Fraction, bound: int):
+    """Yield the step ratios t_{j+1}/t_j = prod(a+j)*z / (prod(b+j)*(j+1)) as int pairs.
 
-    A zero denominator factor is an error only while terms are still nonzero;
-    once the running term vanishes the rest of the sum is identically zero.
+    A zero denominator factor is an error only while terms are still nonzero,
+    so the walk stops at the first vanishing numerator: past it the sum is
+    identically zero.
     """
-    term = Fraction(1)
-    for j in range(bound + 1):
-        yield term
-        if j == bound:
-            return
-        den = prod(b + j for b in denominators)
+    zn, zd = z.numerator, z.denominator
+    for j in range(bound):
+        den = zd * (j + 1)
+        for b in dens:
+            den *= b + j
         if den == 0:
-            if term == 0:
-                return
+            zero = next(b for b in dens if b + j == 0)
             raise ZeroDenominatorFactorError(
-                f"denominator factor vanished at step {j} of {bound} "
-                f"(denominators {tuple(denominators)})"
+                f"denominator factor {zero} vanished at step {j} of {bound}"
             )
-        term = term * prod(a + j for a in numerators) * z / (den * (j + 1))
+        num = zn
+        for a in nums:
+            num *= a + j
+        if num == 0:
+            return
+        yield num, den
 
 
 def pfq_terms(params: PFQParams) -> list[Fraction]:
-    """All terms of the terminating series, in order."""
+    """The terms t_0, t_1, ... of the terminating series, up to its last nonzero one."""
     bound = termination_index(params.numerators)
-    return list(_term_walk(params.numerators, params.denominators, params.z, bound))
+    terms = [Fraction(1)]
+    for num, den in _ratios(params.numerators, params.denominators, params.z, bound):
+        terms.append(terms[-1] * Fraction(num, den))
+    return terms
 
 
 def eval_pfq(params: PFQParams) -> Fraction:
-    """Exact value of a terminating series."""
-    return sum(pfq_terms(params), Fraction(0))
+    """Exact value of a terminating series: the one-level nested sum."""
+    level = PFQLevel(
+        tuple(map(AffineParam, params.numerators)),
+        tuple(map(AffineParam, params.denominators)),
+        params.z,
+    )
+    return eval_multi_pfq(MultiPFQSpec((level,)))
 
 
 def gauss_2f1_neg(a: int, b: int, c: int) -> Fraction:
@@ -214,28 +230,60 @@ class MultiPFQSpec:
     levels: tuple[PFQLevel, ...] = ()
 
 
+def _compile(params) -> tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]:
+    """Sparse (const, ((index, coeff), ...), multiplicity) groups; equal parameters merge."""
+    counts: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+    for p in params:
+        key = (p.const, tuple((i, c) for i, c in enumerate(p.coeffs) if c))
+        counts[key] = counts.get(key, 0) + 1
+    return tuple((const, terms, mult) for (const, terms), mult in counts.items())
+
+
+def _at(groups, outer: tuple[int, ...]) -> list[int]:
+    """Parameter values at the outer indices, each repeated by its multiplicity."""
+    values = []
+    for const, terms, mult in groups:
+        for i, k in terms:
+            const += k * outer[i]
+        values += (const,) * mult
+    return values
+
+
+def _level_sum(levels, index: int, outer: tuple[int, ...]) -> tuple[int, int]:
+    """Numerator and denominator of level ``index``'s sum at the outer indices ``outer``.
+
+    Horner from the tail: with inner values p_j/q_j (1 at the last level) and
+    step ratios num_j/den_j, P/Q <- p_j/q_j + num_j/den_j * P/Q, all in
+    integers, reduced once at the end.
+    """
+    nums, dens, z = levels[index]
+    nums, dens = _at(nums, outer), _at(dens, outer)
+    if index == 0:
+        bound = termination_index(nums)
+    else:
+        bound = min([outer[-1]] + [-a for a in nums if a <= 0])
+    ratios = list(_ratios(nums, dens, z, bound))
+    if index == len(levels) - 1:
+        P = Q = 1
+        for num, den in reversed(ratios):
+            P, Q = P * num + Q * den, Q * den
+    else:
+        inner = index + 1
+        P, Q = _level_sum(levels, inner, outer + (len(ratios),))
+        for j in range(len(ratios) - 1, -1, -1):
+            num, den = ratios[j]
+            p, q = _level_sum(levels, inner, outer + (j,))
+            P, Q = p * den * Q + num * P * q, q * den * Q
+    g = gcd(P, Q)
+    return P // g, Q // g
+
+
 def eval_multi_pfq(spec: MultiPFQSpec) -> Fraction:
     """Exact value of the nested sum."""
     if not spec.levels:
         return Fraction(1)
-
-    def level_sum(index: int, outer: tuple[int, ...]) -> Fraction:
-        level = spec.levels[index]
-        nums = tuple(p.at(outer) for p in level.numerators)
-        dens = tuple(p.at(outer) for p in level.denominators)
-        if index == 0:
-            bound = termination_index(nums)
-        else:
-            bound = outer[-1]
-            cap = min((-a for a in nums if a <= 0), default=bound)
-            bound = min(bound, cap)
-        total = Fraction(0)
-        last = index == len(spec.levels) - 1
-        for j, term in enumerate(_term_walk(nums, dens, level.z, bound)):
-            if last:
-                total += term
-            elif term != 0:
-                total += term * level_sum(index + 1, outer + (j,))
-        return total
-
-    return level_sum(0, ())
+    levels = tuple(
+        (_compile(level.numerators), _compile(level.denominators), Fraction(level.z))
+        for level in spec.levels
+    )
+    return Fraction(*_level_sum(levels, 0, ()))

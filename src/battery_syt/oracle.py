@@ -14,7 +14,7 @@ Every counting formula in the package is cross-checked against this module.
 
 from dataclasses import dataclass
 
-from .shapes import BatteryShape
+from .shapes import BatteryShape, SkewShape, TruncatedShape
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -68,13 +68,17 @@ def _span_profile(spans, size_cap: int) -> tuple[int, int]:
     return sum(level.values()), states
 
 
-def linear_extension_profile(shape: BatteryShape, size_cap: int = DEFAULT_SIZE_CAP) -> tuple[int, int]:
-    """Exact tableau count of a battery shape and the number of ideal states visited."""
+SpanShape = BatteryShape | SkewShape | TruncatedShape
+
+
+def linear_extension_profile(shape: SpanShape, size_cap: int = DEFAULT_SIZE_CAP) -> tuple[int, int]:
+    """Exact tableau count of any shape with ``row_spans()`` (battery, skew or
+    truncated) and the number of ideal states visited."""
     return _span_profile(shape.row_spans(), size_cap)
 
 
-def count_linear_extensions(shape: BatteryShape, size_cap: int = DEFAULT_SIZE_CAP) -> int:
-    """Exact number of standard Young tableaux of a battery shape."""
+def count_linear_extensions(shape: SpanShape, size_cap: int = DEFAULT_SIZE_CAP) -> int:
+    """Exact number of standard Young tableaux of any shape with ``row_spans()``."""
     count, _ = linear_extension_profile(shape, size_cap)
     return count
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from battery_syt import cli
+from battery_syt.counting import NonIntegerCountError
+from battery_syt.hypergeom import ZeroDenominatorFactorError
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape
 
 GOLDEN_FACTORED = (
@@ -110,6 +112,21 @@ def test_verify_mismatch_exits_4(capsys, monkeypatch):
     status = cli.run(["count", "battery:rect:2x2,a=1,k=2", "--method", "dp", "--verify"])
     assert status == 4
     assert "mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", [NonIntegerCountError, ZeroDenominatorFactorError])
+def test_arithmetic_fault_in_a_count_exits_4(capsys, monkeypatch, fault):
+    def faulty(shape, size_cap):
+        raise fault("injected")
+
+    monkeypatch.setitem(cli.METHODS, "hyper", faulty)
+    # as the primary count, then as the verify partner of dp
+    for argv in (["battery:rect:5x4,a=4,k=4", "--method", "hyper"],
+                 ["battery:rect:2x2,a=1,k=2", "--method", "dp", "--verify"]):
+        assert cli.run(["count", *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: inconsistent count from hyper: injected" in captured.err
 
 
 def test_verify_unavailable_exits_3(capsys):

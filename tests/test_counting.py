@@ -1,4 +1,7 @@
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from battery_syt.counting import (
     match_closed_form,
     rect_syt_count,
 )
+from battery_syt.cli import parse_shape_expr
 from battery_syt.oracle import count_linear_extensions
 from battery_syt.shapes import BatteryShape
 
@@ -167,3 +171,34 @@ def test_as_count_guards_integrality():
     assert _as_count(Fraction(7), "test") == 7
     with pytest.raises(NonIntegerCountError):
         _as_count(Fraction(1, 2), "test")
+
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
+
+
+def _cheapest_hyper_large_entry(band):
+    slots = json.loads(POOL.read_text())["workloads"]["hyper-large"]["slots"]
+    return min((e for slot in slots for e in slot if e["band"] == band), key=lambda e: e["cost_s"])
+
+
+@pytest.fixture
+def no_int_str_limit():
+    """Lift CPython's int/str digit limit for counts past 4,300 digits, where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("band", ["k4", "k5", "k6", "k2-3-defect"])
+def test_pinned_large_counts(band, no_int_str_limit):
+    # each pinned count was agreed by the hyper and general routes
+    entry = _cheapest_hyper_large_entry(band)
+    shape = parse_shape_expr(entry["args"][0])
+    count = COUNT_BY_COLUMN[shape.k](shape.lam[0], len(shape.lam), shape.a)
+    assert count == int(entry["count"])
+    if band == "k2-3-defect":
+        assert len(entry["count"]) > 4300

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from battery_syt.arith import binomial, pochhammer
 from battery_syt.hypergeom import (
@@ -50,6 +51,16 @@ def test_eval_pfq_zero_denominator_before_termination():
         eval_pfq(PFQParams((-3, 1), (-2,)))
     # a numerator 0 ends the series before the bad denominator is reached
     assert eval_pfq(PFQParams((0, -3), (-2,))) == 1
+
+
+def test_zero_z_hides_a_later_zero_denominator():
+    # z = 0 ends the walk after t_0, before the factor -1 vanishes at step 1
+    assert eval_pfq(PFQParams((-3,), (-1,), 0)) == 1
+    spec = MultiPFQSpec((PFQLevel((AffineParam(-3),), (AffineParam(-1),), F(0)),))
+    assert eval_multi_pfq(spec) == 1
+    # a factor vanishing at step 0 is still reached from t_0 = 1
+    with pytest.raises(ZeroDenominatorFactorError):
+        eval_pfq(PFQParams((-3,), (0,), 0))
 
 
 def test_termination_index():
@@ -259,3 +270,70 @@ def test_multi_pfq_two_levels_equals_hand_rolled_double_sum():
         for n in range(1, 4):
             for a in range(0, 4):
                 assert eval_multi_pfq(_two_level_spec(m, n, a)) == double_sum(m, n, a)
+
+
+def _nested_sum_reference(spec):
+    """The nested sum term by term: per-level Pochhammer products over m_0 >= m_1 >= ...
+
+    A term whose numerator product vanishes contributes nothing, and neither do
+    the later terms of its level or the levels inside it. A denominator product
+    that vanishes at a term reached from a nonzero one is a
+    ZeroDenominatorFactorError.
+    """
+    def level_sum(i, outer):
+        level = spec.levels[i]
+        nums = [p.at(outer) for p in level.numerators]
+        dens = [p.at(outer) for p in level.denominators]
+        caps = [-a for a in nums if a <= 0]
+        if i == 0:
+            if not caps:
+                raise NonTerminatingSeriesError("level 0 does not terminate")
+            bound = min(caps)
+        else:
+            bound = min(caps + [outer[-1]])
+        total = Fraction(0)
+        for m in range(bound + 1):
+            den = prod(pochhammer(b, m) for b in dens) * factorial(m)
+            if den == 0:
+                raise ZeroDenominatorFactorError(f"level {i} at m={m}")
+            num = prod(pochhammer(a, m) for a in nums) * Fraction(level.z) ** m
+            if num == 0:
+                break
+            inner = level_sum(i + 1, outer + (m,)) if i + 1 < len(spec.levels) else 1
+            total += Fraction(num, den) * inner
+        return total
+
+    return level_sum(0, ())
+
+
+@st.composite
+def small_multi_specs(draw):
+    """1-3 levels of 1-3 numerators and 0-2 denominators, constants in [-6, 4],
+    coefficients in [-1, 1] on the outer indices, z a small fraction. Level 0's
+    first numerator is a constant in [-5, -1], so every spec terminates."""
+    levels = []
+    for i in range(draw(st.integers(1, 3))):
+        def param():
+            coeffs = draw(st.lists(st.integers(-1, 1), min_size=i, max_size=i))
+            return AffineParam(draw(st.integers(-6, 4)), tuple(coeffs))
+
+        nums = tuple(param() for _ in range(draw(st.integers(1, 3))))
+        if i == 0:
+            nums = (AffineParam(-draw(st.integers(1, 5))),) + nums[1:]
+        dens = tuple(param() for _ in range(draw(st.integers(0, 2))))
+        z = F(draw(st.sampled_from((1, -1, 2, -3, 0))), draw(st.integers(1, 3)))
+        levels.append(PFQLevel(nums, dens, z))
+    return MultiPFQSpec(tuple(levels))
+
+
+def _outcome(evaluate, spec):
+    try:
+        return evaluate(spec)
+    except (NonTerminatingSeriesError, ZeroDenominatorFactorError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multi_specs())
+def test_multi_pfq_matches_term_by_term_reference(spec):
+    assert _outcome(eval_multi_pfq, spec) == _outcome(_nested_sum_reference, spec)

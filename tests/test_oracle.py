@@ -92,6 +92,13 @@ def test_line_convex_truncated_shapes():
     assert count_line_convex(trunc.row_spans()) == 530
 
 
+def test_profile_counts_skew_and_truncated_states():
+    for shape in (SkewShape((6, 5, 4, 3), (2, 1)), TruncatedShape(SkewShape((5, 5, 2, 1)), (2,))):
+        count, states = linear_extension_profile(shape)
+        assert count == count_line_convex(shape.row_spans()) == count_linear_extensions(shape)
+        assert states >= 1
+
+
 def test_line_convex_empty():
     assert count_line_convex(()) == 1
     assert count_line_convex(((0, 0),)) == 1
