@@ -16,11 +16,7 @@ from .counting import (
     bullet_profiles,
     closed_form,
     count_general,
-    count_k2,
-    count_k3,
-    count_k4,
-    count_k5,
-    count_k6,
+    count_hyper,
     match_closed_form,
     rect_syt_count,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 from .arith import Factorization, factorize
-from .counting import COUNT_BY_COLUMN, closed_form, count_general, match_closed_form
+from .counting import closed_form, count_general, count_hyper, match_closed_form
 from .oracle import (
     DEFAULT_SIZE_CAP,
     ENUMERATION_CAP,
@@ -189,9 +189,9 @@ class Method(NamedTuple):
 
 REGISTRY = {
     "hyper": Method(
-        f"a battery over a rectangle at column {min(COUNT_BY_COLUMN)}..{max(COUNT_BY_COLUMN)}",
-        lambda shape, size_cap: _rect_battery(shape) and shape.k in COUNT_BY_COLUMN,
-        lambda shape, size_cap: COUNT_BY_COLUMN[shape.k](*_rect_coords(shape)[:3]),
+        "a battery over a rectangle",
+        lambda shape, size_cap: _rect_battery(shape),
+        lambda shape, size_cap: count_hyper(*_rect_coords(shape)),
     ),
     "general": Method(
         "a battery over a rectangle",
@@ -226,8 +226,9 @@ REGISTRY = {
 METHODS = {name: method.count for name, method in REGISTRY.items()}
 
 # auto runs the first applicable method, falling back to dp for its size-cap
-# refusal; --verify checks against the first applicable other method
-AUTO_ORDER = ("closed", "hyper", "general", "hlf", "dp")
+# refusal; --verify checks against the first applicable other method, so general,
+# which applies wherever hyper does, is only ever a partner
+AUTO_ORDER = ("closed", "hyper", "hlf", "dp")
 PARTNER_ORDER = ("dp", "hyper", "general", "closed", "hlf", "enum")
 
 
@@ -302,9 +303,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     """Execute the CLI for the given argument list and return the exit status."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact counts may run past CPython's default 4300-digit limit on int/str conversion
-        sys.set_int_max_str_digits(0)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    # exact counts may run past CPython's default 4300-digit limit on int/str
+    # conversion; lift it for this run only, since callers share the process
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -324,17 +335,20 @@ def run(argv) -> int:
         needs = REGISTRY[method].needs.format(size_cap=args.size_cap, size=_shape_size(shape))
         print(f"error: method {method!r} not applicable: it needs {needs}", file=sys.stderr)
         return EXIT_METHOD
+    partner = None
+    if args.verify:
+        # refuse before counting, so a shape with no partner costs no primary count
+        partner = _first_applicable(shape, PARTNER_ORDER, args.size_cap, skip=method)
+        if partner is None:
+            print(f"error: no second method available to verify {args.shape!r}", file=sys.stderr)
+            return EXIT_METHOD
     started = time.perf_counter()
     count = _run_method(method, shape, args.size_cap)
     if count is None:
         return EXIT_MISMATCH
 
     verified = []
-    if args.verify:
-        partner = _first_applicable(shape, PARTNER_ORDER, args.size_cap, skip=method)
-        if partner is None:
-            print(f"error: no second method available to verify {args.shape!r}", file=sys.stderr)
-            return EXIT_METHOD
+    if partner is not None:
         check = _run_method(partner, shape, args.size_cap)
         if check is None:
             return EXIT_MISMATCH

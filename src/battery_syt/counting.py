@@ -3,14 +3,15 @@
 Three routes to the same number, kept deliberately independent so they can
 check each other:
 
-* ``count_k2`` .. ``count_k6``: the rectangle tableau count times an exact
-  terminating (possibly nested) hypergeometric value; the parameters for
-  column k are generated by one rule as k-1 nested levels;
+* ``count_hyper``: the rectangle tableau count times an exact terminating
+  nested hypergeometric sum, for every column 1 <= k <= m; one rule generates
+  the k-1 levels of column k;
 * ``count_general``: a direct sum over bullet profiles, splitting every
   tableau at the pivot cell into a small top-left subtableau, a rotated
   complement subtableau, and a binomial interleaving factor;
-* the closed-form catalog: multiplicative formulas for families with one
-  parameter fixed at a small value.
+* the closed-form catalog: multiplicative formulas, over the rectangle count,
+  for families with the column and one more coordinate fixed at small values;
+  a case's id names the coordinates it fixes.
 
 Counts are integers by construction; a non-integer intermediate aborts loudly
 since it can only mean a wrong parameter table.
@@ -25,20 +26,15 @@ from .hypergeom import (
     AffineParam,
     MultiPFQSpec,
     PFQLevel,
-    PFQParams,
     eval_multi_pfq,
-    eval_pfq,
+    eval_pfq,  # noqa: F401  (kept as a module binding that span tracing rebinds)
 )
 from .shapes import BatteryShape, conjugate, rotated_complement, syt_count_straight
 
 __all__ = [
     "NonIntegerCountError",
     "rect_syt_count",
-    "count_k2",
-    "count_k3",
-    "count_k4",
-    "count_k5",
-    "count_k6",
+    "count_hyper",
     "COUNT_BY_COLUMN",
     "bullet_profiles",
     "count_general",
@@ -64,6 +60,9 @@ def rect_syt_count(m: int, n: int) -> int:
 
 
 def _check_rect_args(m: int, n: int, a: int, k: int):
+    """The battery rule: a column 1 <= k <= m of an m-by-n rectangle, n >= 1, a >= 0."""
+    if k < 1:
+        raise ValueError(f"column index must be at least 1, got k={k}")
     if m < k:
         raise ValueError(f"column {k} battery needs base width m >= {k}, got m={m}")
     if n < 1:
@@ -72,19 +71,12 @@ def _check_rect_args(m: int, n: int, a: int, k: int):
         raise ValueError(f"battery length must be non-negative, got a={a}")
 
 
-def count_k2(m: int, n: int, a: int) -> int:
-    """Count for the battery above column 2 of an m-by-n rectangle:
-    rectangle count times 3F2(a, m, -n; 1, -mn; 1)."""
-    _check_rect_args(m, n, a, 2)
-    value = rect_syt_count(m, n) * eval_pfq(PFQParams((a, m, -n), (1, -m * n)))
-    return _as_count(value, f"[({m}^{n}), {a}, 2]")
-
-
 def _levels(m: int, n: int, a: int, k: int) -> MultiPFQSpec:
     """Nested-sum parameters for the battery above column k, one level per column left of it.
 
     Level i sums over x_i; its parameters are affine in the outer indices
-    x_0..x_{i-1}, and the coefficient on x_j sits at position j.
+    x_0..x_{i-1}, and the coefficient on x_j sits at position j. Column 1 has
+    no levels; column 2 has the single level 3F2(a, m, -n; 1, -mn; 1).
     """
     levels = []
     for i in range(k - 1):
@@ -100,39 +92,17 @@ def _levels(m: int, n: int, a: int, k: int) -> MultiPFQSpec:
     return MultiPFQSpec(tuple(levels))
 
 
-def _count_multi(m: int, n: int, a: int, k: int) -> int:
-    """Battery above column k: rectangle count times a (k-1)-level nested sum."""
+def count_hyper(m: int, n: int, a: int, k: int) -> int:
+    """Count for the battery above column 1 <= k <= m of an m-by-n rectangle:
+    the rectangle count times the (k-1)-level nested sum of ``_levels``."""
     _check_rect_args(m, n, a, k)
     value = rect_syt_count(m, n) * eval_multi_pfq(_levels(m, n, a, k))
     return _as_count(value, f"[({m}^{n}), {a}, {k}]")
 
 
-def count_k3(m: int, n: int, a: int) -> int:
-    """Battery above column 3: two-level nested sum."""
-    return _count_multi(m, n, a, 3)
-
-
-def count_k4(m: int, n: int, a: int) -> int:
-    """Battery above column 4: three-level nested sum."""
-    return _count_multi(m, n, a, 4)
-
-
-def count_k5(m: int, n: int, a: int) -> int:
-    """Battery above column 5: four-level nested sum."""
-    return _count_multi(m, n, a, 5)
-
-
-def count_k6(m: int, n: int, a: int) -> int:
-    """Battery above column 6: five-level nested sum."""
-    return _count_multi(m, n, a, 6)
-
-
+# the paper's columns 2..6 as counters of (m, n, a); count_hyper takes any column
 COUNT_BY_COLUMN: dict[int, Callable[[int, int, int], int]] = {
-    2: count_k2,
-    3: count_k3,
-    4: count_k4,
-    5: count_k5,
-    6: count_k6,
+    k: (lambda m, n, a, k=k: count_hyper(m, n, a, k)) for k in range(2, 7)
 }
 
 
@@ -154,8 +124,6 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     above fill its rotated complement in the rectangle, and the battery
     entries interleave in binomial(a + |profile| - 1, |profile|) ways.
     """
-    if k < 1 or k > m:
-        raise ValueError(f"column index must satisfy 1 <= k <= m, got k={k}, m={m}")
     _check_rect_args(m, n, a, k)
     total = 0
     for profile in bullet_profiles(k - 1, n):
@@ -171,15 +139,24 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class ClosedFormCase:
-    """One multiplicative formula from the fixed-parameter catalog."""
+    """One multiplicative formula from the fixed-parameter catalog.
+
+    The id is the record of the coordinates the case fixes: ``k2-a1`` is the
+    battery of length 1 above column 2, ``k2-m3`` column 2 over width 3.
+    ``ratio`` takes the other two of m, n, a (``params``, in that order) and
+    gives the battery count over the rectangle count.
+    """
 
     case_id: str
-    summary: str
-    params: tuple[str, ...]
-    # battery coordinates covered by given free parameters, as (m, n, a, k)
-    coordinates: Callable[..., tuple[int, int, int, int]]
-    valid: Callable[..., bool]
-    value: Callable[..., Fraction]
+    ratio: Callable[..., Fraction]
+
+    @property
+    def fixed(self) -> dict[str, int]:
+        return {part[0]: int(part[1:]) for part in self.case_id.split("-")}
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return tuple(name for name in "mna" if name not in self.fixed)
 
 
 def _poly_k2_a3(m, n):
@@ -223,42 +200,27 @@ CLOSED_FORM_CASES: dict[str, ClosedFormCase] = {
     case.case_id: case
     for case in (
         ClosedFormCase(
-            "k2-a1", "[(m^n), 1, 2]", ("m", "n"),
-            lambda m, n: (m, n, 1, 2),
-            lambda m, n: m >= 2 and n >= 1,
-            lambda m, n: rect_syt_count(m, n)
-            * Fraction(binomial(m * n + m, m), binomial(m * n + m - n, m)),
+            "k2-a1",
+            lambda m, n: Fraction(binomial(m * n + m, m), binomial(m * n + m - n, m)),
         ),
         ClosedFormCase(
-            "k2-a2", "[(m^n), 2, 2]", ("m", "n"),
-            lambda m, n: (m, n, 2, 2),
-            lambda m, n: m >= 2 and n >= 1,
-            lambda m, n: rect_syt_count(m, n)
-            * Fraction(binomial(m * n + m, m), binomial(m * n + m - n + 1, m + 1))
+            "k2-a2",
+            lambda m, n: Fraction(binomial(m * n + m, m), binomial(m * n + m - n + 1, m + 1))
             * Fraction(2 * m * n + m - n + 1, m + 1),
         ),
         ClosedFormCase(
-            "k2-a3", "[(m^n), 3, 2]", ("m", "n"),
-            lambda m, n: (m, n, 3, 2),
-            lambda m, n: m >= 2 and n >= 1,
-            lambda m, n: rect_syt_count(m, n)
-            * Fraction(binomial(m * n + m, m), binomial(m * n - n + m + 2, m + 2))
+            "k2-a3",
+            lambda m, n: Fraction(binomial(m * n + m, m), binomial(m * n - n + m + 2, m + 2))
             * Fraction(_poly_k2_a3(m, n), 2 * (m + 2) * (m + 1)),
         ),
         ClosedFormCase(
-            "k2-m3", "[(3^n), a, 2]", ("n", "a"),
-            lambda n, a: (3, n, a, 2),
-            lambda n, a: n >= 1 and a >= 0,
-            lambda n, a: rect_syt_count(3, n)
-            * Fraction(binomial(3 * n + a, a), binomial(2 * n + a + 2, a + 1))
+            "k2-m3",
+            lambda n, a: Fraction(binomial(3 * n + a, a), binomial(2 * n + a + 2, a + 1))
             * Fraction((n + 1) * (a * n + 2 * a + 8 * n + 4), 2 * (2 * n + 1)),
         ),
         ClosedFormCase(
-            "k2-m4", "[(4^n), a, 2]", ("n", "a"),
-            lambda n, a: (4, n, a, 2),
-            lambda n, a: n >= 1 and a >= 0,
-            lambda n, a: rect_syt_count(4, n)
-            * Fraction(binomial(4 * n + a, a), binomial(3 * n + a + 3, a + 1))
+            "k2-m4",
+            lambda n, a: Fraction(binomial(4 * n + a, a), binomial(3 * n + a + 3, a + 1))
             * Fraction(
                 (n + 1)
                 * (
@@ -270,18 +232,12 @@ CLOSED_FORM_CASES: dict[str, ClosedFormCase] = {
             ),
         ),
         ClosedFormCase(
-            "k2-n2", "[(m^2), a, 2]", ("m", "a"),
-            lambda m, a: (m, 2, a, 2),
-            lambda m, a: m >= 2 and a >= 0,
-            lambda m, a: rect_syt_count(m, 2)
-            * Fraction((a + 1) * (a * (m + 1) + 4 * (2 * m - 1)), 4 * (2 * m - 1)),
+            "k2-n2",
+            lambda m, a: Fraction((a + 1) * (a * (m + 1) + 4 * (2 * m - 1)), 4 * (2 * m - 1)),
         ),
         ClosedFormCase(
-            "k2-n3", "[(m^3), a, 2]", ("m", "a"),
-            lambda m, a: (m, 3, a, 2),
-            lambda m, a: m >= 2 and a >= 0,
-            lambda m, a: rect_syt_count(m, 3)
-            * Fraction(
+            "k2-n3",
+            lambda m, a: Fraction(
                 (a + 1)
                 * (
                     a * a * (m + 1) * (m + 2)
@@ -292,11 +248,8 @@ CLOSED_FORM_CASES: dict[str, ClosedFormCase] = {
             ),
         ),
         ClosedFormCase(
-            "k3-n2", "[(m^2), a, 3]", ("m", "a"),
-            lambda m, a: (m, 2, a, 3),
-            lambda m, a: m >= 3 and a >= 0,
-            lambda m, a: rect_syt_count(m, 2)
-            * Fraction(
+            "k3-n2",
+            lambda m, a: Fraction(
                 (a + 1)
                 * (a + 2)
                 * (
@@ -308,31 +261,22 @@ CLOSED_FORM_CASES: dict[str, ClosedFormCase] = {
             ),
         ),
         ClosedFormCase(
-            "k3-n3", "[(m^3), a, 3]", ("m", "a"),
-            lambda m, a: (m, 3, a, 3),
-            lambda m, a: m >= 3 and a >= 0,
-            lambda m, a: rect_syt_count(m, 3)
-            * Fraction(
+            "k3-n3",
+            lambda m, a: Fraction(
                 (a + 1) * (a + 2) * _poly_k3_n3(m, a),
                 1296 * (3 * m - 1) * (3 * m - 2) * (3 * m - 4) * (3 * m - 5),
             ),
         ),
         ClosedFormCase(
-            "k4-n2", "[(m^2), a, 4]", ("m", "a"),
-            lambda m, a: (m, 2, a, 4),
-            lambda m, a: m >= 4 and a >= 0,
-            lambda m, a: rect_syt_count(m, 2)
-            * Fraction(
+            "k4-n2",
+            lambda m, a: Fraction(
                 (a + 1) * (a + 2) * (a + 3) * _poly_k4_n2(m, a),
                 1152 * (2 * m - 1) * (2 * m - 3) * (2 * m - 5),
             ),
         ),
         ClosedFormCase(
-            "k5-n2", "[(m^2), a, 5]", ("m", "a"),
-            lambda m, a: (m, 2, a, 5),
-            lambda m, a: m >= 5 and a >= 0,
-            lambda m, a: rect_syt_count(m, 2)
-            * Fraction(
+            "k5-n2",
+            lambda m, a: Fraction(
                 (a + 1) * (a + 2) * (a + 3) * (a + 4) * _poly_k5_n2(m, a),
                 46080 * (2 * m - 1) * (2 * m - 3) * (2 * m - 5) * (2 * m - 7),
             ),
@@ -346,18 +290,21 @@ def closed_form(case_id: str, **params: int) -> int:
     case = CLOSED_FORM_CASES[case_id]
     if set(params) != set(case.params):
         raise ValueError(f"case {case_id} takes parameters {case.params}, got {tuple(params)}")
-    args = [params[name] for name in case.params]
-    if not case.valid(*args):
-        raise ValueError(f"parameters {params} outside the validity range of case {case_id}")
-    return _as_count(case.value(*args), f"closed form {case_id}{params}")
+    coords = {**case.fixed, **params}
+    m, n = coords["m"], coords["n"]
+    _check_rect_args(m, n, coords["a"], coords["k"])
+    value = rect_syt_count(m, n) * case.ratio(*(params[name] for name in case.params))
+    return _as_count(value, f"closed form {case_id}{params}")
 
 
 def match_closed_form(m: int, n: int, a: int, k: int) -> Optional[tuple[str, dict[str, int]]]:
-    """First catalog case covering the battery [(m^n), a, k], if any."""
+    """First catalog case whose fixed coordinates are those of the battery [(m^n), a, k], if any."""
+    try:
+        _check_rect_args(m, n, a, k)
+    except ValueError:
+        return None
     coords = {"m": m, "n": n, "a": a, "k": k}
     for case_id, case in CLOSED_FORM_CASES.items():
-        params = {name: coords[name] for name in case.params}
-        args = params.values()
-        if case.coordinates(*args) == (m, n, a, k) and case.valid(*args):
-            return case_id, params
+        if all(coords[name] == value for name, value in case.fixed.items()):
+            return case_id, {name: coords[name] for name in case.params}
     return None

@@ -13,8 +13,7 @@ from battery_syt.counting import (
     NonIntegerCountError,
     closed_form,
     count_general,
-    count_k4,
-    count_k6,
+    count_hyper,
 )
 from battery_syt.hypergeom import PFQParams, contiguous_step, eval_pfq, gauss_2f1_neg, reduce_3f2
 from battery_syt.oracle import count_linear_extensions, linear_extension_profile
@@ -39,7 +38,7 @@ def _report(number, message, elapsed=None):
 
 def test_criterion_01_golden_wide_battery():
     start = time.perf_counter()
-    by_formula = count_k6(11, 7, 1)
+    by_formula = count_hyper(11, 7, 1, 6)
     by_general = count_general(11, 7, 1, 6)
     by_dp, states = linear_extension_profile(BatteryShape((11,) * 7, 1, 6))
     factors = factorize(by_formula).factors
@@ -54,7 +53,7 @@ def test_criterion_01_golden_wide_battery():
 
 def test_criterion_02_golden_tall_battery():
     start = time.perf_counter()
-    by_formula = count_k4(7, 11, 1)
+    by_formula = count_hyper(7, 11, 1, 4)
     by_general = count_general(7, 11, 1, 4)
     by_dp = count_linear_extensions(BatteryShape((7,) * 11, 1, 4))
     factors = factorize(by_formula).factors
@@ -178,8 +177,8 @@ def test_criterion_08_closed_form_catalog():
     for case_id, grid in grids.items():
         case = CLOSED_FORM_CASES[case_id]
         for params in grid:
-            args = [params[name] for name in case.params]
-            expected = count_general(*case.coordinates(*args))
+            coords = {**case.fixed, **params}
+            expected = count_general(*(coords[name] for name in "mnak"))
             assert closed_form(case_id, **params) == expected, (case_id, params)
             cases += 1
     elapsed = time.perf_counter() - start
@@ -205,9 +204,12 @@ def test_criterion_09_integrality_across_sweeps():
     for case_id, case in CLOSED_FORM_CASES.items():
         for first in range(2, 6):
             for second in range(1, 5):
-                if case.valid(first, second):
+                params = dict(zip(case.params, (first, second)))
+                coords = {**case.fixed, **params}
+                # n and a are at least 1 on this grid, so only the width can fall short
+                if coords["m"] >= coords["k"]:
                     try:
-                        closed_form(case_id, **dict(zip(case.params, (first, second))))
+                        closed_form(case_id, **params)
                     except NonIntegerCountError:
                         violations += 1
                     evaluated += 1

@@ -129,16 +129,32 @@ def test_arithmetic_fault_in_a_count_exits_4(capsys, monkeypatch, fault):
         assert "error: inconsistent count from hyper: injected" in captured.err
 
 
-def test_verify_unavailable_exits_3(capsys):
-    # a 13-cell skew shape has no second independent method
+def test_verify_unavailable_exits_3(capsys, monkeypatch):
+    # a 13-cell skew shape has no second independent method; refused before
+    # the primary dp count runs
+    dp_calls = []
+    monkeypatch.setitem(cli.METHODS, "dp", lambda shape, size_cap: dp_calls.append(shape))
     assert cli.run(["count", "skew:5,4,3,1/1", "--verify"]) == 3
+    assert "no second method" in capsys.readouterr().err
+    assert dp_calls == []
+
+
+def test_hyper_verified_by_general_above_the_dp_cap(capsys):
+    # 121 cells: over the dp size cap, so general is the partner at column 7
+    assert cli.run(["count", "battery:rect:20x6,a=1,k=7", "--verify"]) == 0
+    captured = capsys.readouterr()
+    assert "verified: hyper == general" in captured.err
+    assert captured.out.strip() == (
+        "106084817684399890735406624326724286026347717660455570184145434852773744000"
+    )
 
 
 def test_auto_method_selection():
     cases = {
         "battery:rect:3x2,a=1,k=2": "closed",
         "battery:rect:5x4,a=4,k=4": "hyper",
-        "battery:rect:2x2,a=0,k=1": "general",
+        "battery:rect:2x2,a=0,k=1": "hyper",
+        "battery:rect:11x11,a=1,k=7": "hyper",
         "battery:part:3,1,a=1,k=3": "dp",
         "partition:3,2,1": "hlf",
         "skew:3,2/1": "dp",
@@ -165,6 +181,14 @@ def default_int_str_limit():
     sys.set_int_max_str_digits(4300)
     yield
     sys.set_int_max_str_digits(saved)
+
+
+def test_run_restores_the_int_str_digit_limit(capsys, default_int_str_limit):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    for argv in (["count", "partition:2,1"], ["count", "partition:3,5"], ["count", "--bogus"]):
+        cli.run(argv)
+        assert limit() == before, argv
 
 
 def test_counts_past_the_int_str_digit_limit(capsys, default_int_str_limit):
@@ -207,3 +231,70 @@ def test_method_exits_3_exactly_when_inapplicable(shape, method, size_cap):
     expr = f"battery:part:{base},a={shape.a},k={shape.k}"
     status = cli.run(["count", expr, "--method", method, "--size-cap", str(size_cap)])
     assert status == (0 if cli.REGISTRY[method].applies(shape, size_cap) else 3)
+
+
+def _joined(values):
+    return ",".join(map(str, values))
+
+
+@st.composite
+def shape_exprs(draw):
+    """Expressions of every kind in the grammar, with sides and parts bounded so
+    that every parseable one has at most 30 cells, or junk text."""
+    def spoil(good, *bad):
+        # mostly well formed, sometimes malformed or out of range
+        return draw(st.sampled_from([good] * 4 + list(bad)))
+
+    def rows(within=None):
+        if within is None:
+            values = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        else:
+            # often inside the outer shape, sometimes a cell or a row past it
+            bounds = within + [0]
+            values = [draw(st.integers(1, v + 1)) for v in bounds[:draw(st.integers(1, len(bounds)))]]
+        values.sort(reverse=True)
+        return values, spoil(_joined(values), _joined(values[::-1]), _joined(values + [-1]), "")
+
+    def rect():
+        m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        return spoil(f"{m}x{n}", f"0x{n}", f"{m}x-1", f"{m}")
+
+    kind = draw(st.sampled_from(
+        ["partition", "rect", "battery:rect", "battery:part", "skew", "truncated", "junk"]
+    ))
+    if kind == "partition":
+        return f"partition:{rows()[1]}"
+    if kind == "rect":
+        return f"rect:{rect()}"
+    if kind.startswith("battery"):
+        base = rect() if kind == "battery:rect" else rows()[1]
+        a = spoil(draw(st.integers(0, 5)), -1)
+        k = spoil(draw(st.integers(1, 5)), 0, -1, 9)
+        return f"{kind}:{base},a={a},k={k}"
+    if kind in ("skew", "truncated"):
+        outer, outer_text = rows()
+        inner_text = rows(within=outer)[1]
+        return f"skew:{outer_text}/{inner_text}" if kind == "skew" else f"truncated:{outer_text}\\{inner_text}"
+    return draw(st.text(max_size=20))
+
+
+@st.composite
+def count_flags(draw):
+    """Random --method ("enum" is a registry name the CLI refuses), --output, --verify and --size-cap."""
+    flags = []
+    if draw(st.booleans()):
+        flags += ["--method", draw(st.sampled_from(["auto", "hyper", "general", "closed", "dp", "enum"]))]
+    if draw(st.booleans()):
+        flags += ["--output", draw(st.sampled_from(["decimal", "factored", "json"]))]
+    if draw(st.booleans()):
+        flags.append("--verify")
+    if draw(st.booleans()):
+        flags += ["--size-cap", draw(st.sampled_from(["0", "12", "30", "120", "-1", "x"]))]
+    return flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape_exprs(), count_flags())
+def test_cli_exits_only_0_2_3_or_4(expr, flags):
+    # an exception escaping run() fails the test as well
+    assert cli.run(["count", expr, *flags]) in (0, 2, 3, 4)

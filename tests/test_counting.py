@@ -13,8 +13,7 @@ from battery_syt.counting import (
     bullet_profiles,
     closed_form,
     count_general,
-    count_k2,
-    count_k3,
+    count_hyper,
     match_closed_form,
     rect_syt_count,
 )
@@ -30,20 +29,27 @@ def test_rect_syt_count():
 
 
 def test_count_k2_known_values():
-    assert count_k2(2, 1, 1) == 2
-    assert count_k2(2, 2, 1) == 5
+    assert count_hyper(2, 1, 1, 2) == 2
+    assert count_hyper(2, 2, 1, 2) == 5
     for m in range(2, 5):
         for n in range(1, 5):
-            assert count_k2(m, n, 0) == rect_syt_count(m, n)
+            assert count_hyper(m, n, 0, 2) == rect_syt_count(m, n)
+            # column 1 has no levels: the battery entries are forced
+            assert count_hyper(m, n, 3, 1) == rect_syt_count(m, n)
 
 
 def test_count_k2_rejects_narrow_base():
     with pytest.raises(ValueError):
-        count_k2(1, 3, 1)
+        count_hyper(1, 3, 1, 2)
+    with pytest.raises(ValueError):
+        count_hyper(3, 2, 1, 0)
+    for k, counter in COUNT_BY_COLUMN.items():
+        with pytest.raises(ValueError):
+            counter(k - 1, 3, 1)
 
 
 def test_count_k3_known_value():
-    assert count_k3(3, 1, 1) == 3
+    assert count_hyper(3, 1, 1, 3) == 3
 
 
 def test_bullet_profiles():
@@ -75,17 +81,20 @@ def test_count_k2_matches_general():
     for m in range(2, 5):
         for n in range(1, 4):
             for a in range(0, 4):
-                assert count_k2(m, n, a) == count_general(m, n, a, 2)
+                assert count_hyper(m, n, a, 2) == count_general(m, n, a, 2)
 
 
 def test_nested_counts_match_general():
-    for k, counter in COUNT_BY_COLUMN.items():
-        if k == 2:
-            continue
+    for k in range(1, 10):
         for m in (k, k + 1):
             for n in range(1, 4):
                 for a in range(0, 3):
-                    assert counter(m, n, a) == count_general(m, n, a, k), (k, m, n, a)
+                    count = count_hyper(m, n, a, k)
+                    assert count == count_general(m, n, a, k), (k, m, n, a)
+                    if k in COUNT_BY_COLUMN:
+                        assert COUNT_BY_COLUMN[k](m, n, a) == count, (k, m, n, a)
+                    if m * n + a <= 40:
+                        assert count == count_linear_extensions(BatteryShape((m,) * n, a, k)), (k, m, n, a)
 
 
 def test_counts_match_dp_oracle_small():
@@ -101,7 +110,13 @@ def test_closed_form_known_values():
     assert closed_form("k2-a1", m=2, n=2) == 5
     assert closed_form("k2-a2", m=2, n=2) == 9
     assert closed_form("k2-n2", m=3, a=1) == 12
-    assert count_k2(3, 2, 1) == 12
+    assert count_hyper(3, 2, 1, 2) == 12
+    # a case's id names the coordinates it fixes; params are the other two of m, n, a
+    assert CLOSED_FORM_CASES["k2-a1"].fixed == {"k": 2, "a": 1}
+    assert CLOSED_FORM_CASES["k2-a1"].params == ("m", "n")
+    assert CLOSED_FORM_CASES["k2-m3"].fixed == {"k": 2, "m": 3}
+    assert CLOSED_FORM_CASES["k2-m3"].params == ("n", "a")
+    assert CLOSED_FORM_CASES["k5-n2"].params == ("m", "a")
 
 
 def test_closed_form_rejects_bad_input():
@@ -111,6 +126,10 @@ def test_closed_form_rejects_bad_input():
         closed_form("k2-a1", m=3)
     with pytest.raises(ValueError):
         closed_form("k5-n2", m=4, a=1)  # base too narrow for column 5
+    with pytest.raises(ValueError):
+        closed_form("k2-m3", n=0, a=1)
+    with pytest.raises(ValueError):
+        closed_form("k2-n2", m=3, a=-1)
 
 
 def test_closed_forms_match_general():
@@ -131,8 +150,8 @@ def test_closed_forms_match_general():
     for case_id, grid in grids.items():
         case = CLOSED_FORM_CASES[case_id]
         for params in grid:
-            args = [params[name] for name in case.params]
-            expected = count_general(*case.coordinates(*args))
+            coords = {**case.fixed, **params}
+            expected = count_general(*(coords[name] for name in "mnak"))
             assert closed_form(case_id, **params) == expected, (case_id, params)
 
 
@@ -142,6 +161,8 @@ def test_match_closed_form():
     assert match_closed_form(6, 2, 4, 5) == ("k5-n2", {"m": 6, "a": 4})
     assert match_closed_form(5, 5, 5, 2) is None
     assert match_closed_form(4, 2, 1, 5) is None  # column 5 needs width >= 5
+    assert match_closed_form(3, 0, 1, 2) is None  # no rows
+    assert match_closed_form(3, 2, -1, 2) is None  # negative battery length
     assert match_closed_form(11, 7, 1, 6) is None
 
 
@@ -176,9 +197,20 @@ def test_as_count_guards_integrality():
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
 
 
-def _cheapest_hyper_large_entry(band):
-    slots = json.loads(POOL.read_text())["workloads"]["hyper-large"]["slots"]
-    return min((e for slot in slots for e in slot if e["band"] == band), key=lambda e: e["cost_s"])
+HIGH_COLUMNS = ("k7", "k8", "k9", "k10")
+
+
+def _cheapest_pool_entry(band):
+    """Cheapest entry of a hyper-large band, or of one column of the general-high-k k7-10 band."""
+    workloads = json.loads(POOL.read_text())["workloads"]
+    if band in HIGH_COLUMNS:
+        entries = (
+            e for slot in workloads["general-high-k"]["slots"] for e in slot
+            if e["band"] == "k7-10" and parse_shape_expr(e["args"][0]).k == int(band[1:])
+        )
+    else:
+        entries = (e for slot in workloads["hyper-large"]["slots"] for e in slot if e["band"] == band)
+    return min(entries, key=lambda e: e["cost_s"])
 
 
 @pytest.fixture
@@ -193,12 +225,13 @@ def no_int_str_limit():
     sys.set_int_max_str_digits(saved)
 
 
-@pytest.mark.parametrize("band", ["k4", "k5", "k6", "k2-3-defect"])
+@pytest.mark.parametrize("band", ["k4", "k5", "k6", "k2-3-defect", *HIGH_COLUMNS])
 def test_pinned_large_counts(band, no_int_str_limit):
-    # each pinned count was agreed by the hyper and general routes
-    entry = _cheapest_hyper_large_entry(band)
+    # each pinned count was agreed by two routes: hyper and general, or for
+    # columns 7..10 general and dp
+    entry = _cheapest_pool_entry(band)
     shape = parse_shape_expr(entry["args"][0])
-    count = COUNT_BY_COLUMN[shape.k](shape.lam[0], len(shape.lam), shape.a)
+    count = count_hyper(shape.lam[0], len(shape.lam), shape.a, shape.k)
     assert count == int(entry["count"])
     if band == "k2-3-defect":
         assert len(entry["count"]) > 4300
