@@ -7,13 +7,11 @@ mismatch or an inconsistent count (an arithmetic fault inside a counting route).
 """
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
-from .arith import Factorization, factorize
+from .arith import Factorization, Record, factorize
 from .counting import closed_form, count_general, count_hyper, match_closed_form
 from .oracle import (
     DEFAULT_SIZE_CAP,
@@ -252,16 +250,24 @@ def _first_applicable(shape: Shape, order, size_cap: int, skip: Optional[str] = 
     )
 
 
-@dataclass
-class RunReport:
-    shape: str
-    method: str
-    count: int
-    factorization: Optional[Factorization]
-    verified_methods: list[str]
-    elapsed_ms: float
+class RunReport(Record):
+    __slots__ = ("shape", "method", "count", "factorization", "verified_methods", "elapsed_ms")
+
+    def __init__(
+        self,
+        shape: str,
+        method: str,
+        count: int,
+        factorization: Optional[Factorization],
+        verified_methods: list[str],
+        elapsed_ms: float,
+    ) -> None:
+        self._set(shape, method, count, factorization, verified_methods, elapsed_ms)
 
     def to_json(self) -> str:
+        # only --output json serializes, so the other outputs never import json
+        import json
+
         return json.dumps({
             "shape": self.shape,
             "method": self.method,

@@ -17,11 +17,10 @@ Counts are integers by construction; a non-integer intermediate aborts loudly
 since it can only mean a wrong parameter table.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .arith import binomial
+from .arith import Record, binomial
 from .hypergeom import (
     AffineParam,
     MultiPFQSpec,
@@ -137,8 +136,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ClosedFormCase:
+class ClosedFormCase(Record):
     """One multiplicative formula from the fixed-parameter catalog.
 
     The id is the record of the coordinates the case fixes: ``k2-a1`` is the
@@ -147,8 +145,10 @@ class ClosedFormCase:
     gives the battery count over the rectangle count.
     """
 
-    case_id: str
-    ratio: Callable[..., Fraction]
+    __slots__ = ("case_id", "ratio")
+
+    def __init__(self, case_id: str, ratio: Callable[..., Fraction]) -> None:
+        self._set(case_id, ratio)
 
     @property
     def fixed(self) -> dict[str, int]:

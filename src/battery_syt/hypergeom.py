@@ -13,11 +13,10 @@ parameters are compiled once per call into sparse groups, with equal
 parameters merged.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import binomial
+from .arith import Record, binomial
 
 __all__ = [
     "NonTerminatingSeriesError",
@@ -45,18 +44,22 @@ class ZeroDenominatorFactorError(ArithmeticError):
     """A denominator factor vanished at a summation step the series actually reaches."""
 
 
-@dataclass(frozen=True)
-class PFQParams:
+class PFQParams(Record):
     """Integer parameters of a terminating series sum_j prod(a_i)_j / prod(b_i)_j * z^j / j!."""
 
-    numerators: tuple[int, ...]
-    denominators: tuple[int, ...]
-    z: Fraction = Fraction(1)
+    __slots__ = ("numerators", "denominators", "z")
 
-    def __post_init__(self):
-        object.__setattr__(self, "numerators", tuple(int(x) for x in self.numerators))
-        object.__setattr__(self, "denominators", tuple(int(x) for x in self.denominators))
-        object.__setattr__(self, "z", Fraction(self.z))
+    def __init__(
+        self,
+        numerators: tuple[int, ...],
+        denominators: tuple[int, ...],
+        z: Fraction = Fraction(1),
+    ) -> None:
+        self._set(
+            tuple(int(x) for x in numerators),
+            tuple(int(x) for x in denominators),
+            Fraction(z),
+        )
 
 
 def termination_index(numerators) -> int:
@@ -122,14 +125,19 @@ def gauss_2f1_neg(a: int, b: int, c: int) -> Fraction:
     return Fraction(binomial(c + b, a), binomial(c, a))
 
 
-@dataclass(frozen=True)
-class ContiguousDecomposition:
+class ContiguousDecomposition(Record):
     """Two-term rewrite of 3F2(a, b, -c; d, -e; 1); see contiguous_step."""
 
-    coefficient1: Fraction
-    params1: PFQParams
-    coefficient2: Fraction
-    params2: PFQParams
+    __slots__ = ("coefficient1", "params1", "coefficient2", "params2")
+
+    def __init__(
+        self,
+        coefficient1: Fraction,
+        params1: PFQParams,
+        coefficient2: Fraction,
+        params2: PFQParams,
+    ) -> None:
+        self._set(coefficient1, params1, coefficient2, params2)
 
     def evaluate(self) -> Fraction:
         """Value of the decomposition; branches with coefficient 0 are never evaluated."""
@@ -194,32 +202,37 @@ def reduce_3f2(a: int, b: int, c: int, e: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class AffineParam:
+class AffineParam(Record):
     """Integer parameter const + sum(coeffs[i] * outer[i]) over outer summation indices.
 
     Coefficients beyond len(coeffs) are implicitly zero, so constants need no
     padding.
     """
 
-    const: int
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("const", "coeffs")
+
+    def __init__(self, const: int, coeffs: tuple[int, ...] = ()) -> None:
+        self._set(const, coeffs)
 
     def at(self, outer: tuple[int, ...]) -> int:
         return self.const + sum(c * x for c, x in zip(self.coeffs, outer))
 
 
-@dataclass(frozen=True)
-class PFQLevel:
+class PFQLevel(Record):
     """One level of a nested hypergeometric sum; parameters may depend on outer indices."""
 
-    numerators: tuple[AffineParam, ...]
-    denominators: tuple[AffineParam, ...]
-    z: Fraction = Fraction(1)
+    __slots__ = ("numerators", "denominators", "z")
+
+    def __init__(
+        self,
+        numerators: tuple[AffineParam, ...],
+        denominators: tuple[AffineParam, ...],
+        z: Fraction = Fraction(1),
+    ) -> None:
+        self._set(numerators, denominators, z)
 
 
-@dataclass(frozen=True)
-class MultiPFQSpec:
+class MultiPFQSpec(Record):
     """Leveled sum over indices m_0 >= m_1 >= ... with per-level Pochhammer quotients.
 
     Each level contributes prod(a)_{m_i} / prod(b)_{m_i} * z_i^{m_i} / m_i!
@@ -227,7 +240,10 @@ class MultiPFQSpec:
     Level 0 must terminate through a non-positive numerator.
     """
 
-    levels: tuple[PFQLevel, ...] = ()
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: tuple[PFQLevel, ...] = ()) -> None:
+        self._set(levels)
 
 
 def _compile(params) -> tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]:

@@ -12,8 +12,7 @@ follows the same rule.
 Every counting formula in the package is cross-checked against this module.
 """
 
-from dataclasses import dataclass
-
+from .arith import Record
 from .shapes import BatteryShape, SkewShape, TruncatedShape
 
 __all__ = [
@@ -92,12 +91,13 @@ def count_line_convex(spans, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class BatteryTableau:
+class BatteryTableau(Record):
     """A filled battery shape: the battery column top-down, then the base rows."""
 
-    battery: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("battery", "rows")
+
+    def __init__(self, battery: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> None:
+        self._set(battery, rows)
 
 
 def enumerate_syt(shape: BatteryShape, cap: int = ENUMERATION_CAP) -> list[BatteryTableau]:

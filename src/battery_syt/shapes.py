@@ -1,16 +1,16 @@
 """Partitions, hook lengths, and the shape types accepted by the counters.
 
 A partition is a plain tuple of weakly decreasing positive row lengths.
-Skew, truncated, and battery shapes are small frozen dataclasses that
-validate their invariants at construction time.
+Skew, truncated, and battery shapes are small immutable records (``Record``
+from ``arith``; never tuples, so a tuple is always a straight partition) that
+canonicalize and validate their fields at construction time.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable
 
-from .arith import binomial
+from .arith import Record, binomial
 
 __all__ = [
     "Partition",
@@ -95,16 +95,13 @@ def rotated_complement(m: int, n: int, mu: Partition) -> Partition:
     return tuple(m - v for v in reversed(padded) if m - v > 0)
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(Record):
     """Cells of an outer partition with an inner partition removed from its corner."""
 
-    outer: Partition
-    inner: Partition = ()
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self):
-        object.__setattr__(self, "outer", as_partition(self.outer))
-        object.__setattr__(self, "inner", as_partition(self.inner))
+    def __init__(self, outer: Partition, inner: Partition = ()) -> None:
+        self._set(as_partition(outer), as_partition(inner))
         if len(self.inner) > len(self.outer):
             raise ValueError(f"inner shape {self.inner} has more rows than outer {self.outer}")
         for i, v in enumerate(self.inner):
@@ -130,15 +127,13 @@ def _check_line_convex(spans):
             raise ValueError(f"column {col + 1} is not contiguous: occupied rows {[r + 1 for r in rows]}")
 
 
-@dataclass(frozen=True)
-class TruncatedShape:
+class TruncatedShape(Record):
     """Skew shape with additional cells deleted row by row from the northeastern corner."""
 
-    base: SkewShape
-    truncation: Partition
+    __slots__ = ("base", "truncation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "truncation", as_partition(self.truncation))
+    def __init__(self, base: SkewShape, truncation: Partition) -> None:
+        self._set(base, as_partition(truncation))
         spans = self.base.row_spans()
         if len(self.truncation) > len(spans):
             raise ValueError("truncation has more rows than the base shape")
@@ -157,16 +152,13 @@ class TruncatedShape:
         return self.base.size - sum(self.truncation)
 
 
-@dataclass(frozen=True)
-class BatteryShape:
+class BatteryShape(Record):
     """A partition with a column of a extra cells attached above its k-th column."""
 
-    lam: Partition
-    a: int
-    k: int
+    __slots__ = ("lam", "a", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", as_partition(self.lam))
+    def __init__(self, lam: Partition, a: int, k: int) -> None:
+        self._set(as_partition(lam), a, k)
         validate_battery(self)
 
     @property

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import battery_syt
 from battery_syt import cli
 from battery_syt.counting import NonIntegerCountError
 from battery_syt.hypergeom import ZeroDenominatorFactorError
@@ -79,6 +83,28 @@ def test_json_output_round_trips(capsys):
     assert report["method"] == "closed"
     assert "dp" in report["verified_methods"]
     assert report["elapsed_ms"] >= 0
+
+
+def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
+    # every call pays for what importing the CLI loads; json waits for --output json
+    child = (
+        "import sys\n"
+        "import battery_syt.cli as cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+        "cli.run(['count', 'battery:rect:3x2,a=1,k=2', '--output', 'json'])\n"
+    )
+    src = str(Path(battery_syt.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", child],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout.splitlines()
+    assert out[0] == "[]"
+    report = json.loads(out[1])
+    assert (report["count"], report["factorization"]) == ("12", [[2, 2], [3, 1]])
 
 
 def test_parse_failure_exits_2(capsys):

@@ -1,5 +1,11 @@
-import pytest
+import io
+from contextlib import redirect_stdout
+from math import factorial, prod
 
+import pytest
+from hypothesis import assume, given, reject, settings, strategies as st
+
+from battery_syt import cli
 from battery_syt.oracle import (
     BatteryTableau,
     count_line_convex,
@@ -156,3 +162,61 @@ def test_validity_checker_rejects_bad_fillings():
     assert not is_valid_tableau(shape, BatteryTableau((3,), ((1, 4), (2, 6))))
     # shape mismatch
     assert not is_valid_tableau(shape, BatteryTableau((3, 4), ((1, 5), (2, 6))))
+
+
+def _multinomial(parts):
+    return factorial(sum(parts)) // prod(factorial(x) for x in parts)
+
+
+def _extension_bound(spans):
+    """Upper bound on the tableau count, independent of the DP: keeping only the
+    row (or only the column) order can only add linear extensions."""
+    rows = [e - s for s, e in spans if e > s]
+    cols = {}
+    for s, e in spans:
+        for c in range(s, e):
+            cols[c] = cols.get(c, 0) + 1
+    return min(_multinomial(rows), _multinomial(list(cols.values())))
+
+
+def _joined(values):
+    return ",".join(map(str, values)) or "0"  # "0" is the grammar's empty partition
+
+
+@st.composite
+def line_convex_shapes(draw):
+    """Skew shapes and truncated straight shapes of at most 12 cells, with the
+    expression the CLI parses to each and the cells' row spans, built here from
+    the definitions rather than by ``row_spans()``."""
+    outer = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)), reverse=True)
+    if draw(st.booleans()):
+        # each drawn row fits under its outer row, so the sorted rows do too
+        inner = sorted((draw(st.integers(0, row)) for row in outer), reverse=True)
+        shape, expr = SkewShape(outer, inner), f"skew:{_joined(outer)}/{_joined(inner)}"
+        spans = [(inner[i], row) for i, row in enumerate(outer)]
+    else:
+        cut = sorted(draw(st.lists(st.integers(0, 4), max_size=len(outer))), reverse=True)
+        try:
+            shape = TruncatedShape(SkewShape(outer), cut)
+        except ValueError:
+            reject()  # a cut longer than its row, or columns no longer contiguous
+        expr = f"truncated:{_joined(outer)}\\{_joined(cut)}"
+        cut += [0] * (len(outer) - len(cut))
+        spans = [(0, row - c) for row, c in zip(outer, cut)]
+    assume(sum(e - s for s, e in spans) <= 12)
+    # the brute force walks every extension; 20,000 of them take about 0.1 s
+    assume(_extension_bound(spans) <= 20_000)
+    return shape, expr, spans
+
+
+@settings(max_examples=100, deadline=None)
+@given(line_convex_shapes())
+def test_dp_matches_brute_force_on_skew_and_truncated_shapes(case):
+    shape, expr, spans = case
+    count = _brute_force_extensions(spans)
+    assert count_linear_extensions(shape) == count, expr
+    assert cli.parse_shape_expr(expr) == shape
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.run(["count", expr, "--method", "dp"]) == 0
+    assert out.getvalue() == f"{count}\n"
