@@ -4,8 +4,8 @@ A battery shape [lam, a, k] is a partition diagram with a column of a extra
 cells stacked above its k-th column. The package counts tableaux of such
 shapes (and of straight, skew, and truncated shapes) with arbitrary-precision
 arithmetic, by several mutually checking routes: terminating hypergeometric
-series, a direct pivot decomposition, a closed-form catalog, and a
-linear-extension dynamic program.
+series, the pivot decomposition summed as one Hankel determinant, a
+closed-form catalog, and a linear-extension dynamic program.
 """
 
 from .arith import Factorization, binomial, factorial, factorize, is_prime, pochhammer
@@ -13,7 +13,6 @@ from .counting import (
     CLOSED_FORM_CASES,
     COUNT_BY_COLUMN,
     NonIntegerCountError,
-    bullet_profiles,
     closed_form,
     count_general,
     count_hyper,
@@ -52,7 +51,6 @@ from .shapes import (
     as_partition,
     conjugate,
     hook_lengths,
-    rect_minus_ratio,
     rotated_complement,
     syt_count_straight,
     validate_battery,

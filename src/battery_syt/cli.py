@@ -224,9 +224,10 @@ REGISTRY = {
 METHODS = {name: method.count for name, method in REGISTRY.items()}
 
 # auto runs the first applicable method, falling back to dp for its size-cap
-# refusal; --verify checks against the first applicable other method, so general,
-# which applies wherever hyper does, is only ever a partner
-AUTO_ORDER = ("closed", "hyper", "hlf", "dp")
+# refusal; --verify checks against the first applicable other method, so a
+# rectangle battery counted by general is checked by dp up to the size cap and
+# by hyper above it
+AUTO_ORDER = ("closed", "general", "hlf", "dp")
 PARTNER_ORDER = ("dp", "hyper", "general", "closed", "hlf", "enum")
 
 

@@ -6,19 +6,29 @@ check each other:
 * ``count_hyper``: the rectangle tableau count times an exact terminating
   nested hypergeometric sum, for every column 1 <= k <= m; one rule generates
   the k-1 levels of column k;
-* ``count_general``: a direct sum over bullet profiles, splitting every
-  tableau at the pivot cell into a small top-left subtableau, a rotated
-  complement subtableau, and a binomial interleaving factor;
+* ``count_general``: the pivot decomposition, summed in closed form. Every
+  tableau splits at the pivot cell into a small top-left subtableau (its
+  bullet profile has at most r = k-1 columns), a rotated complement
+  subtableau, and a binomial interleaving factor. By the hook length formula
+  both subtableau counts are products over the profile's shifted column
+  heights, and Heine's identity turns the sum over all profiles into one
+  r-by-r Hankel determinant of moments, a polynomial in a marking variable y.
+  It is evaluated at rn+1 integers by fraction-free elimination and
+  interpolated exactly, so the work is polynomial in m, n and k rather than
+  the C(n+k-1, k-1) profiles the sum has;
 * the closed-form catalog: multiplicative formulas, over the rectangle count,
   for families with the column and one more coordinate fixed at small values;
   a case's id names the coordinates it fixes.
 
-Counts are integers by construction; a non-integer intermediate aborts loudly
-since it can only mean a wrong parameter table.
+Counts are integers by construction; a non-integer intermediate or an inexact
+division aborts loudly since it can only mean a wrong parameter table.
 """
 
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from itertools import accumulate, repeat
+from math import comb, factorial, prod
+from operator import mul
+from typing import Callable, Optional
 
 from .arith import Record, binomial
 from .hypergeom import (
@@ -28,14 +38,16 @@ from .hypergeom import (
     eval_multi_pfq,
     eval_pfq,  # noqa: F401  (kept as a module binding that span tracing rebinds)
 )
-from .shapes import BatteryShape, conjugate, rotated_complement, syt_count_straight
+from .shapes import (
+    rotated_complement,  # noqa: F401  (kept as a module binding that span tracing rebinds)
+    syt_count_straight,
+)
 
 __all__ = [
     "NonIntegerCountError",
     "rect_syt_count",
     "count_hyper",
     "COUNT_BY_COLUMN",
-    "bullet_profiles",
     "count_general",
     "closed_form",
     "match_closed_form",
@@ -105,35 +117,99 @@ COUNT_BY_COLUMN: dict[int, Callable[[int, int, int], int]] = {
 }
 
 
-def bullet_profiles(columns: int, max_height: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing column-height tuples (t_1 >= ... >= t_columns >= 0), t_1 <= max_height."""
-    if columns == 0:
-        yield ()
-        return
-    for h in range(max_height, -1, -1):
-        for rest in bullet_profiles(columns - 1, h):
-            yield (h,) + rest
+def _weights(m: int, n: int, k: int) -> list[int]:
+    """W(x) = (x+1)_{m-k+1} * C(N, x) at each point x = 0..N, N = n+k-2, that a
+    profile's shifted column height can take; W / N! is the per-point factor of
+    the two hook length formulas (see ``count_general``)."""
+    big = n + k - 2
+    return [factorial(x + m - k + 1) // factorial(x) * comb(big, x) for x in range(big + 1)]
+
+
+def _exact(num: int, den: int, context: str) -> int:
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise NonIntegerCountError(f"inexact division in {context}")
+    return quotient
+
+
+def _hankel_det(moments: list[int], r: int, context: str) -> int:
+    """det[moments[i+j]] for i, j < r by fraction-free (Bareiss) elimination.
+
+    The matrix is the moment matrix of positive weights on at least r points,
+    hence positive definite: no pivot vanishes and none needs a row swap. It
+    stays symmetric under elimination, so only the upper triangle is updated.
+    """
+    rows = [moments[i:i + r] for i in range(r)]
+    prev = 1
+    for p in range(r - 1):
+        top = rows[p]
+        pivot = top[p]
+        for i in range(p + 1, r):
+            row = rows[i]
+            lead = top[i]
+            for j in range(i, r):
+                q, rem = divmod(pivot * row[j] - lead * top[j], prev)
+                if rem:
+                    raise NonIntegerCountError(f"inexact elimination step in {context}")
+                row[j] = q
+        prev = pivot
+    return rows[-1][-1] if r else 1
 
 
 def count_general(m: int, n: int, a: int, k: int) -> int:
     """Count for any battery column 1 <= k <= m over an m-by-n rectangle.
 
     Splits each tableau at the pivot entry: the entries below it fill a
-    sub-diagram with at most k-1 columns (the bullet profile), the entries
+    sub-diagram with at most r = k-1 columns (the bullet profile), the entries
     above fill its rotated complement in the rectangle, and the battery
-    entries interleave in binomial(a + |profile| - 1, |profile|) ways.
+    entries interleave in binomial(a + s - 1, s) ways, s the profile's size.
+
+    A profile with column heights t_1 >= ... >= t_r maps to the distinct
+    points l_i = t_i + r - i of [0, N], N = n+r-1, with s = sum(l) - C(r,2).
+    Its two tableau counts multiply to s! (mn-s)! C_fix Delta(l)^2 prod w(l_i),
+    w = W / N! (``_weights``) and C_fix = prod_{d<=m-k} d! / prod_{F=n+k-1}^{n+m-1} F!.
+    Heine's identity sums Delta(l)^2 prod W(l_i) y^(l_i) over all point sets
+    as D(y) = det[mu_{i+j}(y)], mu_p(y) = sum_x x^p W(x) y^x. D(y) / y^C(r,2)
+    is an integer polynomial E of degree rn with coefficients e_s, so the count
+    is C_fix sum_s e_s (a)_s (mn-s)! / N!^r.
     """
     _check_rect_args(m, n, a, k)
+    context = f"[({m}^{n}), {a}, {k}]"
+    r = k - 1
+    big = n + r - 1
+    deg = r * n
+    shift = r * (r - 1) // 2
+    # the coefficient rows of mu_0 .. mu_{2r-2}: x^p W(x)
+    table = [_weights(m, n, k)]
+    for _ in range(2 * r - 2):
+        table.append(list(map(mul, range(big + 1), table[-1])))
+    values = []
+    for y in range(1, deg + 2):
+        powers = list(accumulate(repeat(y, big), mul, initial=1))
+        moments = [sum(map(mul, row, powers)) for row in table]
+        values.append(_exact(_hankel_det(moments, r, context), y**shift, context))
+    # forward differences at y = 1 give E in the basis (y-1)(y-2)...(y-j);
+    # an integer polynomial has its j-th difference divisible by j!
+    newton = []
+    scale = 1
+    for j in range(deg + 1):
+        newton.append(_exact(values[0], scale, context))
+        values = [hi - lo for lo, hi in zip(values, values[1:])]
+        scale *= j + 1
+    # Horner in that basis, expanding to monomial coefficients, lowest first
+    coeffs = [newton[deg]]
+    for j in range(deg - 1, -1, -1):
+        coeffs = [hi - (j + 1) * lo for hi, lo in zip([newton[j]] + coeffs, coeffs + [0])]
+    # sum_s e_s (a)_s (mn-s)! / (mn-deg)!, nested over s so no (mn-s)! is formed
+    cells = m * n
     total = 0
-    for profile in bullet_profiles(k - 1, n):
-        cells = sum(profile)
-        bullet_rows = conjugate(tuple(h for h in profile if h > 0))
-        total += (
-            binomial(a + cells - 1, cells)
-            * syt_count_straight(bullet_rows)
-            * syt_count_straight(rotated_complement(m, n, bullet_rows))
-        )
-    return total
+    rising = 1
+    for s, e in enumerate(coeffs):
+        total = total * (cells - s + 1) + e * rising
+        rising *= a + s
+    num = total * factorial(cells - deg) * prod(factorial(d) for d in range(1, m - k + 1))
+    den = prod(factorial(f) for f in range(n + k - 1, n + m)) * factorial(big) ** r
+    return _exact(num, den, context)
 
 
 class ClosedFormCase(Record):

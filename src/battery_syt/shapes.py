@@ -6,11 +6,10 @@ from ``arith``; never tuples, so a tuple is always a straight partition) that
 canonicalize and validate their fields at construction time.
 """
 
-from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable
 
-from .arith import Record, binomial
+from .arith import Record
 
 __all__ = [
     "Partition",
@@ -18,7 +17,6 @@ __all__ = [
     "conjugate",
     "hook_lengths",
     "syt_count_straight",
-    "rect_minus_ratio",
     "rotated_complement",
     "SkewShape",
     "TruncatedShape",
@@ -70,16 +68,6 @@ def syt_count_straight(p: Partition) -> int:
     hooks = hook_lengths(p)
     # n! is divisible by the hook product, so floor division is exact
     return factorial(sum(p)) // prod(hooks)
-
-
-def rect_minus_ratio(m: int, n: int, t: int) -> Fraction:
-    """Tableau-count ratio between an m-by-n rectangle missing t last-column cells
-    and the full rectangle: C(n,t) * C(m+t-1,t) / C(mn,t)."""
-    if m < 1:
-        raise ValueError(f"rectangle width must be positive, got {m}")
-    if not 0 <= t <= n:
-        raise ValueError(f"removed cell count must satisfy 0 <= t <= {n}, got {t}")
-    return Fraction(binomial(n, t) * binomial(m + t - 1, t), binomial(m * n, t))
 
 
 def rotated_complement(m: int, n: int, mu: Partition) -> Partition:

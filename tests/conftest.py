@@ -1,5 +1,8 @@
 """Shared combinatorial helpers for the test suite."""
 
+from battery_syt.arith import binomial
+from battery_syt.shapes import conjugate, rotated_complement, syt_count_straight
+
 
 def partitions_of(n, largest=None):
     """All partitions of n with parts at most largest, largest part first."""
@@ -33,3 +36,34 @@ def subdiagrams(m, n):
         if p not in seen:
             seen.add(p)
             yield p
+
+
+def bullet_profiles(columns, max_height):
+    """Weakly decreasing column-height tuples (t_1 >= ... >= t_columns >= 0), t_1 <= max_height."""
+    if columns == 0:
+        yield ()
+        return
+    for h in range(max_height, -1, -1):
+        for rest in bullet_profiles(columns - 1, h):
+            yield (h,) + rest
+
+
+def general_by_profiles(m, n, a, k):
+    """Reference for ``count_general``: the pivot decomposition summed literally.
+
+    Each tableau of the battery above column k of the m-by-n rectangle splits
+    at the pivot entry into a sub-diagram with at most k-1 columns (the bullet
+    profile), its rotated complement in the rectangle, and
+    binomial(a + s - 1, s) interleavings of the battery entries, s the
+    profile's size. There are C(n+k-1, k-1) profiles.
+    """
+    total = 0
+    for profile in bullet_profiles(k - 1, n):
+        cells = sum(profile)
+        bullet_rows = conjugate(tuple(h for h in profile if h > 0))
+        total += (
+            binomial(a + cells - 1, cells)
+            * syt_count_straight(bullet_rows)
+            * syt_count_straight(rotated_complement(m, n, bullet_rows))
+        )
+    return total

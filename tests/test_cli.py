@@ -165,11 +165,11 @@ def test_verify_unavailable_exits_3(capsys, monkeypatch):
     assert dp_calls == []
 
 
-def test_hyper_verified_by_general_above_the_dp_cap(capsys):
-    # 121 cells: over the dp size cap, so general is the partner at column 7
+def test_general_verified_by_hyper_above_the_dp_cap(capsys):
+    # 121 cells: over the dp size cap, so hyper is the partner at column 7
     assert cli.run(["count", "battery:rect:20x6,a=1,k=7", "--verify"]) == 0
     captured = capsys.readouterr()
-    assert "verified: hyper == general" in captured.err
+    assert "verified: general == hyper" in captured.err
     assert captured.out.strip() == (
         "106084817684399890735406624326724286026347717660455570184145434852773744000"
     )
@@ -178,9 +178,9 @@ def test_hyper_verified_by_general_above_the_dp_cap(capsys):
 def test_auto_method_selection():
     cases = {
         "battery:rect:3x2,a=1,k=2": "closed",
-        "battery:rect:5x4,a=4,k=4": "hyper",
-        "battery:rect:2x2,a=0,k=1": "hyper",
-        "battery:rect:11x11,a=1,k=7": "hyper",
+        "battery:rect:5x4,a=4,k=4": "general",
+        "battery:rect:2x2,a=0,k=1": "general",
+        "battery:rect:11x11,a=1,k=7": "general",
         "battery:part:3,1,a=1,k=3": "dp",
         "partition:3,2,1": "hlf",
         "skew:3,2/1": "dp",

@@ -1,25 +1,28 @@
+import hashlib
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from battery_syt.counting import (
     CLOSED_FORM_CASES,
     COUNT_BY_COLUMN,
     NonIntegerCountError,
     _as_count,
-    bullet_profiles,
     closed_form,
     count_general,
     count_hyper,
     match_closed_form,
     rect_syt_count,
 )
+from battery_syt import cli, counting
 from battery_syt.cli import parse_shape_expr
 from battery_syt.oracle import count_linear_extensions
 from battery_syt.shapes import BatteryShape
+from conftest import bullet_profiles, general_by_profiles
 
 
 def test_rect_syt_count():
@@ -84,17 +87,59 @@ def test_count_k2_matches_general():
                 assert count_hyper(m, n, a, 2) == count_general(m, n, a, 2)
 
 
+def _check_routes_agree(m, n, a, k):
+    """count_general equals the literal profile sum, count_hyper and, at 40 cells or fewer, the DP."""
+    count = count_general(m, n, a, k)
+    assert count == general_by_profiles(m, n, a, k), (m, n, a, k)
+    assert count == count_hyper(m, n, a, k), (m, n, a, k)
+    if k in COUNT_BY_COLUMN:
+        assert COUNT_BY_COLUMN[k](m, n, a) == count, (m, n, a, k)
+    if m * n + a <= 40:
+        assert count == count_linear_extensions(BatteryShape((m,) * n, a, k)), (m, n, a, k)
+
+
 def test_nested_counts_match_general():
-    for k in range(1, 10):
+    for k in range(1, 13):
         for m in (k, k + 1):
-            for n in range(1, 4):
+            for n in range(1, 6 if k <= 6 else 5):
                 for a in range(0, 3):
-                    count = count_hyper(m, n, a, k)
-                    assert count == count_general(m, n, a, k), (k, m, n, a)
-                    if k in COUNT_BY_COLUMN:
-                        assert COUNT_BY_COLUMN[k](m, n, a) == count, (k, m, n, a)
-                    if m * n + a <= 40:
-                        assert count == count_linear_extensions(BatteryShape((m,) * n, a, k)), (k, m, n, a)
+                    _check_routes_agree(m, n, a, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.integers(k, k + 3), st.integers(1, 4), st.integers(0, 4), st.just(k))))
+def test_general_matches_reference_hyper_and_dp(coords):
+    _check_routes_agree(*coords)
+
+
+def test_general_pinned_at_40x40():
+    # computed once by count_hyper (about 4 s); general takes a fraction of that
+    count = str(count_general(40, 40, 10, 6))
+    assert len(count) == 1957
+    assert hashlib.sha256(count.encode()).hexdigest() == (
+        "2e249008a18d3fb2c58a3bf447fe1066358ff15497f2262032cddcab7fdc0c13"
+    )
+
+
+def test_general_refuses_a_perturbed_weight(monkeypatch, capsys):
+    # the final division by N!^r prod F! checks integrality; one weight off by
+    # one leaves a non-integer count here (not at every shape)
+    weights = counting._weights
+
+    def perturbed(m, n, k):
+        w = weights(m, n, k)
+        w[1] += 1
+        return w
+
+    monkeypatch.setattr(counting, "_weights", perturbed)
+    with pytest.raises(NonIntegerCountError):
+        count_general(6, 4, 2, 4)
+    # no closed form covers it, so auto runs general
+    assert cli.run(["count", "battery:rect:6x4,a=2,k=4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: inconsistent count from general" in captured.err
 
 
 def test_counts_match_dp_oracle_small():
@@ -231,7 +276,9 @@ def test_pinned_large_counts(band, no_int_str_limit):
     # columns 7..10 general and dp
     entry = _cheapest_pool_entry(band)
     shape = parse_shape_expr(entry["args"][0])
-    count = count_hyper(shape.lam[0], len(shape.lam), shape.a, shape.k)
+    coords = (shape.lam[0], len(shape.lam), shape.a, shape.k)
+    count = count_hyper(*coords)
     assert count == int(entry["count"])
+    assert count_general(*coords) == count
     if band == "k2-3-defect":
         assert len(entry["count"]) > 4300

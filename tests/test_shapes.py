@@ -1,5 +1,4 @@
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +10,6 @@ from battery_syt.shapes import (
     as_partition,
     conjugate,
     hook_lengths,
-    rect_minus_ratio,
     rotated_complement,
     syt_count_straight,
     validate_battery,
@@ -77,25 +75,6 @@ def test_syt_count_known_values():
 def test_syt_count_invariant_under_conjugation():
     for p in all_partitions_up_to(12):
         assert syt_count_straight(p) == syt_count_straight(conjugate(p))
-
-
-def test_rect_minus_ratio_known_values():
-    assert rect_minus_ratio(2, 2, 1) == 1
-    assert rect_minus_ratio(3, 2, 2) == Fraction(2, 5)
-    for m in range(1, 5):
-        for n in range(1, 5):
-            assert rect_minus_ratio(m, n, 0) == 1
-    with pytest.raises(ValueError):
-        rect_minus_ratio(3, 2, 3)
-
-
-def test_rect_minus_ratio_matches_hook_length_counts():
-    for m in range(1, 7):
-        for n in range(1, 7):
-            rect = syt_count_straight((m,) * n)
-            for t in range(0, n + 1):
-                removed = tuple(x for x in (m,) * (n - t) + (m - 1,) * t if x > 0)
-                assert rect_minus_ratio(m, n, t) * rect == syt_count_straight(removed)
 
 
 def test_rotated_complement_known_values():
