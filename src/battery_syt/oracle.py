@@ -4,16 +4,24 @@ A partial filling of a shape with 1..j corresponds to a downward-closed set of
 cells, so tableaux are exactly the maximal chains of ideals. Every shape the
 package handles is a line-convex diagram given by per-row column spans (a
 battery's stacked cells are one-cell rows above its k-th column), so an ideal
-is a tuple of per-row filled-prefix lengths. Counting walks the ideals level
+is fixed by each row's filled-prefix length. Counting walks the ideals level
 by level (j cells filled, then j+1) and sums transition multiplicities, which
-stays exact for any cell count the state space allows; explicit enumeration
-follows the same rule.
+stays exact for any cell count the state space allows.
+
+One rule says when a row may take its next cell: a gate table, built once
+from the spans, gives for cell c of row i how many cells of row i-1 must be
+filled first (0 when no cell sits above it, a sentinel once the row is full).
+The DP stores an ideal as one integer in mixed radix, one place per row, so
+adding a cell to row i is one addition. Each ideal carries the set of rows
+that are open in it; filling row i changes only row i's prefix, so only rows
+i and i+1 are tested again and every other row keeps its state. Explicit
+enumeration follows the same gate table.
 
 Every counting formula in the package is cross-checked against this module.
 """
 
 from .arith import Record
-from .shapes import BatteryShape, SkewShape, TruncatedShape
+from .shapes import BatteryShape, SkewShape, TruncatedShape, _check_line_convex
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -29,42 +37,83 @@ DEFAULT_SIZE_CAP = 120
 ENUMERATION_CAP = 12
 
 
-def _row_rules(spans):
-    """Per row: its index, its column span, and the span of the row above it."""
-    return tuple((i, start, stop) + (spans[i - 1] if i else (0, 0))
-                 for i, (start, stop) in enumerate(spans))
-
-
-def _moves(rules, level):
-    """Yield (state, ways, i) for every row i whose next cell an ideal may add.
-
-    A state holds each row's filled-prefix length. The next cell of a row may
-    be filled once its left neighbour (structurally) and, where the row above
-    covers its column, its upper neighbour are filled.
-    """
-    for state, ways in level:
-        for i, start, stop, up_start, up_stop in rules:
-            col = start + state[i]
-            if col < stop and not (up_start <= col < up_stop and col - up_start >= state[i - 1]):
-                yield state, ways, i
-
-
-def _span_profile(spans, size_cap: int) -> tuple[int, int]:
-    spans = tuple((int(s), int(e)) for s, e in spans)
-    cells = sum(e - s for s, e in spans if e > s)
+def _capped(spans, size_cap: int) -> tuple[tuple[int, int], ...]:
+    """The spans as int pairs, an empty row as a zero-length span; refuses a
+    diagram above the size cap."""
+    spans = tuple((int(s), max(int(s), int(e))) for s, e in spans)
+    cells = sum(e - s for s, e in spans)
     if cells > size_cap:
         raise ValueError(f"diagram has {cells} cells, above the size cap {size_cap}")
-    rules = _row_rules(spans)
-    level = {(0,) * len(spans): 1}
+    return spans
+
+
+def _gate_table(spans) -> list[list[int]]:
+    """gate[i][c]: the number of filled cells of row i-1 that cell c of row i
+    waits for.
+
+    That is 0 when no cell of row i-1 sits above it. gate[i][len(row i)] is a
+    sentinel longer than any row, so a full row never opens. A row's next cell
+    may be filled once ``filled[i-1] >= gate[i][filled[i]]``, with
+    ``filled[-1]`` read as 0.
+    """
+    full = 1 + max((e - s for s, e in spans), default=0)
+    gate = []
+    up_start, up_stop = 0, 0
+    for start, stop in spans:
+        gate.append([col - up_start + 1 if up_start <= col < up_stop else 0
+                     for col in range(start, stop)] + [full])
+        up_start, up_stop = start, stop
+    return gate
+
+
+def _span_profile(spans) -> tuple[int, int]:
+    """(tableau count, ideal states visited) of capped spans.
+
+    An ideal is one integer in mixed radix: weight[i] is the product of
+    (length + 1) over rows i and below, row i's filled count is
+    ``state % weight[i] // weight[i+1]``, and adding a cell to row i adds
+    weight[i+1]. Each state's open rows travel with it as a bitmask, and the
+    tuple of rows of each distinct mask is built once.
+    """
+    rows = len(spans)
+    gate = _gate_table(spans)
+    weight = [1] * (rows + 1)
+    for i in range(rows - 1, -1, -1):
+        weight[i] = weight[i + 1] * (spans[i][1] - spans[i][0] + 1)
+    place = weight[1:]
+    # per row: the weight of the row above (1 for row 0, so it reads 0 filled
+    # above), its own weight and place, and its gate row; a phantom row after
+    # the last one is never open
+    rule = [(weight[i - 1] if i else 1, weight[i], place[i], gate[i]) for i in range(rows)]
+    rule.append((1, 1, 1, [1]))
+    keep = [~(3 << i) for i in range(rows)]
+    mask = sum(1 << i for i, g in enumerate(gate) if g[0] == 0)
+    rows_of: dict[int, tuple[int, ...]] = {}
+    level = {0: [1, mask]}
     states = 1
-    for _ in range(cells):
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, ways, i in _moves(rules, level.items()):
-            grown = state[:i] + (state[i] + 1,) + state[i + 1:]
-            nxt[grown] = nxt.get(grown, 0) + ways
+    for _ in range(sum(e - s for s, e in spans)):
+        nxt: dict[int, list[int]] = {}
+        for state, (ways, mask) in level.items():
+            open_rows = rows_of.get(mask)
+            if open_rows is None:
+                open_rows = rows_of[mask] = tuple(i for i in range(rows) if mask >> i & 1)
+            for i in open_rows:
+                grown = state + place[i]
+                entry = nxt.get(grown)
+                if entry is not None:
+                    entry[0] += ways
+                    continue
+                grown_mask = mask & keep[i]
+                w_up, w, p, g = rule[i]
+                if grown % w_up // w >= g[grown % w // p]:
+                    grown_mask |= 1 << i
+                w_up, w, p, g = rule[i + 1]
+                if grown % w_up // w >= g[grown % w // p]:
+                    grown_mask |= 2 << i
+                nxt[grown] = [ways, grown_mask]
         level = nxt
         states += len(level)
-    return sum(level.values()), states
+    return sum(ways for ways, _ in level.values()), states
 
 
 SpanShape = BatteryShape | SkewShape | TruncatedShape
@@ -73,7 +122,7 @@ SpanShape = BatteryShape | SkewShape | TruncatedShape
 def linear_extension_profile(shape: SpanShape, size_cap: int = DEFAULT_SIZE_CAP) -> tuple[int, int]:
     """Exact tableau count of any shape with ``row_spans()`` (battery, skew or
     truncated) and the number of ideal states visited."""
-    return _span_profile(shape.row_spans(), size_cap)
+    return _span_profile(_capped(shape.row_spans(), size_cap))
 
 
 def count_linear_extensions(shape: SpanShape, size_cap: int = DEFAULT_SIZE_CAP) -> int:
@@ -85,9 +134,13 @@ def count_linear_extensions(shape: SpanShape, size_cap: int = DEFAULT_SIZE_CAP) 
 def count_line_convex(spans, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     """Tableau count for any line-convex diagram given per-row column spans.
 
-    Works for skew and truncated shapes as well as battery shapes.
+    Works for skew and truncated shapes as well as battery shapes. Raises
+    ValueError for spans above the size cap or with a column that is not
+    contiguous.
     """
-    count, _ = _span_profile(spans, size_cap)
+    spans = _capped(spans, size_cap)
+    _check_line_convex(spans)
+    count, _ = _span_profile(spans)
     return count
 
 
@@ -106,7 +159,7 @@ def enumerate_syt(shape: BatteryShape, cap: int = ENUMERATION_CAP) -> list[Batte
     if cells > cap:
         raise ValueError(f"enumeration is limited to {cap} cells, shape has {cells}")
     spans = shape.row_spans()
-    rules = _row_rules(spans)
+    gate = _gate_table(spans)
     grid = [[0] * (stop - start) for start, stop in spans]
     filled = [0] * len(spans)
     found: list[BatteryTableau] = []
@@ -116,8 +169,8 @@ def enumerate_syt(shape: BatteryShape, cap: int = ENUMERATION_CAP) -> list[Batte
             battery = tuple(row[0] for row in grid[:shape.a])
             found.append(BatteryTableau(battery, tuple(tuple(row) for row in grid[shape.a:])))
             return
-        # list() takes the open rows before the loop body changes `filled`
-        for _, _, i in list(_moves(rules, [(filled, None)])):
+        # the open rows are taken before the loop body changes `filled`
+        for i in [i for i, g in enumerate(gate) if (filled[i - 1] if i else 0) >= g[filled[i]]]:
             grid[i][filled[i]] = value
             filled[i] += 1
             place(value + 1)

@@ -108,8 +108,8 @@ class SkewShape(Record):
 
 def _check_line_convex(spans):
     """Every column of the row-contiguous cell set must also be contiguous."""
-    width = max((e for _, e in spans), default=0)
-    for col in range(width):
+    # only occupied columns: raw spans may start far from column 0
+    for col in sorted({col for s, e in spans for col in range(s, e)}):
         rows = [i for i, (s, e) in enumerate(spans) if s <= col < e]
         if rows and rows[-1] - rows[0] + 1 != len(rows):
             raise ValueError(f"column {col + 1} is not contiguous: occupied rows {[r + 1 for r in rows]}")

@@ -3,7 +3,7 @@ from contextlib import redirect_stdout
 from math import factorial, prod
 
 import pytest
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from battery_syt import cli
 from battery_syt.oracle import (
@@ -108,6 +108,17 @@ def test_profile_counts_skew_and_truncated_states():
 def test_line_convex_empty():
     assert count_line_convex(()) == 1
     assert count_line_convex(((0, 0),)) == 1
+
+
+def test_line_convex_refuses_a_column_with_a_gap():
+    # column 0 holds rows 0 and 2 but not row 1, so no tableau rule fits it
+    with pytest.raises(ValueError, match="column 1 is not contiguous"):
+        count_line_convex(((0, 1), (1, 2), (0, 1)))
+    with pytest.raises(ValueError, match="not contiguous"):
+        count_line_convex(((0, 2), (0, 0), (0, 1)))
+    assert count_line_convex(((0, 1), (0, 2), (0, 1))) == _brute_force_extensions(((0, 1), (0, 2), (0, 1)))
+    # the check walks the occupied columns only, not every column from 0
+    assert count_line_convex(((10**9, 10**9 + 2), (10**9, 10**9 + 1))) == 2
 
 
 def test_enumerate_contains_reference_tableau():
@@ -220,3 +231,66 @@ def test_dp_matches_brute_force_on_skew_and_truncated_shapes(case):
     with redirect_stdout(out):
         assert cli.run(["count", expr, "--method", "dp"]) == 0
     assert out.getvalue() == f"{count}\n"
+
+
+def _shape_cells(shape):
+    """The cells of a shape as (row, column) pairs, from its fields rather than
+    from ``row_spans()``: a battery's stacked cells take rows -1..-a."""
+    if isinstance(shape, BatteryShape):
+        base = [(r, c) for r, length in enumerate(shape.lam) for c in range(length)]
+        return base + [(-j, shape.k - 1) for j in range(1, shape.a + 1)]
+    if isinstance(shape, TruncatedShape):
+        outer, inner, cut = shape.base.outer, shape.base.inner, shape.truncation
+    else:
+        outer, inner, cut = shape.outer, shape.inner, ()
+    inner += (0,) * (len(outer) - len(inner))
+    cut += (0,) * (len(outer) - len(cut))
+    return [(r, c) for r, row in enumerate(outer) for c in range(inner[r], row - cut[r])]
+
+
+def _count_downsets(cells):
+    """Brute force: the subsets of cells closed under taking the left and the
+    upper neighbour, which generate the order of a line-convex diagram."""
+    index = {cell: j for j, cell in enumerate(cells)}
+    below = [sum(1 << index[p] for p in ((r, c - 1), (r - 1, c)) if p in index) for r, c in cells]
+    return sum(
+        all(subset & need == need for j, need in enumerate(below) if subset >> j & 1)
+        for subset in range(1 << len(cells))
+    )
+
+
+@st.composite
+def small_shapes(draw):
+    """Batteries over any base, skew and truncated (skew) shapes of at most 12 cells."""
+    outer = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=5)), reverse=True)
+    kind = draw(st.sampled_from(["battery", "skew", "truncated"]))
+    try:
+        if kind == "battery":
+            shape = BatteryShape(outer, draw(st.integers(0, 4)), draw(st.integers(1, outer[0])))
+        else:
+            inner = sorted((draw(st.integers(0, row)) for row in outer), reverse=True)
+            shape = SkewShape(outer, inner)
+            if kind == "truncated":
+                cut = sorted(draw(st.lists(st.integers(0, 4), max_size=len(outer))), reverse=True)
+                shape = TruncatedShape(shape, cut)
+    except ValueError:
+        reject()  # a cut longer than its row, or columns no longer contiguous
+    assume(shape.size <= 12)
+    return shape
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_shapes())
+@example(cli.parse_shape_expr("truncated:3,3\\3,1"))  # an empty first row
+@example(cli.parse_shape_expr("skew:3,3/3"))
+@example(cli.parse_shape_expr("skew:4,3,2/3,3"))  # an empty middle row
+@example(BatteryShape((2, 1), 3, 2))
+def test_dp_visits_exactly_the_order_ideals(shape):
+    cells = _shape_cells(shape)
+    assert len(cells) == shape.size
+    assert linear_extension_profile(shape)[1] == _count_downsets(cells), shape
+
+
+def test_dp_profile_pinned_on_the_largest_verify_battery():
+    assert linear_extension_profile(BatteryShape((11,) * 8, 3, 6)) == (
+        29032714351326166831529458339421513690767590218938080000, 79443)
