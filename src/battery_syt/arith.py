@@ -26,8 +26,9 @@ __all__ = [
 # Trial division handles factors below this; larger cofactors go to Pollard rho.
 _TRIAL_BOUND = 1_000_000
 
-# Witness set is exact for every n < 3.3 * 10**24 (covers all factors this
-# package certifies; see the module non-goals for larger inputs).
+# Witness set is exact for every n < 3.3 * 10**24. Above that a factor that
+# passes is not proven prime; ROADMAP item 3 plans BPSW and a probable-prime
+# label for such factors.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -11,7 +11,7 @@ import sys
 import time
 from typing import Callable, NamedTuple, Optional, Union
 
-from .arith import Factorization, Record, factorize
+from .arith import factorize
 from .counting import closed_form, count_general, count_hyper, match_closed_form
 from .oracle import (
     DEFAULT_SIZE_CAP,
@@ -54,13 +54,16 @@ def _parse_int_list(text: str, offset: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _parse_partition(text: str, offset: int) -> Partition:
+def _constructed(build: Callable, offset: int, *fields):
+    """Call a shape constructor; its ValueError is a ShapeParseError at ``offset``."""
     try:
-        return as_partition(_parse_int_list(text, offset))
-    except ShapeParseError:
-        raise
+        return build(*fields)
     except ValueError as exc:
         raise ShapeParseError(str(exc), offset) from None
+
+
+def _parse_partition(text: str, offset: int) -> Partition:
+    return _constructed(as_partition, offset, _parse_int_list(text, offset))
 
 
 def _parse_rect(text: str, offset: int) -> Partition:
@@ -102,10 +105,14 @@ def _parse_battery(text: str, offset: int) -> BatteryShape:
         lam = _parse_partition(base_text[5:], offset + 5)
     else:
         raise ShapeParseError("battery base must start with rect: or part:", offset)
-    try:
-        return BatteryShape(lam, named["a"], named["k"])
-    except ValueError as exc:
-        raise ShapeParseError(str(exc), offset) from None
+    return _constructed(BatteryShape, offset, lam, named["a"], named["k"])
+
+
+# kind -> (separator, name of the second partition, constructor from both partitions)
+_OUTER_AND_OTHER = {
+    "skew": ("/", "inner", SkewShape),
+    "truncated": ("\\", "trunc", lambda outer, cut: TruncatedShape(SkewShape(outer), cut)),
+}
 
 
 def parse_shape_expr(text: str) -> Shape:
@@ -123,54 +130,32 @@ def parse_shape_expr(text: str) -> Shape:
         return _parse_rect(rest, offset)
     if kind == "battery":
         return _parse_battery(rest, offset)
-    if kind == "skew":
-        outer_text, slash, inner_text = rest.partition("/")
-        if not slash:
-            raise ShapeParseError("expected outer/inner", offset)
+    if kind in _OUTER_AND_OTHER:
+        separator, other_name, build = _OUTER_AND_OTHER[kind]
+        outer_text, found, other_text = rest.partition(separator)
+        if not found:
+            raise ShapeParseError(f"expected outer{separator}{other_name}", offset)
         outer = _parse_partition(outer_text, offset)
-        inner = _parse_partition(inner_text, offset + len(outer_text) + 1)
-        try:
-            return SkewShape(outer, inner)
-        except ValueError as exc:
-            raise ShapeParseError(str(exc), offset) from None
-    if kind == "truncated":
-        outer_text, slash, cut_text = rest.partition("\\")
-        if not slash:
-            raise ShapeParseError("expected outer\\trunc", offset)
-        outer = _parse_partition(outer_text, offset)
-        cut = _parse_partition(cut_text, offset + len(outer_text) + 1)
-        try:
-            return TruncatedShape(SkewShape(outer), cut)
-        except ValueError as exc:
-            raise ShapeParseError(str(exc), offset) from None
+        other = _parse_partition(other_text, offset + len(outer_text) + 1)
+        return _constructed(build, offset, outer, other)
     raise ShapeParseError(f"unknown shape kind {kind!r}", 0)
 
 
-def _rect_coords(shape: BatteryShape) -> tuple[int, int, int, int]:
-    return shape.lam[0], len(shape.lam), shape.a, shape.k
-
-
-def _rect_battery(shape: Shape) -> bool:
-    return isinstance(shape, BatteryShape) and shape.is_rectangle()
+def _rect(shape: Shape) -> Optional[tuple[int, int, int, int]]:
+    """(m, n, a, k) of a battery over an m-by-n rectangle; None for any other shape."""
+    if isinstance(shape, BatteryShape) and shape.is_rectangle():
+        return shape.lam[0], len(shape.lam), shape.a, shape.k
+    return None
 
 
 def _shape_size(shape: Shape) -> int:
     return sum(shape) if isinstance(shape, tuple) else shape.size
 
 
-def _count_closed(shape: BatteryShape, size_cap: int) -> int:
-    case_id, params = match_closed_form(*_rect_coords(shape))
-    return closed_form(case_id, **params)
-
-
-def _count_dp(shape: Shape, size_cap: int) -> int:
-    if isinstance(shape, tuple):
-        shape = BatteryShape(shape, 0, 1)
-    return count_linear_extensions(shape, size_cap)
-
-
-def _count_enum(shape: Shape, size_cap: int) -> int:
-    return len(enumerate_syt(BatteryShape(shape, 0, 1) if isinstance(shape, tuple) else shape))
+def _with_spans(shape: Shape) -> Union[SkewShape, TruncatedShape, BatteryShape]:
+    """A straight partition as the battery with no extra cells, which the DP and
+    the enumerator take; other shapes unchanged."""
+    return BatteryShape(shape, 0, 1) if isinstance(shape, tuple) else shape
 
 
 class Method(NamedTuple):
@@ -188,24 +173,25 @@ class Method(NamedTuple):
 REGISTRY = {
     "hyper": Method(
         "a battery over a rectangle",
-        lambda shape, size_cap: _rect_battery(shape),
-        lambda shape, size_cap: count_hyper(*_rect_coords(shape)),
+        lambda shape, size_cap: _rect(shape) is not None,
+        lambda shape, size_cap: count_hyper(*_rect(shape)),
     ),
     "general": Method(
         "a battery over a rectangle",
-        lambda shape, size_cap: _rect_battery(shape),
-        lambda shape, size_cap: count_general(*_rect_coords(shape)),
+        lambda shape, size_cap: _rect(shape) is not None,
+        lambda shape, size_cap: count_general(*_rect(shape)),
     ),
     "closed": Method(
         "a battery over a rectangle covered by a closed-form case",
-        lambda shape, size_cap: _rect_battery(shape)
-        and match_closed_form(*_rect_coords(shape)) is not None,
-        _count_closed,
+        lambda shape, size_cap: _rect(shape) is not None and match_closed_form(*_rect(shape)) is not None,
+        lambda shape, size_cap: (lambda case_id, params: closed_form(case_id, **params))(
+            *match_closed_form(*_rect(shape))
+        ),
     ),
     "dp": Method(
         "at most {size_cap} cells (--size-cap), the shape has {size}",
         lambda shape, size_cap: _shape_size(shape) <= size_cap,
-        _count_dp,
+        lambda shape, size_cap: count_linear_extensions(_with_spans(shape), size_cap),
     ),
     "hlf": Method(
         "a straight partition",
@@ -216,7 +202,7 @@ REGISTRY = {
         f"a battery or partition of at most {ENUMERATION_CAP} cells",
         lambda shape, size_cap: isinstance(shape, (tuple, BatteryShape))
         and _shape_size(shape) <= ENUMERATION_CAP,
-        _count_enum,
+        lambda shape, size_cap: len(enumerate_syt(_with_spans(shape))),
     ),
 }
 
@@ -249,36 +235,6 @@ def _first_applicable(shape: Shape, order, size_cap: int, skip: Optional[str] = 
         (name for name in order if name != skip and REGISTRY[name].applies(shape, size_cap)),
         None,
     )
-
-
-class RunReport(Record):
-    __slots__ = ("shape", "method", "count", "factorization", "verified_methods", "elapsed_ms")
-
-    def __init__(
-        self,
-        shape: str,
-        method: str,
-        count: int,
-        factorization: Optional[Factorization],
-        verified_methods: list[str],
-        elapsed_ms: float,
-    ) -> None:
-        self._set(shape, method, count, factorization, verified_methods, elapsed_ms)
-
-    def to_json(self) -> str:
-        # only --output json serializes, so the other outputs never import json
-        import json
-
-        return json.dumps({
-            "shape": self.shape,
-            "method": self.method,
-            "count": str(self.count),
-            "factorization": [[p, e] for p, e in self.factorization.factors]
-            if self.factorization is not None
-            else None,
-            "verified_methods": self.verified_methods,
-            "elapsed_ms": self.elapsed_ms,
-        })
 
 
 def _non_negative_int(text: str) -> int:
@@ -354,7 +310,6 @@ def _run(argv) -> int:
     if count is None:
         return EXIT_MISMATCH
 
-    verified = []
     if partner is not None:
         check = _run_method(partner, shape, args.size_cap)
         if check is None:
@@ -365,19 +320,27 @@ def _run(argv) -> int:
                 file=sys.stderr,
             )
             return EXIT_MISMATCH
-        verified = [method, partner]
         print(f"verified: {method} == {partner}", file=sys.stderr)
 
-    factorization = factorize(count) if args.output in ("factored", "json") and count >= 1 else None
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    report = RunReport(args.shape, method, count, factorization, verified, elapsed_ms)
-
     if args.output == "decimal":
-        print(report.count)
-    elif args.output == "factored":
-        print(report.factorization)
-    else:
-        print(report.to_json())
+        print(count)
+        return EXIT_OK
+    factorization = factorize(count) if count >= 1 else None
+    if args.output == "factored":
+        print(factorization)
+        return EXIT_OK
+    report = {
+        "shape": args.shape,
+        "method": method,
+        "count": str(count),
+        "factorization": None if factorization is None else [[p, e] for p, e in factorization.factors],
+        "verified_methods": [] if partner is None else [method, partner],
+        "elapsed_ms": (time.perf_counter() - started) * 1000.0,
+    }
+    # only --output json serializes, so the other outputs never import json
+    import json
+
+    print(json.dumps(report))
     return EXIT_OK
 
 

@@ -59,10 +59,11 @@ class NonIntegerCountError(ArithmeticError):
     """A tableau count materialized with a non-unit denominator."""
 
 
-def _as_count(value: Fraction, context: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegerCountError(f"non-integer count {value} for {context}")
-    return value.numerator
+def _exact(num: int, den: int, context: str) -> int:
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise NonIntegerCountError(f"inexact division in {context}")
+    return quotient
 
 
 def rect_syt_count(m: int, n: int) -> int:
@@ -107,8 +108,8 @@ def count_hyper(m: int, n: int, a: int, k: int) -> int:
     """Count for the battery above column 1 <= k <= m of an m-by-n rectangle:
     the rectangle count times the (k-1)-level nested sum of ``_levels``."""
     _check_rect_args(m, n, a, k)
-    value = rect_syt_count(m, n) * eval_multi_pfq(_levels(m, n, a, k))
-    return _as_count(value, f"[({m}^{n}), {a}, {k}]")
+    value = eval_multi_pfq(_levels(m, n, a, k))
+    return _exact(rect_syt_count(m, n) * value.numerator, value.denominator, f"[({m}^{n}), {a}, {k}]")
 
 
 # the paper's columns 2..6 as counters of (m, n, a); count_hyper takes any column
@@ -123,13 +124,6 @@ def _weights(m: int, n: int, k: int) -> list[int]:
     the two hook length formulas (see ``count_general``)."""
     big = n + k - 2
     return [factorial(x + m - k + 1) // factorial(x) * comb(big, x) for x in range(big + 1)]
-
-
-def _exact(num: int, den: int, context: str) -> int:
-    quotient, rem = divmod(num, den)
-    if rem:
-        raise NonIntegerCountError(f"inexact division in {context}")
-    return quotient
 
 
 def _hankel_det(moments: list[int], r: int, context: str) -> int:
@@ -369,8 +363,8 @@ def closed_form(case_id: str, **params: int) -> int:
     coords = {**case.fixed, **params}
     m, n = coords["m"], coords["n"]
     _check_rect_args(m, n, coords["a"], coords["k"])
-    value = rect_syt_count(m, n) * case.ratio(*(params[name] for name in case.params))
-    return _as_count(value, f"closed form {case_id}{params}")
+    value = case.ratio(*(params[name] for name in case.params))
+    return _exact(rect_syt_count(m, n) * value.numerator, value.denominator, f"closed form {case_id}{params}")
 
 
 def match_closed_form(m: int, n: int, a: int, k: int) -> Optional[tuple[str, dict[str, int]]]:

@@ -1,7 +1,9 @@
 """Exact evaluation of terminating hypergeometric series and their nested, leveled
-generalization, plus the two integer-parameter identities the counters lean on:
-a binomial-quotient closed form for 2F1(-a, b; -c; 1) and a contiguous relation
-that trades a 3F2 for two 3F2's with shifted parameters.
+generalization, plus two integer-parameter identities from the paper: a
+binomial-quotient closed form for 2F1(-a, b; -c; 1) and a contiguous relation
+that trades a 3F2 for two 3F2's with shifted parameters (``reduce_3f2`` applies
+it repeatedly). No counting route calls the identities; the identity and
+acceptance tests check them against the series.
 
 All series here terminate because some numerator parameter is a non-positive
 integer, and values are exact ``Fraction``s; z is carried exactly even though

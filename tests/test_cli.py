@@ -45,6 +45,18 @@ def test_parse_errors_carry_position_and_reason():
                 "partition:3,5", "battery:part:2,2,a=2,k=3"):
         with pytest.raises(cli.ShapeParseError):
             cli.parse_shape_expr(bad)
+    # the skew and truncated branches, and a constructor's ValueError at its field offset
+    for bad, position, message in (
+        ("skew:4,3/x", 9, "expected an integer, got 'x'"),
+        ("skew:4,3/1,1,1", 5, "inner shape (1, 1, 1) has more rows than outer (4, 3)"),
+        ("truncated:5,5,2,1\\9", 10, "cannot delete 9 cells from row 1 of length 5"),
+        ("skew:3,2", 5, "expected outer/inner"),
+        ("truncated:3,3", 10, "expected outer\\trunc"),
+        ("battery:rect:2x2,a=1,k=x", 21, "expected an integer for k=, got 'x'"),
+    ):
+        with pytest.raises(cli.ShapeParseError) as err:
+            cli.parse_shape_expr(bad)
+        assert (err.value.position, str(err.value)) == (position, f"at position {position}: {message}")
 
 
 def test_documented_invocation_golden_factored(capsys):
@@ -60,11 +72,16 @@ def test_documented_invocation_partition(capsys):
 
 
 def test_documented_invocation_verified_dp(capsys):
-    status = cli.run(["count", "battery:rect:2x2,a=1,k=2", "--method", "dp", "--verify"])
-    captured = capsys.readouterr()
-    assert status == 0
-    assert captured.out.strip() == "5"
-    assert "dp == hyper" in captured.err
+    for argv, pair in (
+        (["battery:rect:2x2,a=1,k=2", "--method", "dp"], "dp == hyper"),
+        # a battery over another base of at most 12 cells is checked by enumeration
+        (["battery:part:2,1,a=1,k=2"], "dp == enum"),
+    ):
+        status = cli.run(["count", *argv, "--verify"])
+        captured = capsys.readouterr()
+        assert status == 0
+        assert captured.out.strip() == "5"
+        assert f"verified: {pair}" in captured.err
 
 
 def test_json_output_round_trips(capsys):
@@ -80,8 +97,9 @@ def test_json_output_round_trips(capsys):
     for p, e in report["factorization"]:
         rebuilt *= p ** e
     assert rebuilt == count
+    assert report["shape"] == "battery:rect:3x2,a=1,k=2"
     assert report["method"] == "closed"
-    assert "dp" in report["verified_methods"]
+    assert report["verified_methods"] == ["closed", "dp"]
     assert report["elapsed_ms"] >= 0
 
 

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +10,7 @@ from battery_syt.counting import (
     CLOSED_FORM_CASES,
     COUNT_BY_COLUMN,
     NonIntegerCountError,
-    _as_count,
+    _exact,
     closed_form,
     count_general,
     count_hyper,
@@ -234,9 +233,9 @@ def test_monotonicity_in_battery_length():
 
 
 def test_as_count_guards_integrality():
-    assert _as_count(Fraction(7), "test") == 7
+    assert _exact(14, 2, "test") == 7
     with pytest.raises(NonIntegerCountError):
-        _as_count(Fraction(1, 2), "test")
+        _exact(1, 2, "test")
 
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
