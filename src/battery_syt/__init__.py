@@ -22,7 +22,6 @@ from .counting import (
 from .hypergeom import (
     AffineParam,
     ContiguousDecomposition,
-    MultiPFQSpec,
     NonTerminatingSeriesError,
     PFQLevel,
     PFQParams,

@@ -76,7 +76,10 @@ def _parse_rect(text: str, offset: int) -> Partition:
         raise ShapeParseError(f"expected MxN with integer sides, got {text!r}", offset) from None
     if m < 1 or n < 1:
         raise ShapeParseError(f"rectangle sides must be positive, got {m}x{n}", offset)
-    return (m,) * n
+    try:
+        return (m,) * n
+    except (OverflowError, MemoryError):  # n cannot be a tuple length
+        raise ShapeParseError(f"rectangle has too many rows, got {m}x{n}", offset) from None
 
 
 def _parse_battery(text: str, offset: int) -> BatteryShape:

@@ -33,7 +33,6 @@ from typing import Callable, Optional
 from .arith import Record, binomial
 from .hypergeom import (
     AffineParam,
-    MultiPFQSpec,
     PFQLevel,
     eval_multi_pfq,
     eval_pfq,  # noqa: F401  (kept as a module binding that span tracing rebinds)
@@ -83,7 +82,7 @@ def _check_rect_args(m: int, n: int, a: int, k: int):
         raise ValueError(f"battery length must be non-negative, got a={a}")
 
 
-def _levels(m: int, n: int, a: int, k: int) -> MultiPFQSpec:
+def _levels(m: int, n: int, a: int, k: int) -> tuple[PFQLevel, ...]:
     """Nested-sum parameters for the battery above column k, one level per column left of it.
 
     Level i sums over x_i; its parameters are affine in the outer indices
@@ -101,7 +100,7 @@ def _levels(m: int, n: int, a: int, k: int) -> MultiPFQSpec:
             + tuple(AffineParam(-(i - j), x_j) for j, x_j in outer for _ in range(2))
             + (AffineParam(1),),
         ))
-    return MultiPFQSpec(tuple(levels))
+    return tuple(levels)
 
 
 def count_hyper(m: int, n: int, a: int, k: int) -> int:

@@ -6,11 +6,11 @@ it repeatedly). No counting route calls the identities; the identity and
 acceptance tests check them against the series.
 
 All series here terminate because some numerator parameter is a non-positive
-integer, and values are exact ``Fraction``s; z is carried exactly even though
-every counting application sets z = 1. The series walk is integer Horner: each
+integer. Every series is taken at argument 1, as all of the paper's are, and
+values are exact ``Fraction``s. The series walk is integer Horner: each
 level's step ratios are integer numerator/denominator pairs, the level's sum
 is folded from the tail as one integer fraction, reduced once per level value,
-and only the top level becomes a ``Fraction``. A nested spec's affine
+and only the top level becomes a ``Fraction``. A nested sum's affine
 parameters are compiled once per call into sparse groups, with equal
 parameters merged.
 """
@@ -33,7 +33,6 @@ __all__ = [
     "reduce_3f2",
     "AffineParam",
     "PFQLevel",
-    "MultiPFQSpec",
     "eval_multi_pfq",
 ]
 
@@ -47,21 +46,12 @@ class ZeroDenominatorFactorError(ArithmeticError):
 
 
 class PFQParams(Record):
-    """Integer parameters of a terminating series sum_j prod(a_i)_j / prod(b_i)_j * z^j / j!."""
+    """Integer parameters of a terminating series sum_j prod(a_i)_j / prod(b_i)_j / j!."""
 
-    __slots__ = ("numerators", "denominators", "z")
+    __slots__ = ("numerators", "denominators")
 
-    def __init__(
-        self,
-        numerators: tuple[int, ...],
-        denominators: tuple[int, ...],
-        z: Fraction = Fraction(1),
-    ) -> None:
-        self._set(
-            tuple(int(x) for x in numerators),
-            tuple(int(x) for x in denominators),
-            Fraction(z),
-        )
+    def __init__(self, numerators: tuple[int, ...], denominators: tuple[int, ...]) -> None:
+        self._set(tuple(int(x) for x in numerators), tuple(int(x) for x in denominators))
 
 
 def termination_index(numerators) -> int:
@@ -74,16 +64,16 @@ def termination_index(numerators) -> int:
     return cap
 
 
-def _ratios(nums, dens, z: Fraction, bound: int):
-    """Yield the step ratios t_{j+1}/t_j = prod(a+j)*z / (prod(b+j)*(j+1)) as int pairs.
+def _ratios(nums, dens, bound: int):
+    """Yield the step ratios t_{j+1}/t_j = prod(a+j) / (prod(b+j)*(j+1)) as int pairs.
 
-    A zero denominator factor is an error only while terms are still nonzero,
-    so the walk stops at the first vanishing numerator: past it the sum is
-    identically zero.
+    The walk takes steps j = 0..bound-1, and callers take the bound no larger
+    than the smallest |a| over non-positive numerators. So no numerator factor
+    a+j vanishes on the walk, every term it reaches is nonzero, and a vanishing
+    denominator factor there is an error.
     """
-    zn, zd = z.numerator, z.denominator
     for j in range(bound):
-        den = zd * (j + 1)
+        den = j + 1
         for b in dens:
             den *= b + j
         if den == 0:
@@ -91,11 +81,9 @@ def _ratios(nums, dens, z: Fraction, bound: int):
             raise ZeroDenominatorFactorError(
                 f"denominator factor {zero} vanished at step {j} of {bound}"
             )
-        num = zn
+        num = 1
         for a in nums:
             num *= a + j
-        if num == 0:
-            return
         yield num, den
 
 
@@ -103,7 +91,7 @@ def pfq_terms(params: PFQParams) -> list[Fraction]:
     """The terms t_0, t_1, ... of the terminating series, up to its last nonzero one."""
     bound = termination_index(params.numerators)
     terms = [Fraction(1)]
-    for num, den in _ratios(params.numerators, params.denominators, params.z, bound):
+    for num, den in _ratios(params.numerators, params.denominators, bound):
         terms.append(terms[-1] * Fraction(num, den))
     return terms
 
@@ -113,9 +101,8 @@ def eval_pfq(params: PFQParams) -> Fraction:
     level = PFQLevel(
         tuple(map(AffineParam, params.numerators)),
         tuple(map(AffineParam, params.denominators)),
-        params.z,
     )
-    return eval_multi_pfq(MultiPFQSpec((level,)))
+    return eval_multi_pfq((level,))
 
 
 def gauss_2f1_neg(a: int, b: int, c: int) -> Fraction:
@@ -223,29 +210,12 @@ class AffineParam(Record):
 class PFQLevel(Record):
     """One level of a nested hypergeometric sum; parameters may depend on outer indices."""
 
-    __slots__ = ("numerators", "denominators", "z")
+    __slots__ = ("numerators", "denominators")
 
     def __init__(
-        self,
-        numerators: tuple[AffineParam, ...],
-        denominators: tuple[AffineParam, ...],
-        z: Fraction = Fraction(1),
+        self, numerators: tuple[AffineParam, ...], denominators: tuple[AffineParam, ...]
     ) -> None:
-        self._set(numerators, denominators, z)
-
-
-class MultiPFQSpec(Record):
-    """Leveled sum over indices m_0 >= m_1 >= ... with per-level Pochhammer quotients.
-
-    Each level contributes prod(a)_{m_i} / prod(b)_{m_i} * z_i^{m_i} / m_i!
-    where the level's parameters are affine in the outer indices m_0..m_{i-1}.
-    Level 0 must terminate through a non-positive numerator.
-    """
-
-    __slots__ = ("levels",)
-
-    def __init__(self, levels: tuple[PFQLevel, ...] = ()) -> None:
-        self._set(levels)
+        self._set(numerators, denominators)
 
 
 def _compile(params) -> tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]:
@@ -274,13 +244,13 @@ def _level_sum(levels, index: int, outer: tuple[int, ...]) -> tuple[int, int]:
     step ratios num_j/den_j, P/Q <- p_j/q_j + num_j/den_j * P/Q, all in
     integers, reduced once at the end.
     """
-    nums, dens, z = levels[index]
+    nums, dens = levels[index]
     nums, dens = _at(nums, outer), _at(dens, outer)
     if index == 0:
         bound = termination_index(nums)
     else:
         bound = min([outer[-1]] + [-a for a in nums if a <= 0])
-    ratios = list(_ratios(nums, dens, z, bound))
+    ratios = list(_ratios(nums, dens, bound))
     if index == len(levels) - 1:
         P = Q = 1
         for num, den in reversed(ratios):
@@ -296,12 +266,15 @@ def _level_sum(levels, index: int, outer: tuple[int, ...]) -> tuple[int, int]:
     return P // g, Q // g
 
 
-def eval_multi_pfq(spec: MultiPFQSpec) -> Fraction:
-    """Exact value of the nested sum."""
-    if not spec.levels:
+def eval_multi_pfq(levels: tuple[PFQLevel, ...]) -> Fraction:
+    """Exact value of the leveled sum over indices m_0 >= m_1 >= ... with per-level
+    Pochhammer quotients.
+
+    Each level contributes prod(a)_{m_i} / prod(b)_{m_i} / m_i! where the
+    level's parameters are affine in the outer indices m_0..m_{i-1}. Level 0
+    must terminate through a non-positive numerator.
+    """
+    if not levels:
         return Fraction(1)
-    levels = tuple(
-        (_compile(level.numerators), _compile(level.denominators), Fraction(level.z))
-        for level in spec.levels
-    )
-    return Fraction(*_level_sum(levels, 0, ()))
+    compiled = tuple((_compile(level.numerators), _compile(level.denominators)) for level in levels)
+    return Fraction(*_level_sum(compiled, 0, ()))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from battery_syt.arith import Factorization, binomial, factorial, factorize, is_prime, pochhammer
+from battery_syt.arith import _brent_rho
 
 
 def test_pochhammer_known_values():
@@ -115,6 +116,15 @@ def test_factorize_rejects_zero():
 def test_factorize_splits_two_large_primes():
     p, q = 3361178017, 2839893182041
     assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_brent_rho_fallback_branches():
+    # trial division strips small factors before rho runs, so only direct calls
+    # reach these: 55 overshoots the batched gcd and backtracks; 25 backtracks
+    # onto the whole cycle too and retries with the next polynomial constant
+    for n in (55, 25):
+        d = _brent_rho(n)
+        assert 1 < d < n and n % d == 0
 
 
 def test_is_prime_matches_trial_division():

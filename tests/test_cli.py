@@ -53,6 +53,20 @@ def test_parse_errors_carry_position_and_reason():
         ("skew:3,2", 5, "expected outer/inner"),
         ("truncated:3,3", 10, "expected outer\\trunc"),
         ("battery:rect:2x2,a=1,k=x", 21, "expected an integer for k=, got 'x'"),
+        ("rect:axb", 5, "expected MxN with integer sides, got 'axb'"),
+        ("battery:rect:2x2,a1,k=2", 17, "expected a=A or k=K, got 'a1'"),
+        ("battery:rect:2x2,a=1,a=2", 17, "both a= and k= are required"),
+        ("battery:2x2,a=1,k=2", 8, "battery base must start with rect: or part:"),
+        ("truncated:2\\1,1", 10, "truncation has more rows than the base shape"),
+        # a side too large for a tuple length: OverflowError past sys.maxsize,
+        # MemoryError just below it, both before anything is allocated
+        ("rect:1x9223372036854775808", 5, "rectangle has too many rows, got 1x9223372036854775808"),
+        ("rect:1x9223372036854775807", 5, "rectangle has too many rows, got 1x9223372036854775807"),
+        (
+            "battery:rect:1x9223372036854775808,a=1,k=1",
+            13,
+            "rectangle has too many rows, got 1x9223372036854775808",
+        ),
     ):
         with pytest.raises(cli.ShapeParseError) as err:
             cli.parse_shape_expr(bad)

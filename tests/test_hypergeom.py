@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from battery_syt.arith import binomial, pochhammer
 from battery_syt.hypergeom import (
     AffineParam,
-    MultiPFQSpec,
     NonTerminatingSeriesError,
     PFQLevel,
     PFQParams,
@@ -33,13 +32,6 @@ def test_eval_pfq_known_values():
     assert eval_pfq(PFQParams((1, 2, -2), (1, -4))) == F(5, 2)
 
 
-def test_eval_pfq_honors_z():
-    # 1F0(-n; ; z) is the binomial expansion of (1-z)^n
-    for n in range(0, 6):
-        for z in (F(1, 2), F(-2, 3), F(3)):
-            assert eval_pfq(PFQParams((-n,), (), z)) == (1 - z) ** n
-
-
 def test_eval_pfq_rejects_non_terminating():
     with pytest.raises(NonTerminatingSeriesError):
         eval_pfq(PFQParams((1, 2), (3,)))
@@ -54,13 +46,9 @@ def test_eval_pfq_zero_denominator_before_termination():
 
 
 def test_zero_z_hides_a_later_zero_denominator():
-    # z = 0 ends the walk after t_0, before the factor -1 vanishes at step 1
-    assert eval_pfq(PFQParams((-3,), (-1,), 0)) == 1
-    spec = MultiPFQSpec((PFQLevel((AffineParam(-3),), (AffineParam(-1),), F(0)),))
-    assert eval_multi_pfq(spec) == 1
-    # a factor vanishing at step 0 is still reached from t_0 = 1
+    # a factor vanishing at step 0 is reached from t_0 = 1
     with pytest.raises(ZeroDenominatorFactorError):
-        eval_pfq(PFQParams((-3,), (0,), 0))
+        eval_pfq(PFQParams((-3,), (0,)))
 
 
 def test_termination_index():
@@ -79,8 +67,7 @@ def test_term_recurrence_matches_pochhammer_products():
         rng.shuffle(nums)
         cap = termination_index(nums)
         dens = [rng.choice([rng.randint(1, 9), -cap - rng.randint(0, 5)]) for _ in range(q)]
-        z = F(rng.randint(-5, 5), rng.randint(1, 5))
-        params = PFQParams(tuple(nums), tuple(dens), z)
+        params = PFQParams(tuple(nums), tuple(dens))
         terms = pfq_terms(params)
         for j, term in enumerate(terms):
             den = 1
@@ -89,7 +76,7 @@ def test_term_recurrence_matches_pochhammer_products():
             num = 1
             for a in nums:
                 num *= pochhammer(a, j)
-            assert term == F(num, den * factorial(j)) * z ** j
+            assert term == F(num, den * factorial(j))
         assert eval_pfq(params) == sum(terms)
 
 
@@ -203,34 +190,32 @@ def test_multi_pfq_single_level_equals_pfq():
         ((0, 9), (3,)),
     ]
     for nums, dens in cases:
-        spec = MultiPFQSpec((
+        levels = (
             PFQLevel(
                 numerators=tuple(AffineParam(v) for v in nums),
                 denominators=tuple(AffineParam(v) for v in dens),
             ),
-        ))
-        assert eval_multi_pfq(spec) == eval_pfq(PFQParams(nums, dens))
+        )
+        assert eval_multi_pfq(levels) == eval_pfq(PFQParams(nums, dens))
 
 
 def test_multi_pfq_zero_numerator_gives_one():
-    spec = MultiPFQSpec((
+    levels = (
         PFQLevel((AffineParam(0), AffineParam(3)), (AffineParam(-5),)),
         PFQLevel((AffineParam(1, (1,)),), (AffineParam(1),)),
-    ))
-    assert eval_multi_pfq(spec) == 1
+    )
+    assert eval_multi_pfq(levels) == 1
 
 
 def test_multi_pfq_rejects_non_terminating_level_zero():
-    spec = MultiPFQSpec((
-        PFQLevel((AffineParam(2),), (AffineParam(1),)),
-    ))
+    levels = (PFQLevel((AffineParam(2),), (AffineParam(1),)),)
     with pytest.raises(NonTerminatingSeriesError):
-        eval_multi_pfq(spec)
+        eval_multi_pfq(levels)
 
 
-def _two_level_spec(m, n, a):
+def _two_levels(m, n, a):
     # first counting level (index t), second level depends on it (index v)
-    return MultiPFQSpec((
+    return (
         PFQLevel(
             numerators=(AffineParam(a), AffineParam(m), AffineParam(-n)),
             denominators=(AffineParam(-m * n), AffineParam(1)),
@@ -245,7 +230,7 @@ def _two_level_spec(m, n, a):
                 AffineParam(-1, (-1,)), AffineParam(1),
             ),
         ),
-    ))
+    )
 
 
 def test_multi_pfq_two_levels_equals_hand_rolled_double_sum():
@@ -269,10 +254,10 @@ def test_multi_pfq_two_levels_equals_hand_rolled_double_sum():
     for m in range(3, 6):
         for n in range(1, 4):
             for a in range(0, 4):
-                assert eval_multi_pfq(_two_level_spec(m, n, a)) == double_sum(m, n, a)
+                assert eval_multi_pfq(_two_levels(m, n, a)) == double_sum(m, n, a)
 
 
-def _nested_sum_reference(spec):
+def _nested_sum_reference(levels):
     """The nested sum term by term: per-level Pochhammer products over m_0 >= m_1 >= ...
 
     A term whose numerator product vanishes contributes nothing, and neither do
@@ -281,7 +266,7 @@ def _nested_sum_reference(spec):
     ZeroDenominatorFactorError.
     """
     def level_sum(i, outer):
-        level = spec.levels[i]
+        level = levels[i]
         nums = [p.at(outer) for p in level.numerators]
         dens = [p.at(outer) for p in level.denominators]
         caps = [-a for a in nums if a <= 0]
@@ -296,10 +281,10 @@ def _nested_sum_reference(spec):
             den = prod(pochhammer(b, m) for b in dens) * factorial(m)
             if den == 0:
                 raise ZeroDenominatorFactorError(f"level {i} at m={m}")
-            num = prod(pochhammer(a, m) for a in nums) * Fraction(level.z) ** m
+            num = prod(pochhammer(a, m) for a in nums)
             if num == 0:
                 break
-            inner = level_sum(i + 1, outer + (m,)) if i + 1 < len(spec.levels) else 1
+            inner = level_sum(i + 1, outer + (m,)) if i + 1 < len(levels) else 1
             total += Fraction(num, den) * inner
         return total
 
@@ -309,8 +294,8 @@ def _nested_sum_reference(spec):
 @st.composite
 def small_multi_specs(draw):
     """1-3 levels of 1-3 numerators and 0-2 denominators, constants in [-6, 4],
-    coefficients in [-1, 1] on the outer indices, z a small fraction. Level 0's
-    first numerator is a constant in [-5, -1], so every spec terminates."""
+    coefficients in [-1, 1] on the outer indices. Level 0's first numerator is
+    a constant in [-5, -1], so every nested sum terminates."""
     levels = []
     for i in range(draw(st.integers(1, 3))):
         def param():
@@ -321,19 +306,18 @@ def small_multi_specs(draw):
         if i == 0:
             nums = (AffineParam(-draw(st.integers(1, 5))),) + nums[1:]
         dens = tuple(param() for _ in range(draw(st.integers(0, 2))))
-        z = F(draw(st.sampled_from((1, -1, 2, -3, 0))), draw(st.integers(1, 3)))
-        levels.append(PFQLevel(nums, dens, z))
-    return MultiPFQSpec(tuple(levels))
+        levels.append(PFQLevel(nums, dens))
+    return tuple(levels)
 
 
-def _outcome(evaluate, spec):
+def _outcome(evaluate, levels):
     try:
-        return evaluate(spec)
+        return evaluate(levels)
     except (NonTerminatingSeriesError, ZeroDenominatorFactorError) as exc:
         return type(exc)
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_multi_specs())
-def test_multi_pfq_matches_term_by_term_reference(spec):
-    assert _outcome(eval_multi_pfq, spec) == _outcome(_nested_sum_reference, spec)
+def test_multi_pfq_matches_term_by_term_reference(levels):
+    assert _outcome(eval_multi_pfq, levels) == _outcome(_nested_sum_reference, levels)

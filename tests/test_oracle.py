@@ -165,8 +165,15 @@ def test_validity_checker_rejects_bad_fillings():
     assert is_valid_tableau(shape, BatteryTableau((3,), ((1, 4), (2, 5))))
     # battery entry must be smaller than the cell it sits on
     assert not is_valid_tableau(shape, BatteryTableau((5,), ((1, 4), (2, 3))))
-    # rows must increase
+    # a decreasing row under the battery: the battery rule rejects it first
     assert not is_valid_tableau(shape, BatteryTableau((3,), ((4, 1), (2, 5))))
+    # the next three pass every earlier check and fail only the rule named
+    # rows must have the base's lengths
+    assert not is_valid_tableau(shape, BatteryTableau((3,), ((1, 4, 6), (2,))))
+    # the battery must increase upwards
+    assert not is_valid_tableau(BatteryShape((2, 2), 2, 2), BatteryTableau((2, 1), ((3, 4), (5, 6))))
+    # rows must increase
+    assert not is_valid_tableau(shape, BatteryTableau((1,), ((3, 2), (4, 5))))
     # columns must increase
     assert not is_valid_tableau(shape, BatteryTableau((3,), ((2, 4), (1, 5))))
     # entries must be a bijection onto 1..size

@@ -15,14 +15,11 @@ from battery_syt.counting import ClosedFormCase
 from battery_syt.hypergeom import (
     AffineParam,
     ContiguousDecomposition,
-    MultiPFQSpec,
     PFQLevel,
     PFQParams,
 )
 from battery_syt.oracle import BatteryTableau
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape
-
-LEVEL = PFQLevel((AffineParam(-2),), (AffineParam(1, (0, 1)),))
 
 # (record built from keyword arguments, the same fields positionally, its repr)
 CASES = [
@@ -33,8 +30,8 @@ CASES = [
     ),
     (
         PFQParams(numerators=(-2, 3), denominators=(4,)),
-        ((-2, 3), (4,), Fraction(1)),
-        "PFQParams(numerators=(-2, 3), denominators=(4,), z=Fraction(1, 1))",
+        ((-2, 3), (4,)),
+        "PFQParams(numerators=(-2, 3), denominators=(4,))",
     ),
     (
         ContiguousDecomposition(
@@ -45,18 +42,17 @@ CASES = [
         ),
         (Fraction(-1, 2), PFQParams((1, 2, 0), (2, 0)), Fraction(2), PFQParams((1, 2, -1), (2, -1))),
         "ContiguousDecomposition(coefficient1=Fraction(-1, 2), "
-        "params1=PFQParams(numerators=(1, 2, 0), denominators=(2, 0), z=Fraction(1, 1)), "
+        "params1=PFQParams(numerators=(1, 2, 0), denominators=(2, 0)), "
         "coefficient2=Fraction(2, 1), "
-        "params2=PFQParams(numerators=(1, 2, -1), denominators=(2, -1), z=Fraction(1, 1)))",
+        "params2=PFQParams(numerators=(1, 2, -1), denominators=(2, -1)))",
     ),
     (AffineParam(const=3), (3, ()), "AffineParam(const=3, coeffs=())"),
     (
         PFQLevel(numerators=(AffineParam(-2),), denominators=(AffineParam(1, (0, 1)),)),
-        ((AffineParam(-2),), (AffineParam(1, (0, 1)),), Fraction(1)),
+        ((AffineParam(-2),), (AffineParam(1, (0, 1)),)),
         "PFQLevel(numerators=(AffineParam(const=-2, coeffs=()),), "
-        "denominators=(AffineParam(const=1, coeffs=(0, 1)),), z=Fraction(1, 1))",
+        "denominators=(AffineParam(const=1, coeffs=(0, 1)),))",
     ),
-    (MultiPFQSpec(levels=(LEVEL,)), ((LEVEL,),), f"MultiPFQSpec(levels=({LEVEL!r},))"),
     (SkewShape(outer=(3, 2)), ((3, 2), ()), "SkewShape(outer=(3, 2), inner=())"),
     (
         TruncatedShape(base=SkewShape((3, 3)), truncation=(1,)),
@@ -99,11 +95,9 @@ def test_unequal_to_another_type_with_the_same_values(record, fields, text):
 
 
 def test_series_parameters_and_level_with_equal_fields_differ():
-    params = PFQParams((-2,), (), 1)
-    level = PFQLevel((-2,), (), Fraction(1))
-    assert (params.numerators, params.denominators, params.z) == (
-        level.numerators, level.denominators, level.z
-    )
+    params = PFQParams((-2,), ())
+    level = PFQLevel((-2,), ())
+    assert (params.numerators, params.denominators) == (level.numerators, level.denominators)
     assert params != level
 
 
@@ -137,19 +131,15 @@ def test_pickle_and_copy_round_trips(record, fields, text):
 
 
 def test_defaults():
-    assert PFQParams((-2,), ()).z == Fraction(1)
-    assert PFQLevel((), ()).z == Fraction(1)
     assert AffineParam(3).coeffs == ()
-    assert MultiPFQSpec().levels == ()
     assert SkewShape((2,)).inner == ()
 
 
 def test_construction_canonicalizes():
     assert BatteryShape([3, 3, 0], 1, 2).lam == (3, 3)
     assert BatteryShape([3, 3, 0], 1, 2) == BatteryShape((3, 3), 1, 2)
-    params = PFQParams([-2.0, 3], [4], 1)
+    params = PFQParams([-2.0, 3], [4])
     assert params.numerators == (-2, 3) and params.denominators == (4,)
-    assert type(params.z) is Fraction
     skew = SkewShape([3, 2, 0], [1, 0])
     assert (skew.outer, skew.inner) == ((3, 2), (1,))
     assert TruncatedShape(SkewShape((3, 3)), [1, 0]).truncation == (1,)
