@@ -4,6 +4,13 @@ Everything here is plain arbitrary-precision ``int`` arithmetic; rationals
 elsewhere in the package are ``fractions.Fraction``, which keeps values
 normalized to lowest terms with a positive denominator after every operation.
 
+``factorize`` trial-divides while it keeps finding primes: a battery count's
+small primes come from its hook-length factorials and end near the size of
+the shape, so past 2**11 trial division stops at the end of the first octave
+[2**j, 2**(j+1)) that divides nothing. Brent's rho splits what is left, and
+``is_prime`` (Miller-Rabin, exact below 3.3 * 10**24, BPSW above) checks every
+prime reported.
+
 ``Record`` is the immutable value base of every record type in the package
 (factorizations, series parameters, shapes, catalog cases, tableaux, CLI
 reports). It lives here because every other module already imports this one,
@@ -12,7 +19,7 @@ and it is used in place of ``dataclasses``, whose import (which pulls in
 25 ms.
 """
 
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 
 __all__ = [
     "pochhammer",
@@ -23,13 +30,23 @@ __all__ = [
     "Factorization",
 ]
 
-# Trial division handles factors below this; larger cofactors go to Pollard rho.
+# Trial division tries every prime below _OCTAVE_START, then goes on one
+# octave [2**j, 2**(j+1)) at a time while the octave before it divided n, and
+# never past _TRIAL_BOUND; Pollard rho splits the cofactor. A fixed bound
+# would either run the wheel to 10**6, finding nothing on most counts, or,
+# set low, leave every prime just above it to a rho split plus a primality
+# test of the whole cofactor (the 9,720-digit [(80^80),2,2] count has primes
+# up to 6,473).
+_OCTAVE_START = 1 << 11
 _TRIAL_BOUND = 1_000_000
 
-# Witness set is exact for every n < 3.3 * 10**24. Above that a factor that
-# passes is not proven prime; ROADMAP item 3 plans BPSW and a probable-prime
-# label for such factors.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes 2..41 as Miller-Rabin bases are exact below _PSI13, the least
+# strong pseudoprime to all of them (2..37 are not: 318665857834031151167461
+# passes every one). From _PSI13 on, is_prime adds a strong Lucas test, which
+# with the base-2 test makes BPSW: no composite is known to pass it, but none
+# is proven not to.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
 
 
 def pochhammer(x: int, n: int) -> int:
@@ -58,7 +75,11 @@ def binomial(x: int, k: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test with a fixed witness set."""
+    """Primality test: exact below 3.3 * 10**24, Baillie-PSW from there on.
+
+    Miller-Rabin with the primes 2..41 as bases decides every n below
+    ``_PSI13``; larger n must also pass a strong Lucas test.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -78,7 +99,62 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI13 or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test (Baillie-Wagstaff 1980) of odd n > 41.
+
+    Parameters by Selfridge's method A: D is the first of 5, -7, 9, -11, ...
+    with Jacobi symbol (D/n) = -1, P = 1 and Q = (1 - D) / 4. A square has no
+    such D, so it is rejected first. With n + 1 = d * 2**s, n passes when
+    U_d = 0 or V_{d * 2**r} = 0 (mod n) for some 0 <= r < s.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # |D| < n shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q**k mod n, from k = 0 up the bits of d: k -> 2k, then
+    # 2k -> 2k + 1 by U' = (U + V) / 2 and V' = (D*U + V) / 2 (n is odd)
+    U, V, Qk = 0, 2, 1
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n if U % 2 else U) // 2
+            V = (V + n if V % 2 else V) // 2
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 class Record:
@@ -192,9 +268,11 @@ def _brent_rho(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Factor a positive integer into primes.
 
-    Small factors come off by trial division (2, 3, then a 6k+-1 wheel);
-    any remaining cofactor is split by Pollard rho with Miller-Rabin
-    certification of each reported prime.
+    Small factors come off by trial division: 2, 3, then a 6k+-1 wheel that
+    runs to 2**11 and past it an octave [2**j, 2**(j+1)) at a time, stopping
+    at the end of the first octave in which no prime divides n, at 10**6,
+    or once f*f > n, which proves the cofactor prime. Any other cofactor is
+    split by Pollard rho, and ``is_prime`` checks each prime reported.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -203,8 +281,12 @@ def factorize(n: int) -> Factorization:
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-    f = 5
+    f, octave_end, octave_n = 5, _OCTAVE_START, 0
     while f * f <= n and f < _TRIAL_BOUND:
+        if f >= octave_end:
+            if n == octave_n:  # no prime in the octave just tried divided n
+                break
+            octave_end, octave_n = 2 * octave_end, n
         for p in (f, f + 2):
             while n % p == 0:
                 counts[p] = counts.get(p, 0) + 1

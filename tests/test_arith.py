@@ -1,11 +1,34 @@
+from collections import Counter
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from battery_syt import arith
 from battery_syt.arith import Factorization, binomial, factorial, factorize, is_prime, pochhammer
-from battery_syt.arith import _brent_rho
+from battery_syt.arith import _brent_rho, _is_strong_lucas_prp
+
+try:
+    import sympy
+except ImportError:  # sympy is an optional cross-check
+    sympy = None
+
+# The least strong pseudoprimes to all the prime bases 2..37 and 2..41.
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+
+
+def _primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
+PRIMES_BELOW_10_6 = _primes_below(10 ** 6)
 
 
 def test_pochhammer_known_values():
@@ -118,6 +141,61 @@ def test_factorize_splits_two_large_primes():
     assert factorize(p * q).factors == ((p, 1), (q, 1))
 
 
+def test_factorize_stops_trial_division_where_the_small_primes_end(monkeypatch):
+    # the smooth part fills every octave up to [2**13, 2**14), so trial
+    # division runs through [2**14, 2**15), finds nothing and leaves the
+    # two large primes, and nothing else, to rho; with nothing in
+    # [2**11, 2**12) it stops at 2**12 and leaves 5003 to rho too
+    small = [p for p in PRIMES_BELOW_10_6 if p < 10_000]
+    large = [3361178017, 2839893182041]
+    split = []
+    monkeypatch.setattr(arith, "_brent_rho", lambda n: split.append(n) or _brent_rho(n))
+    assert factorize(prod(small) * prod(large)).factors == tuple((p, 1) for p in small + large)
+    assert split == [prod(large)]
+    split.clear()
+    assert factorize(3 * 5003 * large[1]).factors == ((3, 1), (5003, 1), (large[1], 1))
+    assert split == [5003 * large[1]]
+
+
+def test_factorize_proves_a_cofactor_prime_by_trial_division(monkeypatch):
+    # a cofactor below f*f is proven prime without is_prime, so only the
+    # Factorization checks it; 10000019 needs the first octave past 2**11
+    # (its square root is 3162); a prime cofactor past the stop goes to
+    # is_prime first, looked up as a module global
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for p, checks in ((1009, [2, 1009]), (10000019, [2, 10000019]),
+                      (2839893182041, [2839893182041, 2, 2839893182041])):
+        calls.clear()
+        assert factorize(2 ** 40 * p).factors == ((2, 40), (p, 1))
+        assert calls == checks
+
+
+_SMALL_OR_MIDDLE_PRIME_POWERS = st.tuples(
+    st.sampled_from([p for p in PRIMES_BELOW_10_6 if p < 2 ** 11])
+    | st.sampled_from([p for p in PRIMES_BELOW_10_6 if p >= 2 ** 11]),
+    st.integers(1, 3),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_SMALL_OR_MIDDLE_PRIME_POWERS, max_size=8), st.none() | st.integers(10 ** 6, 10 ** 13))
+def test_factorize_round_trip_over_three_bands(powers, start):
+    # primes below 2**11, in [2**11, 10**6] and in [10**6, 10**13]; one prime
+    # of the top band, to the first power, because rho takes about sqrt(p)
+    # steps to split off a prime p, seconds near 10**13 (ROADMAP item 3)
+    expected = Counter()
+    for p, e in powers:
+        expected[p] += e
+    if start is not None:
+        p = start
+        while not is_prime(p):  # exact there: Miller-Rabin bases 2..41
+            p += 1
+        expected[p] += 1
+    n = prod(p ** e for p, e in expected.items())
+    assert factorize(n).factors == tuple(sorted(expected.items()))
+
+
 def test_brent_rho_fallback_branches():
     # trial division strips small factors before rho runs, so only direct calls
     # reach these: 55 overshoots the batched gcd and backtracks; 25 backtracks
@@ -130,6 +208,44 @@ def test_brent_rho_fallback_branches():
 def test_is_prime_matches_trial_division():
     for n in range(0, 2000):
         assert is_prime(n) == _trial_division_is_prime(n)
+
+
+def test_strong_pseudoprimes_to_the_first_prime_bases_are_composite():
+    # PSI12 passes Miller-Rabin to every base 2..37 and PSI13 to every base
+    # 2..41; base 41 rejects PSI12, the strong Lucas test rejects PSI13
+    assert not is_prime(PSI12)
+    assert not is_prime(PSI13)
+    assert factorize(PSI12).factors == ((399165290221, 1), (798330580441, 1))
+    for psi in (PSI12, PSI13):
+        with pytest.raises(ValueError):
+            Factorization(((psi, 1),))
+
+
+def test_strong_lucas_test_passes_primes_and_its_known_pseudoprimes():
+    # the odd composites below 30000 that pass are the strong Lucas
+    # pseudoprimes with Selfridge's parameters (OEIS A217255)
+    passed = [n for n in range(43, 30000, 2) if _is_strong_lucas_prp(n)]
+    pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+    assert passed == sorted([p for p in PRIMES_BELOW_10_6 if 43 <= p < 30000] + pseudoprimes)
+
+
+def test_strong_lucas_test_rejects_a_square_before_choosing_parameters(monkeypatch):
+    # no D has (D/p**2) = -1, so without the square check the search for D
+    # would run until |D| reaches p
+    def no_search(a, n):
+        raise AssertionError(f"searched for D on a square, tried {a}")
+
+    monkeypatch.setattr(arith, "_jacobi", no_search)
+    assert not _is_strong_lucas_prp(2839893182041 ** 2)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(deadline=None)
+@given(st.integers(PSI13, 10 ** 40), st.integers(2, 10 ** 20), st.integers(2, 10 ** 20))
+def test_is_prime_matches_sympy_from_psi13_on(n, x, y):
+    p, q, r = sympy.nextprime(n), sympy.nextprime(x), sympy.nextprime(y)
+    for v in (n, p, q * r, p * q):
+        assert is_prime(v) == sympy.isprime(v), v
 
 
 def test_factorization_str_format():
