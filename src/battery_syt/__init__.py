@@ -6,53 +6,70 @@ shapes (and of straight, skew, and truncated shapes) with arbitrary-precision
 arithmetic, by several mutually checking routes: terminating hypergeometric
 series, the pivot decomposition summed as one Hankel determinant, a
 closed-form catalog, and a linear-extension dynamic program.
+
+Importing the package loads none of its modules. Each exported name, and each
+submodule, is imported on first access (PEP 562), so a program pays only for
+the routes it uses.
 """
 
-from .arith import Factorization, binomial, factorial, factorize, is_prime, pochhammer
-from .counting import (
-    CLOSED_FORM_CASES,
-    COUNT_BY_COLUMN,
-    NonIntegerCountError,
-    closed_form,
-    count_general,
-    count_hyper,
-    match_closed_form,
-    rect_syt_count,
-)
-from .hypergeom import (
-    AffineParam,
-    ContiguousDecomposition,
-    NonTerminatingSeriesError,
-    PFQLevel,
-    PFQParams,
-    ZeroDenominatorFactorError,
-    contiguous_step,
-    eval_multi_pfq,
-    eval_pfq,
-    gauss_2f1_neg,
-    pfq_terms,
-    reduce_3f2,
-    termination_index,
-)
-from .oracle import (
-    BatteryTableau,
-    count_line_convex,
-    count_linear_extensions,
-    enumerate_syt,
-    is_valid_tableau,
-    linear_extension_profile,
-)
-from .shapes import (
-    BatteryShape,
-    Partition,
-    SkewShape,
-    TruncatedShape,
-    as_partition,
-    conjugate,
-    hook_lengths,
-    rotated_complement,
-    syt_count_straight,
-    validate_battery,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "arith": ("Factorization", "binomial", "factorial", "factorize", "is_prime", "pochhammer"),
+    "counting": (
+        "CLOSED_FORM_CASES", "COUNT_BY_COLUMN", "NonIntegerCountError", "closed_form",
+        "count_general", "count_hyper", "match_closed_form", "rect_syt_count",
+    ),
+    "hypergeom": (
+        "AffineParam", "ContiguousDecomposition", "NonTerminatingSeriesError", "PFQLevel",
+        "PFQParams", "ZeroDenominatorFactorError", "contiguous_step", "eval_multi_pfq",
+        "eval_pfq", "gauss_2f1_neg", "pfq_terms", "reduce_3f2", "termination_index",
+    ),
+    "oracle": (
+        "BatteryTableau", "count_line_convex", "count_linear_extensions", "enumerate_syt",
+        "is_valid_tableau", "linear_extension_profile",
+    ),
+    "shapes": (
+        "BatteryShape", "Partition", "SkewShape", "TruncatedShape", "as_partition",
+        "conjugate", "hook_lengths", "rotated_complement", "syt_count_straight",
+        "validate_battery",
+    ),
+}
+# exported name -> the submodule that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})
+
+
+def _lazy(module: str, name: str):
+    """A stand-in for the function ``name`` of submodule ``module`` that imports
+    the module on its first call and from then on calls the function directly.
+
+    A module binds a route this way so that importing it does not import the
+    route; the stand-in stays the binding, so a caller that rebinds the name
+    (as span tracing does) keeps its wrapper."""
+    target = []
+
+    def call(*args, **kwargs):
+        if not target:
+            target.append(getattr(import_module(f"{__name__}.{module}"), name))
+        return target[0](*args, **kwargs)
+
+    call.__name__ = name
+    return call

@@ -1,25 +1,22 @@
 """Exact integer primitives: rising factorials, generalized binomials, prime factorization.
 
 Everything here is plain arbitrary-precision ``int`` arithmetic; rationals
-elsewhere in the package are ``fractions.Fraction``, which keeps values
-normalized to lowest terms with a positive denominator after every operation.
+appear only in the series module ``hypergeom``, as ``fractions.Fraction``,
+which keeps values normalized to lowest terms with a positive denominator
+after every operation.
 
 ``factorize`` trial-divides while it keeps finding primes: a battery count's
 small primes come from its hook-length factorials and end near the size of
 the shape, so past 2**11 trial division stops at the end of the first octave
-[2**j, 2**(j+1)) that divides nothing. Brent's rho splits what is left, and
+[2**j, 2**(j+1)) that divides nothing. What is left is taken apart by an
+integer root when it is a perfect power, and by Brent's rho otherwise, and
 ``is_prime`` (Miller-Rabin, exact below 3.3 * 10**24, BPSW above) checks every
 prime reported.
-
-``Record`` is the immutable value base of every record type in the package
-(factorizations, series parameters, shapes, catalog cases, tableaux, CLI
-reports). It lives here because every other module already imports this one,
-and it is used in place of ``dataclasses``, whose import (which pulls in
-``inspect``) and per-class code generation would cost every CLI call about
-25 ms.
 """
 
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, log2
+
+from .record import Record
 
 __all__ = [
     "pochhammer",
@@ -157,48 +154,6 @@ def _is_strong_lucas_prp(n: int) -> bool:
     return False
 
 
-class Record:
-    """Immutable value whose fields are its class's ``__slots__``, in order.
-
-    Equality (same class only), hashing and the ``Name(field=value, ...)``
-    repr go by the field values, as for a frozen dataclass; assignment and
-    deletion raise ``AttributeError``. ``__reduce__`` rebuilds an instance
-    through its constructor, so a subclass's ``__init__`` takes the fields
-    positionally in slot order and stores them with ``_set``. A record class
-    is not subclassed to add fields.
-    """
-
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
 class Factorization(Record):
     """Prime factorization as (prime, exponent) pairs with strictly ascending primes."""
 
@@ -265,14 +220,45 @@ def _brent_rho(n: int) -> int:
         c += 1  # degenerate cycle; retry with the next polynomial
 
 
+def _iroot(n: int, e: int) -> int:
+    """Floor of the e-th root of n >= 1.
+
+    Newton's method from a float estimate just above the root; the estimate is
+    taken of n >> e*shift and scaled back by 2**shift so the float stays finite.
+    """
+    shift = max(n.bit_length() // e - 960, 0)
+    x = int(2 ** (log2(n >> e * shift) / e) * (1 + 1e-9) + 1) << shift
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _power_root(v: int, least: int) -> tuple[int, int]:
+    """(r, e) with v == r**e for the first prime e that has one, else (v, 1).
+
+    Every prime factor of v is at least ``least``, so r >= least and only the
+    exponents up to log(v) / log(least) are tried.
+    """
+    for e in range(2, v.bit_length() // (least.bit_length() - 1) + 1):
+        if all(e % d for d in range(2, isqrt(e) + 1)):
+            root = _iroot(v, e)
+            if root ** e == v:
+                return root, e
+    return v, 1
+
+
 def factorize(n: int) -> Factorization:
     """Factor a positive integer into primes.
 
     Small factors come off by trial division: 2, 3, then a 6k+-1 wheel that
     runs to 2**11 and past it an octave [2**j, 2**(j+1)) at a time, stopping
     at the end of the first octave in which no prime divides n, at 10**6,
-    or once f*f > n, which proves the cofactor prime. Any other cofactor is
-    split by Pollard rho, and ``is_prime`` checks each prime reported.
+    or once f*f > n, which proves the cofactor prime. A composite cofactor
+    that is a perfect power r**e is replaced by its root, counted e times;
+    any other is split by Pollard rho, and ``is_prime`` checks each prime
+    reported.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -296,13 +282,20 @@ def factorize(n: int) -> Factorization:
         # trial division already proved the cofactor prime
         counts[n] = counts.get(n, 0) + 1
         n = 1
-    pending = [n] if n > 1 else []
+    # (factor, times it divides n); every prime left is at least f, which
+    # bounds the exponents _power_root tries. A perfect power goes on as its
+    # root, since rho would take about sqrt(p) steps to split p off p**e
+    pending = [(n, 1)] if n > 1 else []
     while pending:
-        v = pending.pop()
+        v, times = pending.pop()
         if is_prime(v):
-            counts[v] = counts.get(v, 0) + 1
+            counts[v] = counts.get(v, 0) + times
+            continue
+        root, e = _power_root(v, f)
+        if e > 1:
+            pending.append((root, times * e))
             continue
         d = _brent_rho(v)
-        pending.append(d)
-        pending.append(v // d)
+        pending.append((d, times))
+        pending.append((v // d, times))
     return Factorization(tuple(sorted(counts.items())))

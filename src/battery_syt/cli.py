@@ -4,6 +4,9 @@ the result as a decimal, a prime factorization, or JSON.
 
 Exit codes: 0 success, 2 parse error, 3 method inapplicable, 4 verification
 mismatch or an inconsistent count (an arithmetic fault inside a counting route).
+
+Importing this module loads only the shape types; each counting route, and
+factorization, is imported the first time a call needs it.
 """
 
 import argparse
@@ -11,16 +14,28 @@ import sys
 import time
 from typing import Callable, NamedTuple, Optional, Union
 
-from .arith import factorize
-from .counting import closed_form, count_general, count_hyper, match_closed_form
-from .oracle import (
+from . import _lazy
+from .shapes import (
     DEFAULT_SIZE_CAP,
     ENUMERATION_CAP,
-    count_line_convex,  # noqa: F401  (kept as a module binding that span tracing rebinds)
-    count_linear_extensions,
-    enumerate_syt,
+    BatteryShape,
+    Partition,
+    SkewShape,
+    TruncatedShape,
+    as_partition,
+    syt_count_straight,
 )
-from .shapes import BatteryShape, Partition, SkewShape, TruncatedShape, as_partition, syt_count_straight
+
+# The routes, each imported the first time it runs. They stay module bindings,
+# which REGISTRY calls through and span tracing rebinds.
+count_hyper = _lazy("counting", "count_hyper")
+count_general = _lazy("counting", "count_general")
+closed_form = _lazy("counting", "closed_form")
+match_closed_form = _lazy("counting", "match_closed_form")
+count_linear_extensions = _lazy("oracle", "count_linear_extensions")
+count_line_convex = _lazy("oracle", "count_line_convex")  # only span tracing uses it
+enumerate_syt = _lazy("oracle", "enumerate_syt")
+factorize = _lazy("arith", "factorize")
 
 __all__ = ["ShapeParseError", "parse_shape_expr", "run", "main"]
 

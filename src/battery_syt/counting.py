@@ -21,26 +21,28 @@ check each other:
   a case's id names the coordinates it fixes.
 
 Counts are integers by construction; a non-integer intermediate or an inexact
-division aborts loudly since it can only mean a wrong parameter table.
+division aborts loudly since it can only mean a wrong parameter table. The
+series engine (``hypergeom``, and with it ``fractions``) is imported on the
+first hyper count; the other routes, the closed forms included, divide
+integers and never load it.
 """
 
-from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial, prod
 from operator import mul
 from typing import Callable, Optional
 
-from .arith import Record, binomial
-from .hypergeom import (
-    AffineParam,
-    PFQLevel,
-    eval_multi_pfq,
-    eval_pfq,  # noqa: F401  (kept as a module binding that span tracing rebinds)
-)
+from . import _lazy
+from .arith import binomial
+from .record import Record
 from .shapes import (
     rotated_complement,  # noqa: F401  (kept as a module binding that span tracing rebinds)
     syt_count_straight,
 )
+
+# the series engine, imported on the first hyper count
+eval_multi_pfq = _lazy("hypergeom", "eval_multi_pfq")
+eval_pfq = _lazy("hypergeom", "eval_pfq")  # a module binding that span tracing rebinds
 
 __all__ = [
     "NonIntegerCountError",
@@ -82,13 +84,15 @@ def _check_rect_args(m: int, n: int, a: int, k: int):
         raise ValueError(f"battery length must be non-negative, got a={a}")
 
 
-def _levels(m: int, n: int, a: int, k: int) -> tuple[PFQLevel, ...]:
+def _levels(m: int, n: int, a: int, k: int) -> tuple["PFQLevel", ...]:
     """Nested-sum parameters for the battery above column k, one level per column left of it.
 
     Level i sums over x_i; its parameters are affine in the outer indices
     x_0..x_{i-1}, and the coefficient on x_j sits at position j. Column 1 has
     no levels; column 2 has the single level 3F2(a, m, -n; 1, -mn; 1).
     """
+    from .hypergeom import AffineParam, PFQLevel
+
     levels = []
     for i in range(k - 1):
         sum_x = (1,) * i
@@ -211,12 +215,13 @@ class ClosedFormCase(Record):
     The id is the record of the coordinates the case fixes: ``k2-a1`` is the
     battery of length 1 above column 2, ``k2-m3`` column 2 over width 3.
     ``ratio`` takes the other two of m, n, a (``params``, in that order) and
-    gives the battery count over the rectangle count.
+    gives the battery count over the rectangle count as an integer
+    (numerator, denominator) pair, which ``closed_form`` divides once.
     """
 
     __slots__ = ("case_id", "ratio")
 
-    def __init__(self, case_id: str, ratio: Callable[..., Fraction]) -> None:
+    def __init__(self, case_id: str, ratio: Callable[..., tuple[int, int]]) -> None:
         self._set(case_id, ratio)
 
     @property
@@ -270,43 +275,49 @@ CLOSED_FORM_CASES: dict[str, ClosedFormCase] = {
     for case in (
         ClosedFormCase(
             "k2-a1",
-            lambda m, n: Fraction(binomial(m * n + m, m), binomial(m * n + m - n, m)),
+            lambda m, n: (binomial(m * n + m, m), binomial(m * n + m - n, m)),
         ),
         ClosedFormCase(
             "k2-a2",
-            lambda m, n: Fraction(binomial(m * n + m, m), binomial(m * n + m - n + 1, m + 1))
-            * Fraction(2 * m * n + m - n + 1, m + 1),
+            lambda m, n: (
+                binomial(m * n + m, m) * (2 * m * n + m - n + 1),
+                binomial(m * n + m - n + 1, m + 1) * (m + 1),
+            ),
         ),
         ClosedFormCase(
             "k2-a3",
-            lambda m, n: Fraction(binomial(m * n + m, m), binomial(m * n - n + m + 2, m + 2))
-            * Fraction(_poly_k2_a3(m, n), 2 * (m + 2) * (m + 1)),
+            lambda m, n: (
+                binomial(m * n + m, m) * _poly_k2_a3(m, n),
+                binomial(m * n - n + m + 2, m + 2) * 2 * (m + 2) * (m + 1),
+            ),
         ),
         ClosedFormCase(
             "k2-m3",
-            lambda n, a: Fraction(binomial(3 * n + a, a), binomial(2 * n + a + 2, a + 1))
-            * Fraction((n + 1) * (a * n + 2 * a + 8 * n + 4), 2 * (2 * n + 1)),
+            lambda n, a: (
+                binomial(3 * n + a, a) * (n + 1) * (a * n + 2 * a + 8 * n + 4),
+                binomial(2 * n + a + 2, a + 1) * 2 * (2 * n + 1),
+            ),
         ),
         ClosedFormCase(
             "k2-m4",
-            lambda n, a: Fraction(binomial(4 * n + a, a), binomial(3 * n + a + 3, a + 1))
-            * Fraction(
-                (n + 1)
+            lambda n, a: (
+                binomial(4 * n + a, a)
+                * (n + 1)
                 * (
                     a * a * (n + 2) * (n + 3)
                     + a * (n + 2) * (29 * n + 15)
                     + 18 * (3 * n + 1) * (3 * n + 2)
                 ),
-                6 * (3 * n + 1) * (3 * n + 2),
+                binomial(3 * n + a + 3, a + 1) * 6 * (3 * n + 1) * (3 * n + 2),
             ),
         ),
         ClosedFormCase(
             "k2-n2",
-            lambda m, a: Fraction((a + 1) * (a * (m + 1) + 4 * (2 * m - 1)), 4 * (2 * m - 1)),
+            lambda m, a: ((a + 1) * (a * (m + 1) + 4 * (2 * m - 1)), 4 * (2 * m - 1)),
         ),
         ClosedFormCase(
             "k2-n3",
-            lambda m, a: Fraction(
+            lambda m, a: (
                 (a + 1)
                 * (
                     a * a * (m + 1) * (m + 2)
@@ -318,7 +329,7 @@ CLOSED_FORM_CASES: dict[str, ClosedFormCase] = {
         ),
         ClosedFormCase(
             "k3-n2",
-            lambda m, a: Fraction(
+            lambda m, a: (
                 (a + 1)
                 * (a + 2)
                 * (
@@ -331,21 +342,21 @@ CLOSED_FORM_CASES: dict[str, ClosedFormCase] = {
         ),
         ClosedFormCase(
             "k3-n3",
-            lambda m, a: Fraction(
+            lambda m, a: (
                 (a + 1) * (a + 2) * _poly_k3_n3(m, a),
                 1296 * (3 * m - 1) * (3 * m - 2) * (3 * m - 4) * (3 * m - 5),
             ),
         ),
         ClosedFormCase(
             "k4-n2",
-            lambda m, a: Fraction(
+            lambda m, a: (
                 (a + 1) * (a + 2) * (a + 3) * _poly_k4_n2(m, a),
                 1152 * (2 * m - 1) * (2 * m - 3) * (2 * m - 5),
             ),
         ),
         ClosedFormCase(
             "k5-n2",
-            lambda m, a: Fraction(
+            lambda m, a: (
                 (a + 1) * (a + 2) * (a + 3) * (a + 4) * _poly_k5_n2(m, a),
                 46080 * (2 * m - 1) * (2 * m - 3) * (2 * m - 5) * (2 * m - 7),
             ),
@@ -362,8 +373,8 @@ def closed_form(case_id: str, **params: int) -> int:
     coords = {**case.fixed, **params}
     m, n = coords["m"], coords["n"]
     _check_rect_args(m, n, coords["a"], coords["k"])
-    value = case.ratio(*(params[name] for name in case.params))
-    return _exact(rect_syt_count(m, n) * value.numerator, value.denominator, f"closed form {case_id}{params}")
+    num, den = case.ratio(*(params[name] for name in case.params))
+    return _exact(rect_syt_count(m, n) * num, den, f"closed form {case_id}{params}")
 
 
 def match_closed_form(m: int, n: int, a: int, k: int) -> Optional[tuple[str, dict[str, int]]]:

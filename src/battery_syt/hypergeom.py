@@ -18,7 +18,8 @@ parameters merged.
 from fractions import Fraction
 from math import gcd
 
-from .arith import Record, binomial
+from .arith import binomial
+from .record import Record
 
 __all__ = [
     "NonTerminatingSeriesError",

@@ -20,11 +20,19 @@ enumeration follows the same gate table.
 Every counting formula in the package is cross-checked against this module.
 """
 
-from .arith import Record
-from .shapes import BatteryShape, SkewShape, TruncatedShape, _check_line_convex
+from .record import Record
+from .shapes import (
+    DEFAULT_SIZE_CAP,
+    ENUMERATION_CAP,
+    BatteryShape,
+    SkewShape,
+    TruncatedShape,
+    _check_line_convex,
+)
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
+    "ENUMERATION_CAP",
     "count_linear_extensions",
     "linear_extension_profile",
     "count_line_convex",
@@ -32,9 +40,6 @@ __all__ = [
     "enumerate_syt",
     "is_valid_tableau",
 ]
-
-DEFAULT_SIZE_CAP = 120
-ENUMERATION_CAP = 12
 
 
 def _capped(spans, size_cap: int) -> tuple[tuple[int, int], ...]:

@@ -1,15 +1,17 @@
 """Partitions, hook lengths, and the shape types accepted by the counters.
 
 A partition is a plain tuple of weakly decreasing positive row lengths.
-Skew, truncated, and battery shapes are small immutable records (``Record``
-from ``arith``; never tuples, so a tuple is always a straight partition) that
-canonicalize and validate their fields at construction time.
+Skew, truncated, and battery shapes are small immutable records (``Record``;
+never tuples, so a tuple is always a straight partition) that canonicalize and
+validate their fields at construction time. The cell limits of the counters
+that walk a shape cell by cell live here too, so the CLI reads them without
+importing those counters.
 """
 
 from math import factorial, prod
 from typing import Iterable
 
-from .arith import Record
+from .record import Record
 
 __all__ = [
     "Partition",
@@ -22,7 +24,14 @@ __all__ = [
     "TruncatedShape",
     "BatteryShape",
     "validate_battery",
+    "DEFAULT_SIZE_CAP",
+    "ENUMERATION_CAP",
 ]
+
+# cell limits of the order-ideal DP (the default of --size-cap) and of
+# explicit enumeration
+DEFAULT_SIZE_CAP = 120
+ENUMERATION_CAP = 12
 
 Partition = tuple[int, ...]
 

@@ -1,5 +1,12 @@
-"""Shared combinatorial helpers for the test suite."""
+"""Shared combinatorial helpers for the test suite, and a fresh-interpreter probe."""
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import battery_syt
 from battery_syt.arith import binomial
 from battery_syt.shapes import conjugate, rotated_complement, syt_count_straight
 
@@ -67,3 +74,31 @@ def general_by_profiles(m, n, a, k):
             * syt_count_straight(rotated_complement(m, n, bullet_rows))
         )
     return total
+
+
+# stdlib modules the CLI leaves unloaded unless a call needs them
+WATCHED_STDLIB = ("fractions", "decimal", "json", "dataclasses", "inspect")
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter with the package's source on its path.
+
+    Returns its standard output lines and the set of modules it had loaded when
+    it finished, of those of the package and of ``WATCHED_STDLIB``.
+    """
+    probe = (
+        f"{code}\n"
+        "import sys\n"
+        "print(sorted(m for m in sys.modules\n"
+        f"            if m.partition('.')[0] == 'battery_syt' or m in {WATCHED_STDLIB!r}))\n"
+    )
+    src = str(Path(battery_syt.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout.splitlines()
+    return out[:-1], set(ast.literal_eval(out[-1]))

@@ -179,21 +179,53 @@ _SMALL_OR_MIDDLE_PRIME_POWERS = st.tuples(
 
 
 @settings(deadline=None)
-@given(st.lists(_SMALL_OR_MIDDLE_PRIME_POWERS, max_size=8), st.none() | st.integers(10 ** 6, 10 ** 13))
-def test_factorize_round_trip_over_three_bands(powers, start):
+@given(
+    st.lists(_SMALL_OR_MIDDLE_PRIME_POWERS, max_size=8),
+    st.none() | st.tuples(st.integers(10 ** 6, 10 ** 13), st.integers(1, 3)),
+)
+def test_factorize_round_trip_over_three_bands(powers, top):
     # primes below 2**11, in [2**11, 10**6] and in [10**6, 10**13]; one prime
-    # of the top band, to the first power, because rho takes about sqrt(p)
-    # steps to split off a prime p, seconds near 10**13 (ROADMAP item 3)
+    # of the top band, since rho takes about sqrt(p) steps to split off a
+    # prime p, seconds near 10**13 (ROADMAP item 3); its square or cube is
+    # taken apart by an integer root instead
     expected = Counter()
     for p, e in powers:
         expected[p] += e
-    if start is not None:
-        p = start
+    if top is not None:
+        p, e = top
         while not is_prime(p):  # exact there: Miller-Rabin bases 2..41
             p += 1
-        expected[p] += 1
+        expected[p] += e
     n = prod(p ** e for p, e in expected.items())
     assert factorize(n).factors == tuple(sorted(expected.items()))
+
+
+def test_factorize_takes_a_power_of_large_primes_apart_without_rho(monkeypatch):
+    # rho would take about sqrt(p) steps for each p; a power r**e of primes
+    # past the trial-division stop is replaced by its root r before rho runs,
+    # and only a root with two distinct primes, p*q here, is left to rho
+    p, q = 10 ** 9 + 7, 10 ** 9 + 9
+    split = []
+    monkeypatch.setattr(arith, "_brent_rho", lambda n: split.append(n) or _brent_rho(n))
+    for n, factors, rho_calls in (
+        (p ** 2, ((p, 2),), []),
+        (p ** 3, ((p, 3),), []),
+        (p ** 6, ((p, 6),), []),
+        ((10 ** 11 + 3) ** 2, ((10 ** 11 + 3, 2),), []),
+        (p ** 2 * q ** 2, ((p, 2), (q, 2)), [p * q]),
+    ):
+        split.clear()
+        assert factorize(n).factors == factors
+        assert split == rho_calls
+
+
+def test_iroot_is_the_floor_of_the_root():
+    for e in (2, 3, 5, 7, 97):
+        for x in (1, 2, 3, 4097, 10 ** 9 + 7, 3 ** 700):
+            assert arith._iroot(x ** e, e) == x
+            assert arith._iroot(x ** e + 1, e) == x
+            if x > 1:
+                assert arith._iroot(x ** e - 1, e) == x - 1
 
 
 def test_brent_rho_fallback_branches():

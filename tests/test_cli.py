@@ -1,17 +1,14 @@
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import battery_syt
-from battery_syt import cli
+from battery_syt import cli, counting
 from battery_syt.counting import NonIntegerCountError
 from battery_syt.hypergeom import ZeroDenominatorFactorError
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape
+from conftest import run_fresh
 
 GOLDEN_FACTORED = (
     "2^5*3^2*5^2*11*13*17^2*19^3*23^2*29*31*37^2*41*3361178017*2839893182041"
@@ -118,25 +115,51 @@ def test_json_output_round_trips(capsys):
 
 
 def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
-    # every call pays for what importing the CLI loads; json waits for --output json
-    child = (
-        "import sys\n"
+    # every call pays for what importing the CLI loads: the CLI, the shape
+    # types and Record, and none of the routes; json waits for --output json
+    out, loaded = run_fresh("import battery_syt.cli")
+    assert loaded == {"battery_syt", "battery_syt.cli", "battery_syt.shapes", "battery_syt.record"}
+    out, loaded = run_fresh(
         "import battery_syt.cli as cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
         "cli.run(['count', 'battery:rect:3x2,a=1,k=2', '--output', 'json'])\n"
     )
-    src = str(Path(battery_syt.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", child],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    ).stdout.splitlines()
-    assert out[0] == "[]"
-    report = json.loads(out[1])
+    report = json.loads(out[0])
     assert (report["count"], report["factorization"]) == ("12", [[2, 2], [3, 1]])
+    assert "json" in loaded and not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv, loads, leaves",
+    [
+        # general, after the catalog lookup: counting and the binomials of arith
+        (["battery:rect:14x14,a=5,k=6"], {"battery_syt.counting", "battery_syt.arith"},
+         {"battery_syt.hypergeom", "battery_syt.oracle", "fractions", "decimal"}),
+        (["skew:12,12,11,10/1", "--method", "dp"], {"battery_syt.oracle"},
+         {"battery_syt.counting", "battery_syt.arith", "battery_syt.hypergeom", "fractions",
+          "decimal"}),
+        (["battery:rect:8x9,a=5,k=3", "--method", "hyper"],
+         {"battery_syt.counting", "battery_syt.hypergeom", "fractions"}, {"battery_syt.oracle"}),
+    ],
+    ids=["general", "dp", "hyper"],
+)
+def test_a_count_loads_only_its_route(argv, loads, leaves, capsys):
+    out, loaded = run_fresh(f"import battery_syt.cli as cli\ncli.run(['count', *{argv!r}])")
+    assert cli.run(["count", *argv]) == 0
+    assert out == capsys.readouterr().out.splitlines()
+    assert loads <= loaded
+    assert not (leaves | {"json", "dataclasses", "inspect"}) & loaded
+
+
+def test_route_bindings_stay_rebindable_after_their_first_call(monkeypatch):
+    # a route loads on its first call through the CLI's module binding, which
+    # stays in place: a wrapper put there (as span tracing does) sees every call
+    calls = []
+    original = cli.count_general
+    monkeypatch.setattr(cli, "count_general", lambda *args: calls.append(args) or original(*args))
+    for _ in range(2):
+        assert cli.run(["count", "battery:rect:5x5,a=2,k=4"]) == 0
+    assert calls == [(5, 5, 2, 4)] * 2
+    assert original(5, 5, 2, 4) == counting.count_general(5, 5, 2, 4)
 
 
 def test_parse_failure_exits_2(capsys):

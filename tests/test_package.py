@@ -1,0 +1,74 @@
+"""The package's library surface: every exported name resolves on first access
+to the object its submodule defines, and importing the package loads none of
+its modules."""
+
+import importlib
+
+import pytest
+
+import battery_syt
+from conftest import run_fresh
+
+# submodule -> the names the package exports from it
+EXPORTS = {
+    "arith": ("Factorization", "binomial", "factorial", "factorize", "is_prime", "pochhammer"),
+    "counting": (
+        "CLOSED_FORM_CASES", "COUNT_BY_COLUMN", "NonIntegerCountError", "closed_form",
+        "count_general", "count_hyper", "match_closed_form", "rect_syt_count",
+    ),
+    "hypergeom": (
+        "AffineParam", "ContiguousDecomposition", "NonTerminatingSeriesError", "PFQLevel",
+        "PFQParams", "ZeroDenominatorFactorError", "contiguous_step", "eval_multi_pfq",
+        "eval_pfq", "gauss_2f1_neg", "pfq_terms", "reduce_3f2", "termination_index",
+    ),
+    "oracle": (
+        "BatteryTableau", "count_line_convex", "count_linear_extensions", "enumerate_syt",
+        "is_valid_tableau", "linear_extension_profile",
+    ),
+    "shapes": (
+        "BatteryShape", "Partition", "SkewShape", "TruncatedShape", "as_partition",
+        "conjugate", "hook_lengths", "rotated_complement", "syt_count_straight",
+        "validate_battery",
+    ),
+}
+ALL_NAMES = [name for names in EXPORTS.values() for name in names]
+
+
+def test_all_lists_every_export_once():
+    assert sorted(battery_syt.__all__) == sorted(ALL_NAMES)
+    assert len(set(ALL_NAMES)) == len(ALL_NAMES)
+
+
+@pytest.mark.parametrize("module", EXPORTS)
+def test_every_export_is_its_submodules_object(module):
+    source = importlib.import_module(f"battery_syt.{module}")
+    assert getattr(battery_syt, module) is source
+    for name in EXPORTS[module]:
+        assert getattr(battery_syt, name) is getattr(source, name), name
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from battery_syt import *", namespace)
+    for name in ALL_NAMES:
+        assert namespace[name] is getattr(battery_syt, name), name
+    assert set(ALL_NAMES) | set(EXPORTS) <= set(dir(battery_syt))
+    assert battery_syt.__version__ == "0.1.0"
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'count_everything'"):
+        battery_syt.count_everything
+    with pytest.raises(ImportError):
+        exec("from battery_syt import count_everything", {})
+
+
+def test_import_loads_no_submodule_and_a_name_loads_only_its_own():
+    out, loaded = run_fresh("import battery_syt")
+    assert loaded == {"battery_syt"}
+    out, loaded = run_fresh("import battery_syt\nprint(battery_syt.count_hyper(11, 7, 1, 6))")
+    assert int(out[0]) == battery_syt.count_hyper(11, 7, 1, 6)
+    assert {"battery_syt.counting", "battery_syt.hypergeom", "fractions"} <= loaded
+    assert "battery_syt.oracle" not in loaded
+    out, loaded = run_fresh("from battery_syt import BatteryShape")
+    assert loaded == {"battery_syt", "battery_syt.shapes", "battery_syt.record"}
