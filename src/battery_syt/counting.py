@@ -24,16 +24,17 @@ Counts are integers by construction; a non-integer intermediate or an inexact
 division aborts loudly since it can only mean a wrong parameter table. The
 series engine (``hypergeom``, and with it ``fractions``) is imported on the
 first hyper count; the other routes, the closed forms included, divide
-integers and never load it.
+integers and never load it. Binomials and rising factorials are ``math.comb``
+and ``math.perm``, so no route loads the factoring module.
 """
 
 from itertools import accumulate, repeat
-from math import comb, factorial, prod
+from math import comb as binomial  # every binomial here; a binding that span tracing rebinds
+from math import factorial, perm, prod
 from operator import mul
 from typing import Callable, Optional
 
 from . import _lazy
-from .arith import binomial
 from .record import Record
 from .shapes import (
     rotated_complement,  # noqa: F401  (kept as a module binding that span tracing rebinds)
@@ -126,7 +127,7 @@ def _weights(m: int, n: int, k: int) -> list[int]:
     profile's shifted column height can take; W / N! is the per-point factor of
     the two hook length formulas (see ``count_general``)."""
     big = n + k - 2
-    return [factorial(x + m - k + 1) // factorial(x) * comb(big, x) for x in range(big + 1)]
+    return [perm(x + m - k + 1, m - k + 1) * binomial(big, x) for x in range(big + 1)]
 
 
 def _hankel_det(moments: list[int], r: int, context: str) -> int:

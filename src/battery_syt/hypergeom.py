@@ -16,9 +16,8 @@ parameters merged.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
-from .arith import binomial
 from .record import Record
 
 __all__ = [
@@ -112,7 +111,7 @@ def gauss_2f1_neg(a: int, b: int, c: int) -> Fraction:
         raise ValueError(f"requires b >= 1, got {b}")
     if not 0 <= a <= c:
         raise ValueError(f"requires 0 <= a <= c, got a={a}, c={c}")
-    return Fraction(binomial(c + b, a), binomial(c, a))
+    return Fraction(comb(c + b, a), comb(c, a))
 
 
 class ContiguousDecomposition(Record):

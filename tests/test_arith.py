@@ -90,6 +90,30 @@ def test_binomial_rejects_negative_lower_index():
         binomial(4, -1)
 
 
+def _falling_binomial(x, k):
+    """The definition: x(x-1)...(x-k+1) / k!, exact for every integer x."""
+    return Fraction(prod(range(x - k + 1, x + 1)), factorial(k))
+
+
+def _rising(x, n):
+    """The definition: x(x+1)...(x+n-1)."""
+    return prod(range(x, x + n))
+
+
+def test_binomial_and_pochhammer_match_their_definitions_on_a_grid():
+    for x in range(-60, 61):
+        for k in range(0, 25):
+            assert binomial(x, k) == _falling_binomial(x, k), (x, k)
+            assert pochhammer(x, k) == _rising(x, k), (x, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 60))
+def test_binomial_and_pochhammer_match_their_definitions_on_large_arguments(x, k):
+    assert binomial(x, k) == _falling_binomial(x, k)
+    assert pochhammer(x, k) == _rising(x, k)
+
+
 def test_factorial_known_values():
     assert factorial(0) == 1
     assert factorial(6) == 720

@@ -125,22 +125,33 @@ def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
     )
     report = json.loads(out[0])
     assert (report["count"], report["factorization"]) == ("12", [[2, 2], [3, 1]])
-    assert "json" in loaded and not loaded & {"dataclasses", "inspect"}
+    assert {"json", "battery_syt.arith"} <= loaded and not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
     "argv, loads, leaves",
     [
-        # general, after the catalog lookup: counting and the binomials of arith
-        (["battery:rect:14x14,a=5,k=6"], {"battery_syt.counting", "battery_syt.arith"},
-         {"battery_syt.hypergeom", "battery_syt.oracle", "fractions", "decimal"}),
+        # a decimal count takes its binomials from math and never loads arith
+        (["battery:rect:5x4,a=1,k=2"], {"battery_syt.counting"},
+         {"battery_syt.arith", "battery_syt.hypergeom", "battery_syt.oracle", "fractions"}),
+        # general, after the catalog lookup
+        (["battery:rect:14x14,a=5,k=6"], {"battery_syt.counting"},
+         {"battery_syt.arith", "battery_syt.hypergeom", "battery_syt.oracle", "fractions",
+          "decimal"}),
         (["skew:12,12,11,10/1", "--method", "dp"], {"battery_syt.oracle"},
          {"battery_syt.counting", "battery_syt.arith", "battery_syt.hypergeom", "fractions",
           "decimal"}),
         (["battery:rect:8x9,a=5,k=3", "--method", "hyper"],
-         {"battery_syt.counting", "battery_syt.hypergeom", "fractions"}, {"battery_syt.oracle"}),
+         {"battery_syt.counting", "battery_syt.hypergeom", "fractions"},
+         {"battery_syt.arith", "battery_syt.oracle"}),
+        (["partition:5,3,1"], set(),
+         {"battery_syt.counting", "battery_syt.arith", "battery_syt.oracle", "fractions"}),
+        # factored output is what loads the factoring module
+        (["battery:rect:14x14,a=5,k=6", "--output", "factored"],
+         {"battery_syt.counting", "battery_syt.arith"},
+         {"battery_syt.hypergeom", "battery_syt.oracle", "fractions"}),
     ],
-    ids=["general", "dp", "hyper"],
+    ids=["closed", "general", "dp", "hyper", "hlf", "factored"],
 )
 def test_a_count_loads_only_its_route(argv, loads, leaves, capsys):
     out, loaded = run_fresh(f"import battery_syt.cli as cli\ncli.run(['count', *{argv!r}])")
