@@ -18,16 +18,9 @@ prime reported.
 
 from math import comb, factorial, gcd, isqrt, log2, perm
 
-from .record import Record
+from . import _EXPORTS, Record
 
-__all__ = [
-    "pochhammer",
-    "binomial",
-    "factorial",
-    "is_prime",
-    "factorize",
-    "Factorization",
-]
+__all__ = list(_EXPORTS["arith"])
 
 # Trial division tries every prime below _OCTAVE_START, then goes on one
 # octave [2**j, 2**(j+1)) at a time while the octave before it divided n, and

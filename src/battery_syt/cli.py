@@ -2,8 +2,9 @@
 requested method, optionally cross-verify with an independent method, and print
 the result as a decimal, a prime factorization, or JSON.
 
-Exit codes: 0 success, 2 parse error, 3 method inapplicable, 4 verification
-mismatch or an inconsistent count (an arithmetic fault inside a counting route).
+Exit codes: 0 success, 2 parse error, 3 method inapplicable (also a shape too
+large for a route's integer primitives), 4 verification mismatch or an
+inconsistent count (an arithmetic fault inside a counting route).
 
 Importing this module loads only the shape types; each counting route, and
 factorization, is imported the first time a call needs it.
@@ -235,17 +236,22 @@ AUTO_ORDER = ("closed", "general", "hlf", "dp")
 PARTNER_ORDER = ("dp", "hyper", "general", "closed", "hlf", "enum")
 
 
-def _run_method(name: str, shape: Shape, size_cap: int) -> Optional[int]:
-    """Count through METHODS; an arithmetic fault is reported on stderr and gives None.
+def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[Optional[int], int]:
+    """Count through METHODS: (count, EXIT_OK), or (None, status) after a report on stderr.
 
-    A non-integer value or a vanished denominator factor means the route's
+    An OverflowError, an argument past a machine-size primitive such as
+    ``math.comb``, makes the method inapplicable (exit 3). Any other arithmetic
+    fault, a non-integer value or a vanished denominator factor, means the route's
     parameters disagree with the shape, the same fault a verify mismatch shows.
     """
     try:
-        return METHODS[name](shape, size_cap)
+        return METHODS[name](shape, size_cap), EXIT_OK
+    except OverflowError as exc:
+        print(f"error: method {name!r} cannot count a shape this large: {exc}", file=sys.stderr)
+        return None, EXIT_METHOD
     except ArithmeticError as exc:
         print(f"error: inconsistent count from {name}: {exc}", file=sys.stderr)
-        return None
+        return None, EXIT_MISMATCH
 
 
 def _first_applicable(shape: Shape, order, size_cap: int, skip: Optional[str] = None) -> Optional[str]:
@@ -324,14 +330,14 @@ def _run(argv) -> int:
             print(f"error: no second method available to verify {args.shape!r}", file=sys.stderr)
             return EXIT_METHOD
     started = time.perf_counter()
-    count = _run_method(method, shape, args.size_cap)
-    if count is None:
-        return EXIT_MISMATCH
+    count, status = _run_method(method, shape, args.size_cap)
+    if status:
+        return status
 
     if partner is not None:
-        check = _run_method(partner, shape, args.size_cap)
-        if check is None:
-            return EXIT_MISMATCH
+        check, status = _run_method(partner, shape, args.size_cap)
+        if status:
+            return status
         if check != count:
             print(
                 f"error: verification mismatch: {method} gives {count}, {partner} gives {check}",

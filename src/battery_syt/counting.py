@@ -34,8 +34,7 @@ from math import factorial, perm, prod
 from operator import mul
 from typing import Callable, Optional
 
-from . import _lazy
-from .record import Record
+from . import _EXPORTS, Record, _lazy
 from .shapes import (
     rotated_complement,  # noqa: F401  (kept as a module binding that span tracing rebinds)
     syt_count_straight,
@@ -45,16 +44,7 @@ from .shapes import (
 eval_multi_pfq = _lazy("hypergeom", "eval_multi_pfq")
 eval_pfq = _lazy("hypergeom", "eval_pfq")  # a module binding that span tracing rebinds
 
-__all__ = [
-    "NonIntegerCountError",
-    "rect_syt_count",
-    "count_hyper",
-    "COUNT_BY_COLUMN",
-    "count_general",
-    "closed_form",
-    "match_closed_form",
-    "CLOSED_FORM_CASES",
-]
+__all__ = list(_EXPORTS["counting"])
 
 
 class NonIntegerCountError(ArithmeticError):

@@ -18,23 +18,9 @@ parameters merged.
 from fractions import Fraction
 from math import comb, gcd
 
-from .record import Record
+from . import _EXPORTS, Record
 
-__all__ = [
-    "NonTerminatingSeriesError",
-    "ZeroDenominatorFactorError",
-    "PFQParams",
-    "termination_index",
-    "pfq_terms",
-    "eval_pfq",
-    "gauss_2f1_neg",
-    "ContiguousDecomposition",
-    "contiguous_step",
-    "reduce_3f2",
-    "AffineParam",
-    "PFQLevel",
-    "eval_multi_pfq",
-]
+__all__ = list(_EXPORTS["hypergeom"])
 
 
 class NonTerminatingSeriesError(ValueError):

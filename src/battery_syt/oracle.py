@@ -20,7 +20,7 @@ enumeration follows the same gate table.
 Every counting formula in the package is cross-checked against this module.
 """
 
-from .record import Record
+from . import _EXPORTS, Record
 from .shapes import (
     DEFAULT_SIZE_CAP,
     ENUMERATION_CAP,
@@ -30,16 +30,7 @@ from .shapes import (
     _check_line_convex,
 )
 
-__all__ = [
-    "DEFAULT_SIZE_CAP",
-    "ENUMERATION_CAP",
-    "count_linear_extensions",
-    "linear_extension_profile",
-    "count_line_convex",
-    "BatteryTableau",
-    "enumerate_syt",
-    "is_valid_tableau",
-]
+__all__ = list(_EXPORTS["oracle"])
 
 
 def _capped(spans, size_cap: int) -> tuple[tuple[int, int], ...]:

@@ -11,22 +11,9 @@ importing those counters.
 from math import factorial, prod
 from typing import Iterable
 
-from .record import Record
+from . import _EXPORTS, Record
 
-__all__ = [
-    "Partition",
-    "as_partition",
-    "conjugate",
-    "hook_lengths",
-    "syt_count_straight",
-    "rotated_complement",
-    "SkewShape",
-    "TruncatedShape",
-    "BatteryShape",
-    "validate_battery",
-    "DEFAULT_SIZE_CAP",
-    "ENUMERATION_CAP",
-]
+__all__ = list(_EXPORTS["shapes"])
 
 # cell limits of the order-ideal DP (the default of --size-cap) and of
 # explicit enumeration
@@ -117,8 +104,9 @@ class SkewShape(Record):
 
 def _check_line_convex(spans):
     """Every column of the row-contiguous cell set must also be contiguous."""
-    # only occupied columns: raw spans may start far from column 0
-    for col in sorted({col for s, e in spans for col in range(s, e)}):
+    # between two consecutive span ends every column lies in the same rows, so
+    # one column per run stands for them all, however wide the shape
+    for col in sorted({x for span in spans for x in span})[:-1]:
         rows = [i for i, (s, e) in enumerate(spans) if s <= col < e]
         if rows and rows[-1] - rows[0] + 1 != len(rows):
             raise ValueError(f"column {col + 1} is not contiguous: occupied rows {[r + 1 for r in rows]}")

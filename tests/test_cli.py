@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,7 +121,7 @@ def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
     # every call pays for what importing the CLI loads: the CLI, the shape
     # types and Record, and none of the routes; json waits for --output json
     out, loaded = run_fresh("import battery_syt.cli")
-    assert loaded == {"battery_syt", "battery_syt.cli", "battery_syt.shapes", "battery_syt.record"}
+    assert loaded == {"battery_syt", "battery_syt.cli", "battery_syt.shapes"}
     out, loaded = run_fresh(
         "import battery_syt.cli as cli\n"
         "cli.run(['count', 'battery:rect:3x2,a=1,k=2', '--output', 'json'])\n"
@@ -219,6 +222,44 @@ def test_arithmetic_fault_in_a_count_exits_4(capsys, monkeypatch, fault):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: inconsistent count from hyper: injected" in captured.err
+
+
+@pytest.mark.parametrize("expr, route", [
+    ("battery:rect:99999999999999999999x1,a=1,k=1", "general"),
+    ("battery:rect:99999999999999999999x2,a=1,k=2", "closed"),
+])
+def test_a_rectangle_past_machine_size_exits_3(capsys, expr, route):
+    # math.comb refuses an argument past machine size with OverflowError: the
+    # route cannot count the shape, which is no inconsistent count
+    assert cli.run(["count", expr]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: method {route!r} cannot count a shape this large: ")
+
+
+def test_overflow_in_a_count_exits_3(capsys, monkeypatch):
+    def overflowing(shape, size_cap):
+        raise OverflowError("injected")
+
+    monkeypatch.setitem(cli.METHODS, "hyper", overflowing)
+    # as the primary count, then as the verify partner of dp
+    for argv in (["battery:rect:5x4,a=4,k=4", "--method", "hyper"],
+                 ["battery:rect:2x2,a=1,k=2", "--method", "dp", "--verify"]):
+        assert cli.run(["count", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: method 'hyper' cannot count a shape this large: injected" in captured.err
+
+
+def test_a_truncated_shape_of_10_to_the_20_cells_exits_3_within_5_s():
+    # a fresh process, so that a parse walking the cells fails by its timeout
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "battery_syt.cli", "count", "truncated:99999999999999999999\\1"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=5,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: method 'dp' not applicable")
 
 
 def test_verify_unavailable_exits_3(capsys, monkeypatch):

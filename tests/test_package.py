@@ -71,4 +71,16 @@ def test_import_loads_no_submodule_and_a_name_loads_only_its_own():
     assert {"battery_syt.counting", "battery_syt.hypergeom", "fractions"} <= loaded
     assert not {"battery_syt.oracle", "battery_syt.arith"} & loaded
     out, loaded = run_fresh("from battery_syt import BatteryShape")
-    assert loaded == {"battery_syt", "battery_syt.shapes", "battery_syt.record"}
+    assert loaded == {"battery_syt", "battery_syt.shapes"}
+    out, loaded = run_fresh("from battery_syt import factorize")
+    assert loaded == {"battery_syt", "battery_syt.arith"}
+
+
+@pytest.mark.parametrize("module", battery_syt._EXPORTS)
+def test_each_module_declares_exactly_its_package_row(module):
+    source = importlib.import_module(f"battery_syt.{module}")
+    assert sorted(source.__all__) == sorted(battery_syt._EXPORTS[module])
+    namespace = {}
+    exec(f"from battery_syt.{module} import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(battery_syt._EXPORTS[module])

@@ -7,6 +7,7 @@ from battery_syt.shapes import (
     BatteryShape,
     SkewShape,
     TruncatedShape,
+    _check_line_convex,
     as_partition,
     conjugate,
     hook_lengths,
@@ -115,6 +116,41 @@ def test_truncated_shape_validation():
         TruncatedShape(SkewShape((6, 4, 4)), (3, 3))
     with pytest.raises(ValueError):
         TruncatedShape(SkewShape((3, 2)), (4,))
+
+
+def line_convex_by_columns(spans):
+    """Reference for ``_check_line_convex``: every occupied column tested."""
+    for col in sorted({col for s, e in spans for col in range(s, e)}):
+        rows = [i for i, (s, e) in enumerate(spans) if s <= col < e]
+        if rows and rows[-1] - rows[0] + 1 != len(rows):
+            raise ValueError(f"column {col + 1} is not contiguous: occupied rows {[r + 1 for r in rows]}")
+
+
+def _refusal(check, spans):
+    try:
+        check(spans)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# spans of up to 7 rows, empty rows included
+spans_strategy = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 6)).map(lambda t: (t[0], t[0] + t[1])), max_size=7
+)
+
+
+@given(spans_strategy)
+def test_line_convex_check_matches_the_column_by_column_reference(spans):
+    assert _refusal(_check_line_convex, spans) == _refusal(line_convex_by_columns, spans)
+
+
+def test_line_convex_check_does_not_walk_the_columns():
+    wide = 10**9
+    assert TruncatedShape(SkewShape((wide,) * 40), ()).size == 40 * wide
+    # rows (0, 3), (0, 1), (0, wide): column 2 is split across rows 1 and 3
+    with pytest.raises(ValueError, match=r"column 2 is not contiguous: occupied rows \[1, 3\]"):
+        TruncatedShape(SkewShape((wide + 2, wide, wide)), (wide - 1, wide - 1))
 
 
 def test_battery_shape_validation():
