@@ -7,10 +7,11 @@ large for a route's integer primitives), 4 verification mismatch or an
 inconsistent count (an arithmetic fault inside a counting route).
 
 Importing this module loads only the shape types; each counting route, and
-factorization, is imported the first time a call needs it.
+factorization, is imported the first time a call needs it. The one command's
+options are read from a table rather than by argparse, which with gettext and
+locale would cost every call about 3 ms of import and parser set-up.
 """
 
-import argparse
 import sys
 import time
 from typing import Callable, NamedTuple, Optional, Union
@@ -261,31 +262,90 @@ def _first_applicable(shape: Shape, order, size_cap: int, skip: Optional[str] = 
     )
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+# option -> its choices, int for a non-negative integer, or None for a flag
+_OPTIONS = {
+    "--method": ("auto", "hyper", "general", "closed", "dp"),
+    "--output": ("decimal", "factored", "json"),
+    "--verify": None,
+    "--size-cap": int,
+}
+
+USAGE = (
+    "usage: battery-syt count SHAPE [--method {auto,hyper,general,closed,dp}]\n"
+    "                               [--output {decimal,factored,json}] [--verify] [--size-cap N]"
+)
+
+HELP = f"""{USAGE}
+
+Count standard Young tableaux of battery, straight, skew, and truncated shapes.
+
+SHAPE is one of partition:5,3,1 | rect:MxN | battery:rect:MxN,a=A,k=K |
+battery:part:L1,...,a=A,k=K | skew:OUTER/INNER | truncated:OUTER\\TRUNC
+
+options (each as --option VALUE or --option=VALUE, before or after SHAPE):
+  -h, --help      show this help message and exit
+  --method M      auto (the default), hyper, general, closed or dp
+  --output F      decimal (the default), factored or json
+  --verify        compute by a second independent method and compare
+  --size-cap N    cell limit for the dynamic-programming counter (default {DEFAULT_SIZE_CAP})
+"""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="battery-syt",
-        description="Count standard Young tableaux of battery, straight, skew, and truncated shapes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    count = sub.add_parser("count", help="count tableaux of a shape expression")
-    count.add_argument("shape", help="e.g. battery:rect:11x7,a=1,k=6 or partition:3,2,1")
-    count.add_argument("--method", choices=["auto", "hyper", "general", "closed", "dp"], default="auto")
-    count.add_argument("--output", choices=["decimal", "factored", "json"], default="decimal")
-    count.add_argument("--verify", action="store_true",
-                       help="compute by a second independent method and compare")
-    count.add_argument("--size-cap", type=_non_negative_int, default=DEFAULT_SIZE_CAP, metavar="N",
-                       help="cell limit for the dynamic-programming counter")
-    return parser
+class _UsageError(Exception):
+    """A command line the count command does not take; the message says why."""
+
+
+def _option_value(name: str, text: str):
+    """The value of option ``name`` given as ``text``, checked against _OPTIONS."""
+    kind = _OPTIONS[name]
+    if kind is int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise _UsageError(f"argument {name}: expected an integer, got {text!r}") from None
+        if value < 0:
+            raise _UsageError(f"argument {name}: must be non-negative, got {value}")
+        return value
+    if text not in kind:
+        raise _UsageError(f"argument {name}: invalid choice {text!r} (choose from {', '.join(kind)})")
+    return text
+
+
+def _parse_args(argv) -> Optional[dict]:
+    """The shape and options of a ``count`` command line, keyed ``shape``,
+    ``method``, ``output``, ``verify`` and ``size_cap``; None when it asks for
+    help. Raises _UsageError for any other command line."""
+    argv = list(argv)
+    if "-h" in argv or "--help" in argv:
+        return None
+    if not argv or argv[0] != "count":
+        got = f"got {argv[0]!r}" if argv else "none given"
+        raise _UsageError(f"the command must be count, {got}")
+    args = {"method": "auto", "output": "decimal", "verify": False, "size_cap": DEFAULT_SIZE_CAP}
+    shapes = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            shapes.append(token)
+            continue
+        name, inline, value = token.partition("=")
+        if name not in _OPTIONS:
+            raise _UsageError(f"unrecognized option {name!r}")
+        key = name[2:].replace("-", "_")
+        if _OPTIONS[name] is None:
+            if inline:
+                raise _UsageError(f"argument {name}: takes no value, got {value!r}")
+            args[key] = True
+            continue
+        if not inline:
+            value = next(tokens, None)
+            if value is None:
+                raise _UsageError(f"argument {name}: expected a value")
+        args[key] = _option_value(name, value)
+    if len(shapes) != 1:
+        raise _UsageError("expected one SHAPE, got " + (", ".join(map(repr, shapes)) or "none"))
+    args["shape"] = shapes[0]
+    return args
 
 
 def run(argv) -> int:
@@ -303,39 +363,43 @@ def run(argv) -> int:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+        args = _parse_args(argv)
+    except _UsageError as exc:
+        print(f"{USAGE}\nbattery-syt: error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if args is None:
+        print(HELP, end="")
+        return EXIT_OK
 
+    expr, size_cap = args["shape"], args["size_cap"]
     try:
-        shape = parse_shape_expr(args.shape)
+        shape = parse_shape_expr(expr)
     except ShapeParseError as exc:
-        print(f"error: cannot parse {args.shape!r}: {exc}", file=sys.stderr)
+        print(f"error: cannot parse {expr!r}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    method = args.method
+    method = args["method"]
     if method == "auto":
-        method = _first_applicable(shape, AUTO_ORDER, args.size_cap) or "dp"
-    if not REGISTRY[method].applies(shape, args.size_cap):
-        needs = REGISTRY[method].needs.format(size_cap=args.size_cap, size=_shape_size(shape))
+        method = _first_applicable(shape, AUTO_ORDER, size_cap) or "dp"
+    if not REGISTRY[method].applies(shape, size_cap):
+        needs = REGISTRY[method].needs.format(size_cap=size_cap, size=_shape_size(shape))
         print(f"error: method {method!r} not applicable: it needs {needs}", file=sys.stderr)
         return EXIT_METHOD
     partner = None
-    if args.verify:
+    if args["verify"]:
         # refuse before counting, so a shape with no partner costs no primary count
-        partner = _first_applicable(shape, PARTNER_ORDER, args.size_cap, skip=method)
+        partner = _first_applicable(shape, PARTNER_ORDER, size_cap, skip=method)
         if partner is None:
-            print(f"error: no second method available to verify {args.shape!r}", file=sys.stderr)
+            print(f"error: no second method available to verify {expr!r}", file=sys.stderr)
             return EXIT_METHOD
     started = time.perf_counter()
-    count, status = _run_method(method, shape, args.size_cap)
+    count, status = _run_method(method, shape, size_cap)
     if status:
         return status
 
     if partner is not None:
-        check, status = _run_method(partner, shape, args.size_cap)
+        check, status = _run_method(partner, shape, size_cap)
         if status:
             return status
         if check != count:
@@ -346,15 +410,15 @@ def _run(argv) -> int:
             return EXIT_MISMATCH
         print(f"verified: {method} == {partner}", file=sys.stderr)
 
-    if args.output == "decimal":
+    if args["output"] == "decimal":
         print(count)
         return EXIT_OK
     factorization = factorize(count) if count >= 1 else None
-    if args.output == "factored":
+    if args["output"] == "factored":
         print(factorization)
         return EXIT_OK
     report = {
-        "shape": args.shape,
+        "shape": expr,
         "method": method,
         "count": str(count),
         "factorization": None if factorization is None else [[p, e] for p, e in factorization.factors],

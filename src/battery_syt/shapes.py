@@ -61,9 +61,11 @@ def syt_count_straight(p: Partition) -> int:
     """Number of standard Young tableaux of a straight shape (hook length formula)."""
     if not p:
         return 1
-    hooks = hook_lengths(p)
-    # n! is divisible by the hook product, so floor division is exact
-    return factorial(sum(p)) // prod(hooks)
+    # n! first: past machine size it raises OverflowError at once, before the
+    # hooks walk every cell; n! is divisible by the hook product, so floor
+    # division is exact
+    total = factorial(sum(p))
+    return total // prod(hook_lengths(p))
 
 
 def rotated_complement(m: int, n: int, mu: Partition) -> Partition:

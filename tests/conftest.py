@@ -8,6 +8,7 @@ from pathlib import Path
 
 import battery_syt
 from battery_syt.arith import binomial
+from battery_syt.oracle import _gate_table
 from battery_syt.shapes import conjugate, rotated_complement, syt_count_straight
 
 
@@ -76,8 +77,57 @@ def general_by_profiles(m, n, a, k):
     return total
 
 
-# stdlib modules the CLI leaves unloaded unless a call needs them
-WATCHED_STDLIB = ("fractions", "decimal", "json", "dataclasses", "inspect")
+def span_profile_by_two_tests(spans):
+    """Reference for ``oracle._span_profile``: the same walk over the same
+    ideals, re-testing rows i and i+1 against the gate table after each step
+    instead of reading their bits from a table per row.
+
+    Returns (tableau count, ideal states visited) of capped spans.
+    """
+    rows = len(spans)
+    gate = _gate_table(spans)
+    weight = [1] * (rows + 1)
+    for i in range(rows - 1, -1, -1):
+        weight[i] = weight[i + 1] * (spans[i][1] - spans[i][0] + 1)
+    place = weight[1:]
+    # per row: the weight of the row above (1 for row 0, so it reads 0 filled
+    # above), its own weight and place, and its gate row; a phantom row after
+    # the last one is never open
+    rule = [(weight[i - 1] if i else 1, weight[i], place[i], gate[i]) for i in range(rows)]
+    rule.append((1, 1, 1, [1]))
+    keep = [~(3 << i) for i in range(rows)]
+    mask = sum(1 << i for i, g in enumerate(gate) if g[0] == 0)
+    rows_of = {}
+    level = {0: [1, mask]}
+    states = 1
+    for _ in range(sum(e - s for s, e in spans)):
+        nxt = {}
+        for state, (ways, mask) in level.items():
+            open_rows = rows_of.get(mask)
+            if open_rows is None:
+                open_rows = rows_of[mask] = tuple(i for i in range(rows) if mask >> i & 1)
+            for i in open_rows:
+                grown = state + place[i]
+                entry = nxt.get(grown)
+                if entry is not None:
+                    entry[0] += ways
+                    continue
+                grown_mask = mask & keep[i]
+                w_up, w, p, g = rule[i]
+                if grown % w_up // w >= g[grown % w // p]:
+                    grown_mask |= 1 << i
+                w_up, w, p, g = rule[i + 1]
+                if grown % w_up // w >= g[grown % w // p]:
+                    grown_mask |= 2 << i
+                nxt[grown] = [ways, grown_mask]
+        level = nxt
+        states += len(level)
+    return sum(ways for ways, _ in level.values()), states
+
+
+# stdlib modules the CLI leaves unloaded unless a call needs them; the last
+# three it never loads, since it reads its options without argparse
+WATCHED_STDLIB = ("fractions", "decimal", "json", "dataclasses", "inspect", "argparse", "gettext", "locale")
 
 
 def run_fresh(code):

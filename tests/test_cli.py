@@ -119,7 +119,8 @@ def test_json_output_round_trips(capsys):
 
 def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
     # every call pays for what importing the CLI loads: the CLI, the shape
-    # types and Record, and none of the routes; json waits for --output json
+    # types and Record, and none of the routes or argparse, gettext and
+    # locale; json waits for --output json
     out, loaded = run_fresh("import battery_syt.cli")
     assert loaded == {"battery_syt", "battery_syt.cli", "battery_syt.shapes"}
     out, loaded = run_fresh(
@@ -128,7 +129,8 @@ def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
     )
     report = json.loads(out[0])
     assert (report["count"], report["factorization"]) == ("12", [[2, 2], [3, 1]])
-    assert {"json", "battery_syt.arith"} <= loaded and not loaded & {"dataclasses", "inspect"}
+    assert {"json", "battery_syt.arith"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize(
@@ -161,7 +163,7 @@ def test_a_count_loads_only_its_route(argv, loads, leaves, capsys):
     assert cli.run(["count", *argv]) == 0
     assert out == capsys.readouterr().out.splitlines()
     assert loads <= loaded
-    assert not (leaves | {"json", "dataclasses", "inspect"}) & loaded
+    assert not (leaves | {"json", "dataclasses", "inspect", "argparse", "gettext", "locale"}) & loaded
 
 
 def test_route_bindings_stay_rebindable_after_their_first_call(monkeypatch):
@@ -185,6 +187,70 @@ def test_parse_failure_exits_2(capsys):
 def test_bad_flags_exit_2(capsys):
     assert cli.run(["count", "partition:3,2,1", "--method", "bogus"]) == 2
     assert cli.run([]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["battery:rect:3x2,a=1,k=2", "--method", "dp", "--output", "factored", "--verify", "--size-cap", "{cap}"],
+    ["battery:rect:3x2,a=1,k=2", "--method=dp", "--output=factored", "--verify", "--size-cap={cap}"],
+    ["--method", "dp", "--output=factored", "--verify", "--size-cap", "{cap}", "battery:rect:3x2,a=1,k=2"],
+    ["--size-cap={cap}", "--method=dp", "battery:rect:3x2,a=1,k=2", "--verify", "--output", "factored"],
+    # a repeated option keeps its last value
+    ["battery:rect:3x2,a=1,k=2", "--method=hyper", "--method=dp", "--output=factored", "--verify",
+     "--size-cap", "{cap}"],
+], ids=["spaced", "joined", "before", "around", "repeated"])
+def test_cli_accepts_both_value_forms_on_either_side_of_the_shape(argv, capsys):
+    # the shape has 7 cells: a size cap of 7 lets dp count it, 6 refuses it
+    assert cli.run(["count", *(arg.format(cap=7) for arg in argv)]) == 0
+    assert capsys.readouterr() == ("2^2*3\n", "verified: dp == hyper\n")
+    assert cli.run(["count", *(arg.format(cap=6) for arg in argv)]) == 3
+    assert capsys.readouterr() == (
+        "", "error: method 'dp' not applicable: it needs at most 6 cells (--size-cap), the shape has 7\n"
+    )
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["count", "rect:2x2", "--bogus"], "unrecognized option '--bogus'"),
+    # no prefix abbreviations
+    (["count", "rect:2x2", "--meth", "dp"], "unrecognized option '--meth'"),
+    (["count", "rect:2x2", "-5"], "unrecognized option '-5'"),
+    (["count", "rect:2x2", "--method"], "argument --method: expected a value"),
+    (["count", "rect:2x2", "--method", "bogus"],
+     "argument --method: invalid choice 'bogus' (choose from auto, hyper, general, closed, dp)"),
+    # enum is a registry route, but not one the CLI runs as the primary count
+    (["count", "rect:2x2", "--method=enum"],
+     "argument --method: invalid choice 'enum' (choose from auto, hyper, general, closed, dp)"),
+    (["count", "rect:2x2", "--output", "xml"],
+     "argument --output: invalid choice 'xml' (choose from decimal, factored, json)"),
+    (["count", "rect:2x2", "--size-cap", "-1"], "argument --size-cap: must be non-negative, got -1"),
+    (["count", "rect:2x2", "--size-cap=-1"], "argument --size-cap: must be non-negative, got -1"),
+    (["count", "rect:2x2", "--size-cap=1.5"], "argument --size-cap: expected an integer, got '1.5'"),
+    (["count", "rect:2x2", "--size-cap"], "argument --size-cap: expected a value"),
+    (["count", "rect:2x2", "--verify=yes"], "argument --verify: takes no value, got 'yes'"),
+    ([], "the command must be count, none given"),
+    (["rect:2x2"], "the command must be count, got 'rect:2x2'"),
+    (["count"], "expected one SHAPE, got none"),
+    (["count", "--verify"], "expected one SHAPE, got none"),
+    (["count", "rect:2x2", "rect:3x3"], "expected one SHAPE, got 'rect:2x2', 'rect:3x3'"),
+], ids=["unknown", "abbreviated", "dash-number", "method-missing", "method-bad", "method-enum",
+        "output-bad", "cap-negative", "cap-negative-joined", "cap-not-int", "cap-missing",
+        "flag-value", "no-command", "other-command", "no-shape", "only-a-flag", "two-shapes"])
+def test_cli_refuses_a_malformed_command_line_with_usage_and_exit_2(argv, why, capsys):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{cli.USAGE}\nbattery-syt: error: {why}\n"
+    assert captured.err.startswith("usage: battery-syt count SHAPE")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["count", "--help"], ["count", "rect:2x2", "-h"]])
+def test_help_exits_0_and_names_every_option(argv, capsys):
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == cli.HELP
+    assert captured.out.startswith("usage: battery-syt count SHAPE")
+    for option in cli._OPTIONS:
+        assert f"\n  {option} " in captured.out, option
 
 
 def test_method_inapplicable_exits_3(capsys):
@@ -251,15 +317,33 @@ def test_overflow_in_a_count_exits_3(capsys, monkeypatch):
         assert "error: method 'hyper' cannot count a shape this large: injected" in captured.err
 
 
-def test_a_truncated_shape_of_10_to_the_20_cells_exits_3_within_5_s():
-    # a fresh process, so that a parse walking the cells fails by its timeout
+def _count_in_a_fresh_process(*args):
+    """``battery-syt count *args`` in a fresh process, so that work walking
+    every cell fails by the 5 s timeout rather than hanging the suite."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "battery_syt.cli", "count", "truncated:99999999999999999999\\1"],
+    return subprocess.run(
+        [sys.executable, "-m", "battery_syt.cli", "count", *args],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=5,
     )
+
+
+def test_a_truncated_shape_of_10_to_the_20_cells_exits_3_within_5_s():
+    done = _count_in_a_fresh_process("truncated:99999999999999999999\\1")
     assert done.returncode == 3
     assert done.stderr.startswith("error: method 'dp' not applicable")
+
+
+@pytest.mark.parametrize("args, route", [
+    (["partition:99999999999999999999"], "hlf"),
+    (["battery:rect:99999999999999999999x2,a=1,k=2", "--method", "hyper"], "hyper"),
+], ids=["hlf", "hyper"])
+def test_a_straight_shape_past_machine_size_exits_3_within_5_s(args, route):
+    # the hook length formula takes n! before it builds the hooks, so
+    # math.factorial refuses n past sys.maxsize before any cell is walked
+    done = _count_in_a_fresh_process(*args)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: method {route!r} cannot count a shape this large: ")
 
 
 def test_verify_unavailable_exits_3(capsys, monkeypatch):

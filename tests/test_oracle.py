@@ -8,6 +8,8 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 from battery_syt import cli
 from battery_syt.oracle import (
     BatteryTableau,
+    _capped,
+    _span_profile,
     count_line_convex,
     count_linear_extensions,
     enumerate_syt,
@@ -15,7 +17,7 @@ from battery_syt.oracle import (
     linear_extension_profile,
 )
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape, syt_count_straight
-from conftest import all_partitions_up_to
+from conftest import all_partitions_up_to, span_profile_by_two_tests
 
 
 def _brute_force_extensions(spans):
@@ -301,3 +303,49 @@ def test_dp_visits_exactly_the_order_ideals(shape):
 def test_dp_profile_pinned_on_the_largest_verify_battery():
     assert linear_extension_profile(BatteryShape((11,) * 8, 3, 6)) == (
         29032714351326166831529458339421513690767590218938080000, 79443)
+
+
+@pytest.mark.parametrize("expr, profile", [
+    ("partition:11,11,10,10,10,4,3,1", (183265040436987708842646401942544000, 36822)),
+    ("skew:12,12,11,10,5,2,1/3,3,2", (628787340090105117811718400, 17674)),
+    ("truncated:10,10,9,9,8,6,2\\2", (31014919131542467234497384000, 8576)),
+    ("battery:part:11,11,9,4,4,2,a=4,k=8", (16324202273500604439131175, 10395)),
+], ids=["partition", "skew", "truncated", "battery"])
+def test_dp_profile_pinned_on_the_largest_shape_of_each_kind(expr, profile):
+    # the largest shape of each DP kind the dp-verify benchmark workload counts
+    shape = cli._with_spans(cli.parse_shape_expr(expr))
+    assert linear_extension_profile(shape) == profile
+
+
+@st.composite
+def larger_span_shapes(draw):
+    """Batteries over any base with a <= 4, skew and truncated shapes of at most
+    40 cells, empty rows included, with at most 200,000 digit combinations (a
+    bound on the DP's states)."""
+    outer = sorted((draw(st.integers(1, 9)) for _ in range(draw(st.integers(1, 8)))), reverse=True)
+    kind = draw(st.sampled_from(["battery", "skew", "truncated"]))
+    try:
+        if kind == "battery":
+            shape = BatteryShape(outer, draw(st.integers(0, 4)), draw(st.integers(1, outer[0])))
+        else:
+            # an inner row as long as its outer row leaves that row empty
+            inner = sorted((draw(st.integers(0, row)) for row in outer), reverse=True)
+            shape = SkewShape(outer, inner)
+            if kind == "truncated":
+                cut = sorted(draw(st.lists(st.integers(0, 6), max_size=len(outer))), reverse=True)
+                shape = TruncatedShape(shape, cut)
+    except ValueError:
+        reject()  # a cut longer than its row, or columns no longer contiguous
+    assume(shape.size <= 40)
+    spans = _capped(shape.row_spans(), 40)
+    assume(prod(e - s + 1 for s, e in spans) <= 200_000)
+    return spans
+
+
+@settings(max_examples=150, deadline=None)
+@given(larger_span_shapes())
+@example(_capped(SkewShape((4, 3, 2), (3, 3)).row_spans(), 40))  # an empty middle row
+@example(_capped(TruncatedShape(SkewShape((3, 3)), (3, 1)).row_spans(), 40))  # an empty first row
+@example(_capped(SkewShape((5, 5), (5, 5)).row_spans(), 40))  # no cells at all
+def test_dp_matches_the_two_test_reference(spans):
+    assert _span_profile(spans) == span_profile_by_two_tests(spans), spans

@@ -76,6 +76,18 @@ def test_import_loads_no_submodule_and_a_name_loads_only_its_own():
     assert loaded == {"battery_syt", "battery_syt.arith"}
 
 
+def test_a_full_count_call_loads_no_argparse_gettext_or_locale():
+    # the CLI reads its options from a table: a call that verifies, factors
+    # and prints JSON loads none of argparse and the modules it brings
+    out, loaded = run_fresh(
+        "import battery_syt.cli as cli\n"
+        "cli.main(['count', 'battery:rect:3x2,a=1,k=2', '--verify', '--output=json', '--size-cap', '20'])\n"
+    )
+    assert out[0].startswith('{"shape": "battery:rect:3x2,a=1,k=2", "method": "closed", "count": "12"')
+    assert {"battery_syt.cli", "battery_syt.oracle", "battery_syt.arith", "json"} <= loaded
+    assert not loaded & {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize("module", battery_syt._EXPORTS)
 def test_each_module_declares_exactly_its_package_row(module):
     source = importlib.import_module(f"battery_syt.{module}")
