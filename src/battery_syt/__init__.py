@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it; each row is also that
 # submodule's __all__
 _EXPORTS = {
-    "arith": ("Factorization", "binomial", "factorial", "factorize", "is_prime", "pochhammer"),
+    "arith": ("Factorization", "factorize", "is_prime"),
     "counting": (
         "CLOSED_FORM_CASES", "COUNT_BY_COLUMN", "NonIntegerCountError", "closed_form",
         "count_general", "count_hyper", "match_closed_form", "rect_syt_count",
@@ -27,7 +27,7 @@ _EXPORTS = {
     "hypergeom": (
         "AffineParam", "ContiguousDecomposition", "NonTerminatingSeriesError", "PFQLevel",
         "PFQParams", "ZeroDenominatorFactorError", "contiguous_step", "eval_multi_pfq",
-        "eval_pfq", "gauss_2f1_neg", "pfq_terms", "reduce_3f2", "termination_index",
+        "eval_pfq", "gauss_2f1_neg", "reduce_3f2", "termination_index",
     ),
     "oracle": (
         "BatteryTableau", "count_line_convex", "count_linear_extensions", "enumerate_syt",
@@ -36,7 +36,6 @@ _EXPORTS = {
     "shapes": (
         "BatteryShape", "Partition", "SkewShape", "TruncatedShape", "as_partition",
         "conjugate", "hook_lengths", "rotated_complement", "syt_count_straight",
-        "validate_battery",
     ),
 }
 # exported name -> the submodule that defines it

@@ -1,11 +1,5 @@
-"""The factoring module: prime factorization and primality, plus the rising
-factorial and the binomial extended to negative upper indices for library
-callers.
-
-No counting route imports this module: the routes take their binomials and
-rising factorials from ``math`` directly, so it loads only for factored and
-JSON output and for library callers. ``pochhammer`` and ``binomial`` are
-``math.perm`` and ``math.comb`` with a sign rule for negative arguments.
+"""The factoring module: prime factorization and primality. No counting route
+imports it, so it loads only for factored and JSON output.
 
 ``factorize`` trial-divides while it keeps finding primes: a battery count's
 small primes come from its hook-length factorials and end near the size of
@@ -16,7 +10,7 @@ integer root when it is a perfect power, and by Brent's rho otherwise, and
 prime reported.
 """
 
-from math import comb, factorial, gcd, isqrt, log2, perm
+from math import gcd, isqrt, log2
 
 from . import _EXPORTS, Record
 
@@ -39,26 +33,6 @@ _TRIAL_BOUND = 1_000_000
 # is proven not to.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
-
-
-def pochhammer(x: int, n: int) -> int:
-    """Rising factorial x(x+1)...(x+n-1); the empty product (n=0) is 1."""
-    if n < 0:
-        raise ValueError(f"pochhammer order must be non-negative, got {n}")
-    # from x <= 0 the factors are -x, -x-1, ... negated; perm is 0 once one is 0
-    return perm(x + n - 1, n) if x > 0 else (-1) ** n * perm(-x, n)
-
-
-def binomial(x: int, k: int) -> int:
-    """Binomial coefficient x over k for any integer x: x(x-1)...(x-k+1) / k!.
-
-    Negative upper arguments are meaningful here: binomial(-3, 2) == 6, and
-    binomial(-z + n - 1, n) == (-1)**n * binomial(z, n) for all integers z,
-    which is how a negative x reduces to ``math.comb``.
-    """
-    if k < 0:
-        raise ValueError(f"binomial lower index must be non-negative, got {k}")
-    return comb(x, k) if x >= 0 else (-1) ** k * comb(k - x - 1, k)
 
 
 def is_prime(n: int) -> bool:

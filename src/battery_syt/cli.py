@@ -2,9 +2,10 @@
 requested method, optionally cross-verify with an independent method, and print
 the result as a decimal, a prime factorization, or JSON.
 
-Exit codes: 0 success, 2 parse error, 3 method inapplicable (also a shape too
-large for a route's integer primitives), 4 verification mismatch or an
-inconsistent count (an arithmetic fault inside a counting route).
+Exit codes: 0 success, 1 stdout closed by its reader, 2 parse error, 3 method
+inapplicable (also a shape too large for a route's integer primitives), 4
+verification mismatch or an inconsistent count (an arithmetic fault inside a
+counting route).
 
 Importing this module loads only the shape types; each counting route, and
 factorization, is imported the first time a call needs it. The one command's
@@ -12,6 +13,7 @@ options are read from a table rather than by argparse, which with gettext and
 locale would cost every call about 3 ms of import and parser set-up.
 """
 
+import os
 import sys
 import time
 from typing import Callable, NamedTuple, Optional, Union
@@ -232,9 +234,10 @@ METHODS = {name: method.count for name, method in REGISTRY.items()}
 # auto runs the first applicable method, falling back to dp for its size-cap
 # refusal; --verify checks against the first applicable other method, so a
 # rectangle battery counted by general is checked by dp up to the size cap and
-# by hyper above it
+# by hyper above it; closed is never a partner, as hyper and general apply
+# wherever it does
 AUTO_ORDER = ("closed", "general", "hlf", "dp")
-PARTNER_ORDER = ("dp", "hyper", "general", "closed", "hlf", "enum")
+PARTNER_ORDER = ("dp", "hyper", "general", "hlf", "enum")
 
 
 def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[Optional[int], int]:
@@ -433,7 +436,15 @@ def _run(argv) -> int:
 
 
 def main(argv=None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    try:
+        status = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the interpreter's
+        # own flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -73,15 +73,6 @@ def _ratios(nums, dens, bound: int):
         yield num, den
 
 
-def pfq_terms(params: PFQParams) -> list[Fraction]:
-    """The terms t_0, t_1, ... of the terminating series, up to its last nonzero one."""
-    bound = termination_index(params.numerators)
-    terms = [Fraction(1)]
-    for num, den in _ratios(params.numerators, params.denominators, bound):
-        terms.append(terms[-1] * Fraction(num, den))
-    return terms
-
-
 def eval_pfq(params: PFQParams) -> Fraction:
     """Exact value of a terminating series: the one-level nested sum."""
     level = PFQLevel(

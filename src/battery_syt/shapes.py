@@ -3,7 +3,8 @@
 A partition is a plain tuple of weakly decreasing positive row lengths.
 Skew, truncated, and battery shapes are small immutable records (``Record``;
 never tuples, so a tuple is always a straight partition) that canonicalize and
-validate their fields at construction time. The cell limits of the counters
+validate their fields in ``__init__``; a record cannot change afterwards, so
+every shape that exists is valid. The cell limits of the counters
 that walk a shape cell by cell live here too, so the CLI reads them without
 importing those counters.
 """
@@ -140,13 +141,25 @@ class TruncatedShape(Record):
 
 
 class BatteryShape(Record):
-    """A partition with a column of a extra cells attached above its k-th column."""
+    """A partition with a column of a extra cells attached above its k-th column.
+
+    The column index k must point at an existing column of the base; an empty
+    base is allowed only in the fully degenerate case a == 0.
+    """
 
     __slots__ = ("lam", "a", "k")
 
     def __init__(self, lam: Partition, a: int, k: int) -> None:
         self._set(as_partition(lam), a, k)
-        validate_battery(self)
+        if a < 0:
+            raise ValueError(f"battery column length must be non-negative, got {a}")
+        if k < 1:
+            raise ValueError(f"column index must be at least 1, got {k}")
+        if not self.lam:
+            if a > 0:
+                raise ValueError("an empty base cannot carry a battery column")
+        elif k > self.lam[0]:
+            raise ValueError(f"base {self.lam} has no column {k} (widest row is {self.lam[0]})")
 
     @property
     def size(self) -> int:
@@ -158,23 +171,3 @@ class BatteryShape(Record):
     def row_spans(self) -> tuple[tuple[int, int], ...]:
         """The shape as a line-convex diagram: a stacked cells, then the base rows."""
         return ((self.k - 1, self.k),) * self.a + tuple((0, row) for row in self.lam)
-
-
-def validate_battery(shape: BatteryShape) -> None:
-    """Raise ValueError unless the battery invariants hold.
-
-    The column index k must point at an existing column of the base; an empty
-    base is allowed only in the fully degenerate case a == 0.
-    """
-    if shape.a < 0:
-        raise ValueError(f"battery column length must be non-negative, got {shape.a}")
-    if shape.k < 1:
-        raise ValueError(f"column index must be at least 1, got {shape.k}")
-    if not shape.lam:
-        if shape.a > 0:
-            raise ValueError("an empty base cannot carry a battery column")
-        return
-    if shape.k > shape.lam[0]:
-        raise ValueError(
-            f"base {shape.lam} has no column {shape.k} (widest row is {shape.lam[0]})"
-        )

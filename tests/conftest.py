@@ -4,12 +4,22 @@ import ast
 import os
 import subprocess
 import sys
+from math import factorial, prod
 from pathlib import Path
 
 import battery_syt
-from battery_syt.arith import binomial
 from battery_syt.oracle import _gate_table
 from battery_syt.shapes import conjugate, rotated_complement, syt_count_straight
+
+
+def rising(x, n):
+    """The rising factorial by its definition: x(x+1)...(x+n-1), for any integer x."""
+    return prod(range(x, x + n))
+
+
+def multichoose(a, s):
+    """C(a+s-1, s), the ways to choose s of a kinds with repetition; 1 at a = s = 0."""
+    return rising(a, s) // factorial(s)
 
 
 def partitions_of(n, largest=None):
@@ -62,15 +72,15 @@ def general_by_profiles(m, n, a, k):
     Each tableau of the battery above column k of the m-by-n rectangle splits
     at the pivot entry into a sub-diagram with at most k-1 columns (the bullet
     profile), its rotated complement in the rectangle, and
-    binomial(a + s - 1, s) interleavings of the battery entries, s the
-    profile's size. There are C(n+k-1, k-1) profiles.
+    multichoose(a, s) = C(a + s - 1, s) interleavings of the battery entries,
+    s the profile's size. There are C(n+k-1, k-1) profiles.
     """
     total = 0
     for profile in bullet_profiles(k - 1, n):
         cells = sum(profile)
         bullet_rows = conjugate(tuple(h for h in profile if h > 0))
         total += (
-            binomial(a + cells - 1, cells)
+            multichoose(a, cells)
             * syt_count_straight(bullet_rows)
             * syt_count_straight(rotated_complement(m, n, bullet_rows))
         )

@@ -1,12 +1,12 @@
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd, isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from battery_syt import arith
-from battery_syt.arith import Factorization, binomial, factorial, factorize, is_prime, pochhammer
+from battery_syt.arith import Factorization, factorize, is_prime
 from battery_syt.arith import _brent_rho, _is_strong_lucas_prp
 
 try:
@@ -29,95 +29,6 @@ def _primes_below(n):
 
 
 PRIMES_BELOW_10_6 = _primes_below(10 ** 6)
-
-
-def test_pochhammer_known_values():
-    assert pochhammer(5, 0) == 1
-    assert pochhammer(3, 2) == 12
-    assert pochhammer(-2, 3) == 0
-    assert pochhammer(1, 5) == 120
-    assert pochhammer(-5, 5) == -120
-
-
-def test_pochhammer_rejects_negative_order():
-    with pytest.raises(ValueError):
-        pochhammer(3, -1)
-
-
-def test_pochhammer_recurrence():
-    for x in range(-10, 11):
-        for n in range(0, 11):
-            assert pochhammer(x, n + 1) == pochhammer(x, n) * (x + n)
-
-
-def test_pochhammer_difference_identity():
-    # (t)_n - (t-1)_n == n * (t)_{n-1}
-    for t in range(1, 11):
-        for n in range(1, 11):
-            assert pochhammer(t, n) - pochhammer(t - 1, n) == n * pochhammer(t, n - 1)
-
-
-def test_pochhammer_sum_identity():
-    # (a)_n == n * sum((t)_{n-1} for t in 1..a)
-    for a in range(1, 9):
-        for n in range(1, 9):
-            assert pochhammer(a, n) == n * sum(pochhammer(t, n - 1) for t in range(1, a + 1))
-
-
-def test_binomial_known_values():
-    assert binomial(5, 2) == 10
-    assert binomial(-3, 2) == 6
-    assert binomial(4, 0) == 1
-    assert binomial(2, 5) == 0
-    assert binomial(-1, 3) == -1
-
-
-def test_binomial_matches_comb_on_classical_range():
-    for x in range(0, 12):
-        for k in range(0, 12):
-            assert binomial(x, k) == comb(x, k)
-
-
-def test_binomial_negation_identity():
-    # C(-z+n-1, n) == (-1)^n C(z, n)
-    for z in range(-8, 9):
-        for n in range(0, 9):
-            assert binomial(-z + n - 1, n) == (-1) ** n * binomial(z, n)
-
-
-def test_binomial_rejects_negative_lower_index():
-    with pytest.raises(ValueError):
-        binomial(4, -1)
-
-
-def _falling_binomial(x, k):
-    """The definition: x(x-1)...(x-k+1) / k!, exact for every integer x."""
-    return Fraction(prod(range(x - k + 1, x + 1)), factorial(k))
-
-
-def _rising(x, n):
-    """The definition: x(x+1)...(x+n-1)."""
-    return prod(range(x, x + n))
-
-
-def test_binomial_and_pochhammer_match_their_definitions_on_a_grid():
-    for x in range(-60, 61):
-        for k in range(0, 25):
-            assert binomial(x, k) == _falling_binomial(x, k), (x, k)
-            assert pochhammer(x, k) == _rising(x, k), (x, k)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 60))
-def test_binomial_and_pochhammer_match_their_definitions_on_large_arguments(x, k):
-    assert binomial(x, k) == _falling_binomial(x, k)
-    assert pochhammer(x, k) == _rising(x, k)
-
-
-def test_factorial_known_values():
-    assert factorial(0) == 1
-    assert factorial(6) == 720
-    assert factorial(10) == 3628800
 
 
 def _trial_division_is_prime(n):

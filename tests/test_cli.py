@@ -346,6 +346,24 @@ def test_a_straight_shape_past_machine_size_exits_3_within_5_s(args, route):
     assert done.stderr.startswith(f"error: method {route!r} cannot count a shape this large: ")
 
 
+@pytest.mark.parametrize("output", ["decimal", "factored", "json"])
+def test_a_closed_stdout_exits_1_without_a_traceback(output):
+    argv = [sys.executable, "-m", "battery_syt.cli", "count", "battery:rect:11x7,a=1,k=6", "--output", output]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(argv, env=env, capture_output=True, timeout=30)
+    assert done.returncode == 0
+    assert done.stdout.strip() and done.stderr == b""
+    # the read end is closed before the child writes its first byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=30)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""  # no traceback
+
+
 def test_verify_unavailable_exits_3(capsys, monkeypatch):
     # a 13-cell skew shape has no second independent method; refused before
     # the primary dp count runs
@@ -379,6 +397,33 @@ def test_auto_method_selection():
     for expr, method in cases.items():
         shape = cli.parse_shape_expr(expr)
         assert cli._first_applicable(shape, cli.AUTO_ORDER, cli.DEFAULT_SIZE_CAP) == method
+
+
+def test_every_auto_and_partner_entry_is_chosen_by_some_call(capsys, monkeypatch):
+    # each method stands in by one that records its name and counts 1, so run()
+    # picks the primary and the partner exactly as it would for a real count
+    calls = []
+    for name in cli.METHODS:
+        monkeypatch.setitem(cli.METHODS, name, lambda shape, size_cap, name=name: calls.append(name) or 1)
+    chosen = {"auto": set(), "partner": set()}
+    shapes = [
+        "battery:rect:3x2,a=1,k=2", "battery:rect:6x5,a=4,k=4", "battery:rect:20x7,a=1,k=7",
+        "partition:3,2,1", "battery:part:3,2,1,a=2,k=2", "skew:4,3/1",
+    ]
+    for expr in shapes:
+        for method in ("auto", "hyper", "general", "closed", "dp"):
+            for size_cap in ("0", "12", "120"):
+                for verify in ([], ["--verify"]):
+                    calls.clear()
+                    argv = ["count", expr, "--method", method, "--size-cap", size_cap, *verify]
+                    if cli.run(argv) == 0:
+                        if method == "auto":
+                            chosen["auto"].add(calls[0])
+                        if verify:
+                            chosen["partner"].add(calls[1])
+    capsys.readouterr()
+    assert chosen["auto"] == set(cli.AUTO_ORDER)
+    assert chosen["partner"] == set(cli.PARTNER_ORDER)
 
 
 def test_skew_and_truncated_counts(capsys):

@@ -1,11 +1,10 @@
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from battery_syt.arith import binomial, pochhammer
 from battery_syt.hypergeom import (
     AffineParam,
     NonTerminatingSeriesError,
@@ -16,10 +15,10 @@ from battery_syt.hypergeom import (
     eval_multi_pfq,
     eval_pfq,
     gauss_2f1_neg,
-    pfq_terms,
     reduce_3f2,
     termination_index,
 )
+from conftest import multichoose, rising
 
 
 def F(*args):
@@ -67,17 +66,13 @@ def test_term_recurrence_matches_pochhammer_products():
         rng.shuffle(nums)
         cap = termination_index(nums)
         dens = [rng.choice([rng.randint(1, 9), -cap - rng.randint(0, 5)]) for _ in range(q)]
-        params = PFQParams(tuple(nums), tuple(dens))
-        terms = pfq_terms(params)
-        for j, term in enumerate(terms):
-            den = 1
-            for b in dens:
-                den *= pochhammer(b, j)
-            num = 1
-            for a in nums:
-                num *= pochhammer(a, j)
-            assert term == F(num, den * factorial(j))
-        assert eval_pfq(params) == sum(terms)
+        # the terms t_0..t_cap by their Pochhammer products; none vanishes
+        terms = [
+            F(prod(rising(a, j) for a in nums), prod(rising(b, j) for b in dens) * factorial(j))
+            for j in range(cap + 1)
+        ]
+        assert 0 not in terms
+        assert eval_pfq(PFQParams(tuple(nums), tuple(dens))) == sum(terms)
 
 
 def test_gauss_known_values():
@@ -240,14 +235,14 @@ def test_multi_pfq_two_levels_equals_hand_rolled_double_sum():
         for t in range(0, n + 1):
             for v in range(0, t + 1):
                 total += F(
-                    binomial(a + t + v - 1, t + v)
-                    * binomial(t + m - 1, t)
-                    * binomial(v + m - 2, v)
-                    * binomial(n, t)
-                    * binomial(n + 1, v)
-                    * binomial(t, v)
+                    multichoose(a, t + v)
+                    * comb(t + m - 1, t)
+                    * comb(v + m - 2, v)
+                    * comb(n, t)
+                    * comb(n + 1, v)
+                    * comb(t, v)
                     * (t - v + 1),
-                    binomial(m * n, t + v) * binomial(t + 1, v) * (t + 1),
+                    comb(m * n, t + v) * comb(t + 1, v) * (t + 1),
                 )
         return total
 
@@ -278,10 +273,10 @@ def _nested_sum_reference(levels):
             bound = min(caps + [outer[-1]])
         total = Fraction(0)
         for m in range(bound + 1):
-            den = prod(pochhammer(b, m) for b in dens) * factorial(m)
+            den = prod(rising(b, m) for b in dens) * factorial(m)
             if den == 0:
                 raise ZeroDenominatorFactorError(f"level {i} at m={m}")
-            num = prod(pochhammer(a, m) for a in nums)
+            num = prod(rising(a, m) for a in nums)
             if num == 0:
                 break
             inner = level_sum(i + 1, outer + (m,)) if i + 1 < len(levels) else 1

@@ -2,7 +2,9 @@
 to the object its submodule defines, and importing the package loads none of
 its modules."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from conftest import run_fresh
 
 # submodule -> the names the package exports from it
 EXPORTS = {
-    "arith": ("Factorization", "binomial", "factorial", "factorize", "is_prime", "pochhammer"),
+    "arith": ("Factorization", "factorize", "is_prime"),
     "counting": (
         "CLOSED_FORM_CASES", "COUNT_BY_COLUMN", "NonIntegerCountError", "closed_form",
         "count_general", "count_hyper", "match_closed_form", "rect_syt_count",
@@ -19,7 +21,7 @@ EXPORTS = {
     "hypergeom": (
         "AffineParam", "ContiguousDecomposition", "NonTerminatingSeriesError", "PFQLevel",
         "PFQParams", "ZeroDenominatorFactorError", "contiguous_step", "eval_multi_pfq",
-        "eval_pfq", "gauss_2f1_neg", "pfq_terms", "reduce_3f2", "termination_index",
+        "eval_pfq", "gauss_2f1_neg", "reduce_3f2", "termination_index",
     ),
     "oracle": (
         "BatteryTableau", "count_line_convex", "count_linear_extensions", "enumerate_syt",
@@ -28,7 +30,6 @@ EXPORTS = {
     "shapes": (
         "BatteryShape", "Partition", "SkewShape", "TruncatedShape", "as_partition",
         "conjugate", "hook_lengths", "rotated_complement", "syt_count_straight",
-        "validate_battery",
     ),
 }
 ALL_NAMES = [name for names in EXPORTS.values() for name in names]
@@ -96,3 +97,17 @@ def test_each_module_declares_exactly_its_package_row(module):
     exec(f"from battery_syt.{module} import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(battery_syt._EXPORTS[module])
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(example))
+        if isinstance(node, ast.ImportFrom) and node.module == "battery_syt"
+        for alias in node.names
+    ]
+    assert imported and set(imported) <= set(battery_syt.__all__)
+    exec(example, {})

@@ -13,7 +13,6 @@ from battery_syt.shapes import (
     hook_lengths,
     rotated_complement,
     syt_count_straight,
-    validate_battery,
 )
 from conftest import all_partitions_up_to, subdiagrams
 
@@ -156,16 +155,15 @@ def test_line_convex_check_does_not_walk_the_columns():
 def test_battery_shape_validation():
     ok = BatteryShape((4, 4, 4), 3, 2)
     assert ok.size == 15
-    validate_battery(ok)
     # column 3 exists because the first row has length 3
     assert BatteryShape((3, 1), 1, 3).size == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^base \(2, 2\) has no column 3 \(widest row is 2\)$"):
         BatteryShape((2, 2), 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^battery column length must be non-negative, got -1$"):
         BatteryShape((2, 2), -1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^column index must be at least 1, got 0$"):
         BatteryShape((2, 2), 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^an empty base cannot carry a battery column$"):
         BatteryShape((), 1, 1)
     assert BatteryShape((), 0, 1).size == 0
     assert BatteryShape((2, 2), 0, 2).size == 4
