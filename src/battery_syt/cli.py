@@ -105,15 +105,21 @@ def _parse_battery(text: str, offset: int) -> BatteryShape:
     fields = text.split(",")
     if len(fields) < 3:
         raise ShapeParseError("expected base, a=A and k=K", offset)
-    tail = fields[-2:]
-    base_text = ",".join(fields[:-2])
+    # the named fields: the last two, and any before them with an = (no base has one)
+    start = len(fields) - 2
+    while start > 1 and "=" in fields[start - 1]:
+        start -= 1
+    base_text = ",".join(fields[:start])
     tail_offset = offset + len(base_text) + 1
     named = {}
+    repeated = None
     pos = tail_offset
-    for token in tail:
+    for token in fields[start:]:
         key, sep, val = token.partition("=")
         if not sep or key not in ("a", "k"):
             raise ShapeParseError(f"expected a=A or k=K, got {token!r}", pos)
+        if key in named and repeated is None:
+            repeated = ShapeParseError(f"{key}= given twice", pos)
         try:
             named[key] = int(val)
         except ValueError:
@@ -121,6 +127,8 @@ def _parse_battery(text: str, offset: int) -> BatteryShape:
         pos += len(token) + 1
     if set(named) != {"a", "k"}:
         raise ShapeParseError("both a= and k= are required", tail_offset)
+    if repeated:
+        raise repeated
     if base_text.startswith("rect:"):
         lam = _parse_rect(base_text[5:], offset + 5)
     elif base_text.startswith("part:"):

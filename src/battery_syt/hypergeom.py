@@ -1,9 +1,5 @@
 """Exact evaluation of terminating hypergeometric series and their nested, leveled
-generalization, plus two integer-parameter identities from the paper: a
-binomial-quotient closed form for 2F1(-a, b; -c; 1) and a contiguous relation
-that trades a 3F2 for two 3F2's with shifted parameters (``reduce_3f2`` applies
-it repeatedly). No counting route calls the identities; the identity and
-acceptance tests check them against the series.
+generalization.
 
 All series here terminate because some numerator parameter is a non-positive
 integer. Every series is taken at argument 1, as all of the paper's are, and
@@ -16,7 +12,7 @@ parameters merged.
 """
 
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from . import _EXPORTS, Record
 
@@ -80,92 +76,6 @@ def eval_pfq(params: PFQParams) -> Fraction:
         tuple(map(AffineParam, params.denominators)),
     )
     return eval_multi_pfq((level,))
-
-
-def gauss_2f1_neg(a: int, b: int, c: int) -> Fraction:
-    """Closed form C(c+b, a) / C(c, a) for 2F1(-a, b; -c; 1) with b >= 1, 0 <= a <= c."""
-    if b < 1:
-        raise ValueError(f"requires b >= 1, got {b}")
-    if not 0 <= a <= c:
-        raise ValueError(f"requires 0 <= a <= c, got a={a}, c={c}")
-    return Fraction(comb(c + b, a), comb(c, a))
-
-
-class ContiguousDecomposition(Record):
-    """Two-term rewrite of 3F2(a, b, -c; d, -e; 1); see contiguous_step."""
-
-    __slots__ = ("coefficient1", "params1", "coefficient2", "params2")
-
-    def __init__(
-        self,
-        coefficient1: Fraction,
-        params1: PFQParams,
-        coefficient2: Fraction,
-        params2: PFQParams,
-    ) -> None:
-        self._set(coefficient1, params1, coefficient2, params2)
-
-    def evaluate(self) -> Fraction:
-        """Value of the decomposition; branches with coefficient 0 are never evaluated."""
-        total = Fraction(0)
-        if self.coefficient1 != 0:
-            total += self.coefficient1 * eval_pfq(self.params1)
-        if self.coefficient2 != 0:
-            total += self.coefficient2 * eval_pfq(self.params2)
-        return total
-
-
-def contiguous_step(a: int, b: int, c: int, d: int, e: int) -> ContiguousDecomposition:
-    """Rewrite 3F2(a, b, -c; d, -e; 1) as
-    (-c(e+a)/(de)) * 3F2(a, b+1, -c+1; d+1, -e+1; 1) + ((d+c)/d) * 3F2(a, b+1, -c; d+1, -e; 1).
-
-    Valid for integer parameters with a >= 0, b >= -1, d >= 1 and 0 <= c <= e.
-    When c == 0 the first branch carries coefficient 0 and its parameters are
-    a formal placeholder (the shifted series need not terminate).
-    """
-    if a < 0 or b < -1 or d < 1 or not 0 <= c <= e:
-        raise ValueError(
-            f"parameters outside a>=0, b>=-1, d>=1, 0<=c<=e: a={a}, b={b}, c={c}, d={d}, e={e}"
-        )
-    coeff1 = Fraction(0) if c == 0 else Fraction(-c * (e + a), d * e)
-    coeff2 = Fraction(d + c, d)
-    return ContiguousDecomposition(
-        coefficient1=coeff1,
-        params1=PFQParams((a, b + 1, -c + 1), (d + 1, -e + 1)),
-        coefficient2=coeff2,
-        params2=PFQParams((a, b + 1, -c), (d + 1, -e)),
-    )
-
-
-def reduce_3f2(a: int, b: int, c: int, e: int) -> Fraction:
-    """Evaluate 3F2(a, b, -c; 1, -e; 1) by contiguous steps instead of direct summation.
-
-    Applies contiguous_step a-1 times, raising the first denominator parameter
-    until it matches a; the matched pair then cancels and each surviving term
-    closes through gauss_2f1_neg. Terms with equal shifted parameters are
-    merged along the way, so the expansion stays quadratic in a.
-    """
-    if a < 1:
-        raise ValueError(f"requires a >= 1, got {a}")
-    if not 0 <= c <= e:
-        raise ValueError(f"requires 0 <= c <= e, got c={c}, e={e}")
-    terms: dict[tuple[int, int], Fraction] = {(c, e): Fraction(1)}
-    for d in range(1, a):
-        shifted: dict[tuple[int, int], Fraction] = {}
-        for (ci, ei), weight in terms.items():
-            step = contiguous_step(a, b + d - 1, ci, d, ei)
-            if step.coefficient1 != 0:
-                key = (ci - 1, ei - 1)
-                shifted[key] = shifted.get(key, Fraction(0)) + weight * step.coefficient1
-            key = (ci, ei)
-            shifted[key] = shifted.get(key, Fraction(0)) + weight * step.coefficient2
-        terms = shifted
-    # every term is now 3F2(a, b+a-1, -ci; a, -ei; 1) = 2F1(b+a-1, -ci; -ei; 1)
-    total = Fraction(0)
-    for (ci, ei), weight in terms.items():
-        if weight != 0:
-            total += weight * gauss_2f1_neg(ci, b + a - 1, ei)
-    return total
 
 
 class AffineParam(Record):

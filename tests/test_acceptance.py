@@ -14,10 +14,12 @@ from battery_syt.counting import (
     closed_form,
     count_general,
     count_hyper,
+    rect_syt_count,
 )
-from battery_syt.hypergeom import PFQParams, contiguous_step, eval_pfq, gauss_2f1_neg, reduce_3f2
+from battery_syt.hypergeom import PFQParams, eval_pfq
 from battery_syt.oracle import count_linear_extensions, linear_extension_profile
 from battery_syt.shapes import BatteryShape, hook_lengths, syt_count_straight
+from conftest import contiguous_step, gauss_2f1_neg, reduce_3f2
 
 WIDE_BATTERY_FACTORS = (
     (2, 5), (3, 2), (5, 2), (11, 1), (13, 1), (17, 2), (19, 3), (23, 2),
@@ -235,3 +237,21 @@ def test_criterion_10_cli_contract(capsys, monkeypatch):
     assert cli.run(["count", "battery:rect:2x2,a=1,k=2", "--method", "dp", "--verify"]) == 4
     capsys.readouterr()
     _report(10, "documented CLI invocations succeed; fault-injected verify exits 4")
+
+
+def test_criterion_11_k2_catalog_by_the_contiguous_reduction():
+    # the paper derives the k = 2, a <= 3 closed forms as the rectangle count
+    # times 3F2(a, m, -n; 1, -mn; 1), summed by contiguous steps; this checks
+    # the catalog's hand-typed ratios against that derivation
+    start = time.perf_counter()
+    cases = 0
+    for a in range(1, 4):
+        for m in range(2, 13):
+            for n in range(1, 13):
+                derived = reduce_3f2(a, m, n, m * n) * rect_syt_count(m, n)
+                assert derived == closed_form(f"k2-a{a}", m=m, n=n), (a, m, n)
+                cases += 1
+    elapsed = time.perf_counter() - start
+    assert cases == 396
+    assert elapsed < 5.0
+    _report(11, f"k2-a1..a3 closed forms equal the contiguous reduction on {cases} points", elapsed)

@@ -56,6 +56,10 @@ def test_parse_errors_carry_position_and_reason():
         ("rect:axb", 5, "expected MxN with integer sides, got 'axb'"),
         ("battery:rect:2x2,a1,k=2", 17, "expected a=A or k=K, got 'a1'"),
         ("battery:rect:2x2,a=1,a=2", 17, "both a= and k= are required"),
+        ("battery:rect:3x3,k=2,a=1,a=2", 25, "a= given twice"),
+        ("battery:rect:3x3,a=1,k=2,a=2", 25, "a= given twice"),
+        ("battery:rect:3x3,k=1,a=1,k=2", 25, "k= given twice"),
+        ("battery:rect:3x3,x=1,a=1,k=2", 17, "expected a=A or k=K, got 'x=1'"),
         ("battery:2x2,a=1,k=2", 8, "battery base must start with rect: or part:"),
         ("truncated:2\\1,1", 10, "truncation has more rows than the base shape"),
         # a side too large for a tuple length: OverflowError past sys.maxsize,
@@ -136,8 +140,15 @@ def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
 @pytest.mark.parametrize(
     "argv, loads, leaves",
     [
-        # a decimal count takes its binomials from math and never loads arith
+        # a decimal count takes its binomials from math and never loads arith;
+        # no closed-form case loads the series engine
         (["battery:rect:5x4,a=1,k=2"], {"battery_syt.counting"},
+         {"battery_syt.arith", "battery_syt.hypergeom", "battery_syt.oracle", "fractions"}),
+        (["battery:rect:5x4,a=2,k=2"], {"battery_syt.counting"},
+         {"battery_syt.arith", "battery_syt.hypergeom", "battery_syt.oracle", "fractions"}),
+        (["battery:rect:5x4,a=3,k=2"], {"battery_syt.counting"},
+         {"battery_syt.arith", "battery_syt.hypergeom", "battery_syt.oracle", "fractions"}),
+        (["battery:rect:5x2,a=2,k=3"], {"battery_syt.counting"},
          {"battery_syt.arith", "battery_syt.hypergeom", "battery_syt.oracle", "fractions"}),
         # general, after the catalog lookup
         (["battery:rect:14x14,a=5,k=6"], {"battery_syt.counting"},
@@ -156,7 +167,8 @@ def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
          {"battery_syt.counting", "battery_syt.arith"},
          {"battery_syt.hypergeom", "battery_syt.oracle", "fractions"}),
     ],
-    ids=["closed", "general", "dp", "hyper", "hlf", "factored"],
+    ids=["closed", "closed-k2-a2", "closed-k2-a3", "closed-k3-n2", "general", "dp", "hyper", "hlf",
+         "factored"],
 )
 def test_a_count_loads_only_its_route(argv, loads, leaves, capsys):
     out, loaded = run_fresh(f"import battery_syt.cli as cli\ncli.run(['count', *{argv!r}])")

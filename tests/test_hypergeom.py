@@ -11,14 +11,11 @@ from battery_syt.hypergeom import (
     PFQLevel,
     PFQParams,
     ZeroDenominatorFactorError,
-    contiguous_step,
     eval_multi_pfq,
     eval_pfq,
-    gauss_2f1_neg,
-    reduce_3f2,
     termination_index,
 )
-from conftest import multichoose, rising
+from conftest import contiguous_step, gauss_2f1_neg, multichoose, reduce_3f2, rising
 
 
 def F(*args):

@@ -19,9 +19,8 @@ EXPORTS = {
         "count_general", "count_hyper", "match_closed_form", "rect_syt_count",
     ),
     "hypergeom": (
-        "AffineParam", "ContiguousDecomposition", "NonTerminatingSeriesError", "PFQLevel",
-        "PFQParams", "ZeroDenominatorFactorError", "contiguous_step", "eval_multi_pfq",
-        "eval_pfq", "gauss_2f1_neg", "reduce_3f2", "termination_index",
+        "AffineParam", "NonTerminatingSeriesError", "PFQLevel", "PFQParams",
+        "ZeroDenominatorFactorError", "eval_multi_pfq", "eval_pfq", "termination_index",
     ),
     "oracle": (
         "BatteryTableau", "count_line_convex", "count_linear_extensions", "enumerate_syt",

@@ -12,14 +12,10 @@ import pytest
 
 from battery_syt.arith import Factorization
 from battery_syt.counting import ClosedFormCase
-from battery_syt.hypergeom import (
-    AffineParam,
-    ContiguousDecomposition,
-    PFQLevel,
-    PFQParams,
-)
+from battery_syt.hypergeom import AffineParam, PFQLevel, PFQParams
 from battery_syt.oracle import BatteryTableau
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape
+from conftest import ContiguousDecomposition
 
 # (record built from keyword arguments, the same fields positionally, its repr)
 CASES = [
