@@ -11,14 +11,19 @@ Importing this module loads only the shape types; each counting route, and
 factorization, is imported the first time a call needs it. The one command's
 options are read from a table rather than by argparse, which with gettext and
 locale would cost every call about 3 ms of import and parser set-up.
+
+``main(argv)`` is the in-process API: it returns the exit status and leaves
+the interpreter running. ``console()`` is the process entry of both
+launchers, ``python -m battery_syt.cli`` and the ``battery-syt`` script: it
+ends the process at its last write, without the interpreter's teardown.
 """
 
 import os
 import sys
 import time
-from typing import Callable, NamedTuple, Optional, Union
+from collections.abc import Callable
 
-from . import _lazy
+from . import Record, _lazy
 from .shapes import (
     DEFAULT_SIZE_CAP,
     ENUMERATION_CAP,
@@ -41,14 +46,14 @@ count_line_convex = _lazy("oracle", "count_line_convex")  # only span tracing us
 enumerate_syt = _lazy("oracle", "enumerate_syt")
 factorize = _lazy("arith", "factorize")
 
-__all__ = ["ShapeParseError", "parse_shape_expr", "run", "main"]
+__all__ = ["ShapeParseError", "parse_shape_expr", "run", "main", "console"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_METHOD = 3
 EXIT_MISMATCH = 4
 
-Shape = Union[Partition, SkewShape, TruncatedShape, BatteryShape]
+Shape = Partition | SkewShape | TruncatedShape | BatteryShape
 
 
 class ShapeParseError(ValueError):
@@ -171,7 +176,7 @@ def parse_shape_expr(text: str) -> Shape:
     raise ShapeParseError(f"unknown shape kind {kind!r}", 0)
 
 
-def _rect(shape: Shape) -> Optional[tuple[int, int, int, int]]:
+def _rect(shape: Shape) -> tuple[int, int, int, int] | None:
     """(m, n, a, k) of a battery over an m-by-n rectangle; None for any other shape."""
     if isinstance(shape, BatteryShape) and shape.is_rectangle():
         return shape.lam[0], len(shape.lam), shape.a, shape.k
@@ -182,22 +187,26 @@ def _shape_size(shape: Shape) -> int:
     return sum(shape) if isinstance(shape, tuple) else shape.size
 
 
-def _with_spans(shape: Shape) -> Union[SkewShape, TruncatedShape, BatteryShape]:
+def _with_spans(shape: Shape) -> SkewShape | TruncatedShape | BatteryShape:
     """A straight partition as the battery with no extra cells, which the DP and
     the enumerator take; other shapes unchanged."""
     return BatteryShape(shape, 0, 1) if isinstance(shape, tuple) else shape
 
 
-class Method(NamedTuple):
+class Method(Record):
     """A counting method: what shapes it needs, a cheap static test for that, and the count.
 
-    ``applies`` never evaluates a count, so auto and --verify can pick methods
-    without running them.
+    ``needs`` is formatted with size_cap and the shape's size for the
+    not-applicable message. ``applies`` never evaluates a count, so auto and
+    --verify can pick methods without running them.
     """
 
-    needs: str  # formatted with size_cap and the shape's size for the not-applicable message
-    applies: Callable[[Shape, int], bool]
-    count: Callable[[Shape, int], int]
+    __slots__ = ("needs", "applies", "count")
+
+    def __init__(
+        self, needs: str, applies: Callable[[Shape, int], bool], count: Callable[[Shape, int], int]
+    ) -> None:
+        self._set(needs, applies, count)
 
 
 REGISTRY = {
@@ -248,7 +257,7 @@ AUTO_ORDER = ("closed", "general", "hlf", "dp")
 PARTNER_ORDER = ("dp", "hyper", "general", "hlf", "enum")
 
 
-def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[Optional[int], int]:
+def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[int | None, int]:
     """Count through METHODS: (count, EXIT_OK), or (None, status) after a report on stderr.
 
     An OverflowError, an argument past a machine-size primitive such as
@@ -266,7 +275,7 @@ def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[Optional[int], 
         return None, EXIT_MISMATCH
 
 
-def _first_applicable(shape: Shape, order, size_cap: int, skip: Optional[str] = None) -> Optional[str]:
+def _first_applicable(shape: Shape, order, size_cap: int, skip: str | None = None) -> str | None:
     return next(
         (name for name in order if name != skip and REGISTRY[name].applies(shape, size_cap)),
         None,
@@ -322,7 +331,7 @@ def _option_value(name: str, text: str):
     return text
 
 
-def _parse_args(argv) -> Optional[dict]:
+def _parse_args(argv) -> dict | None:
     """The shape and options of a ``count`` command line, keyed ``shape``,
     ``method``, ``output``, ``verify`` and ``size_cap``; None when it asks for
     help. Raises _UsageError for any other command line."""
@@ -444,6 +453,8 @@ def _run(argv) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (by default the process's) and return its
+    exit status; the interpreter stays up. A closed stdout is status 1."""
     try:
         status = run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
@@ -455,5 +466,20 @@ def main(argv=None) -> int:
     return status
 
 
+def console() -> None:
+    """Run ``main``, flush both streams and end the process with its status.
+
+    After the last write the interpreter's exit would only tear down the
+    modules loaded since start-up, ``site``'s included, which can cost more
+    than the count. The package registers no ``atexit`` hook and leaves no
+    file open, so ``os._exit`` loses nothing. An exception that escapes
+    ``main`` or a flush ends the process the normal way, with its traceback.
+    """
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

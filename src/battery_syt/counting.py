@@ -28,11 +28,11 @@ integers and never load it. Binomials and rising factorials are ``math.comb``
 and ``math.perm``, so no route loads the factoring module.
 """
 
+from collections.abc import Callable
 from itertools import accumulate, repeat
 from math import comb as binomial  # every binomial here; a binding that span tracing rebinds
 from math import factorial, perm, prod
 from operator import mul
-from typing import Callable, Optional
 
 from . import _EXPORTS, Record, _lazy
 from .shapes import (
@@ -368,7 +368,7 @@ def closed_form(case_id: str, **params: int) -> int:
     return _exact(rect_syt_count(m, n) * num, den, f"closed form {case_id}{params}")
 
 
-def match_closed_form(m: int, n: int, a: int, k: int) -> Optional[tuple[str, dict[str, int]]]:
+def match_closed_form(m: int, n: int, a: int, k: int) -> tuple[str, dict[str, int]] | None:
     """First catalog case whose fixed coordinates are those of the battery [(m^n), a, k], if any."""
     try:
         _check_rect_args(m, n, a, k)

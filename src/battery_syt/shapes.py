@@ -9,8 +9,8 @@ that walk a shape cell by cell live here too, so the CLI reads them without
 importing those counters.
 """
 
+from collections.abc import Iterable
 from math import factorial, prod
-from typing import Iterable
 
 from . import _EXPORTS, Record
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +137,24 @@ def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
     assert (report["count"], report["factorization"]) == ("12", [[2, 2], [3, 1]])
     assert {"json", "battery_syt.arith"} <= loaded
     assert not loaded & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+
+
+def test_a_count_without_site_leaves_typing_unloaded():
+    # site may load typing (and with it re, enum and functools) for its .pth
+    # files; the package must not, or a start-up without them pays for it
+    probe = (
+        "import sys\n"
+        "import battery_syt.cli as cli\n"
+        "print('typing' in sys.modules)\n"
+        "cli.run(['count', 'battery:rect:14x14,a=5,k=6'])\n"
+        "print('typing' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.splitlines()
+    assert out == ["False", str(counting.count_general(14, 14, 5, 6)), "False"]
 
 
 @pytest.mark.parametrize(
@@ -329,14 +349,62 @@ def test_overflow_in_a_count_exits_3(capsys, monkeypatch):
         assert "error: method 'hyper' cannot count a shape this large: injected" in captured.err
 
 
-def _count_in_a_fresh_process(*args):
+def _count_in_a_fresh_process(*args, timeout=5):
     """``battery-syt count *args`` in a fresh process, so that work walking
-    every cell fails by the 5 s timeout rather than hanging the suite."""
-    src = str(Path(cli.__file__).resolve().parents[1])
+    every cell fails by the timeout rather than hanging the suite. Its stdout
+    is block-buffered, as a pipe's writer is unless PYTHONUNBUFFERED is set."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "battery_syt.cli", "count", *args],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=5,
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def _masked(out: str) -> str:
+    """``out`` with the JSON report's timing, which differs between calls, zeroed."""
+    return re.sub(r'"elapsed_ms": [^,}]+', '"elapsed_ms": 0', out)
+
+
+@pytest.mark.parametrize("args, status", [
+    (["battery:rect:11x7,a=1,k=6"], 0),
+    (["battery:rect:11x7,a=1,k=6", "--output", "factored"], 0),
+    (["battery:rect:7x11,a=1,k=4", "--output", "json"], 0),
+    (["battery:rect:5x4,a=2,k=3", "--verify"], 0),
+    (["partition:3,5"], 2),
+    (["rect:2x2", "--size-cap=-1"], 2),
+    (["--help"], 0),
+    (["partition:3,2,1", "--method", "hyper"], 3),
+], ids=["decimal", "factored", "json", "verify", "parse-error", "usage-error", "help", "inapplicable"])
+def test_a_fresh_process_writes_what_run_writes(args, status, capsys):
+    # the process entry ends at its last write, without the interpreter's
+    # exit: every byte of both streams must still reach the reader
+    done = _count_in_a_fresh_process(*args)
+    assert cli.run(["count", *args]) == status
+    captured = capsys.readouterr()
+    assert captured.out or captured.err
+    assert done.returncode == status
+    assert _masked(done.stdout) == _masked(captured.out)
+    assert done.stderr == captured.err
+    if "--verify" in args:
+        assert done.stderr == "verified: general == dp\n"
+
+
+def test_a_count_longer_than_a_pipe_buffer_reaches_the_reader_whole():
+    # 76,648 digits and a newline: the child's write blocks until the reader
+    # drains the pipe, and the process must not end before the last byte
+    done = _count_in_a_fresh_process("rect:200x200", timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(done.stdout) == 76_649
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "417b29d49070c3fa90f8edd7515d319ccdd874cca1dc8e3129d5386fd96855a8"
+    )
+
+
+def test_both_launchers_enter_through_console():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'battery-syt = "battery_syt.cli:console"' in pyproject.splitlines()
+    assert Path(cli.__file__).read_text().endswith('\nif __name__ == "__main__":\n    console()\n')
 
 
 def test_a_truncated_shape_of_10_to_the_20_cells_exits_3_within_5_s():
