@@ -5,7 +5,8 @@ the result as a decimal, a prime factorization, or JSON.
 Exit codes: 0 success, 1 stdout closed by its reader, 2 parse error, 3 method
 inapplicable (also a shape too large for a route's integer primitives), 4
 verification mismatch or an inconsistent count (an arithmetic fault inside a
-counting route).
+counting route). A closed stderr loses only the diagnostics: the status and
+stdout stay what they would be.
 
 Importing this module loads only the shape types; each counting route, and
 factorization, is imported the first time a call needs it. The one command's
@@ -21,7 +22,6 @@ ends the process at its last write, without the interpreter's teardown.
 import os
 import sys
 import time
-from collections.abc import Callable
 
 from . import Record, _lazy
 from .shapes import (
@@ -78,7 +78,7 @@ def _parse_int_list(text: str, offset: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _constructed(build: Callable, offset: int, *fields):
+def _constructed(build: "Callable", offset: int, *fields):
     """Call a shape constructor; its ValueError is a ShapeParseError at ``offset``."""
     try:
         return build(*fields)
@@ -204,7 +204,10 @@ class Method(Record):
     __slots__ = ("needs", "applies", "count")
 
     def __init__(
-        self, needs: str, applies: Callable[[Shape, int], bool], count: Callable[[Shape, int], int]
+        self,
+        needs: str,
+        applies: "Callable[[Shape, int], bool]",
+        count: "Callable[[Shape, int], int]",
     ) -> None:
         self._set(needs, applies, count)
 
@@ -257,6 +260,14 @@ AUTO_ORDER = ("closed", "general", "hlf", "dp")
 PARTNER_ORDER = ("dp", "hyper", "general", "hlf", "enum")
 
 
+def _note(line: str) -> None:
+    """Print one diagnostic line on stderr; a closed stderr loses only the line."""
+    try:
+        print(line, file=sys.stderr)
+    except BrokenPipeError:
+        pass
+
+
 def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[int | None, int]:
     """Count through METHODS: (count, EXIT_OK), or (None, status) after a report on stderr.
 
@@ -268,10 +279,10 @@ def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[int | None, int
     try:
         return METHODS[name](shape, size_cap), EXIT_OK
     except OverflowError as exc:
-        print(f"error: method {name!r} cannot count a shape this large: {exc}", file=sys.stderr)
+        _note(f"error: method {name!r} cannot count a shape this large: {exc}")
         return None, EXIT_METHOD
     except ArithmeticError as exc:
-        print(f"error: inconsistent count from {name}: {exc}", file=sys.stderr)
+        _note(f"error: inconsistent count from {name}: {exc}")
         return None, EXIT_MISMATCH
 
 
@@ -386,7 +397,7 @@ def _run(argv) -> int:
     try:
         args = _parse_args(argv)
     except _UsageError as exc:
-        print(f"{USAGE}\nbattery-syt: error: {exc}", file=sys.stderr)
+        _note(f"{USAGE}\nbattery-syt: error: {exc}")
         return EXIT_PARSE
     if args is None:
         print(HELP, end="")
@@ -396,7 +407,7 @@ def _run(argv) -> int:
     try:
         shape = parse_shape_expr(expr)
     except ShapeParseError as exc:
-        print(f"error: cannot parse {expr!r}: {exc}", file=sys.stderr)
+        _note(f"error: cannot parse {expr!r}: {exc}")
         return EXIT_PARSE
 
     method = args["method"]
@@ -404,14 +415,14 @@ def _run(argv) -> int:
         method = _first_applicable(shape, AUTO_ORDER, size_cap) or "dp"
     if not REGISTRY[method].applies(shape, size_cap):
         needs = REGISTRY[method].needs.format(size_cap=size_cap, size=_shape_size(shape))
-        print(f"error: method {method!r} not applicable: it needs {needs}", file=sys.stderr)
+        _note(f"error: method {method!r} not applicable: it needs {needs}")
         return EXIT_METHOD
     partner = None
     if args["verify"]:
         # refuse before counting, so a shape with no partner costs no primary count
         partner = _first_applicable(shape, PARTNER_ORDER, size_cap, skip=method)
         if partner is None:
-            print(f"error: no second method available to verify {expr!r}", file=sys.stderr)
+            _note(f"error: no second method available to verify {expr!r}")
             return EXIT_METHOD
     started = time.perf_counter()
     count, status = _run_method(method, shape, size_cap)
@@ -423,12 +434,9 @@ def _run(argv) -> int:
         if status:
             return status
         if check != count:
-            print(
-                f"error: verification mismatch: {method} gives {count}, {partner} gives {check}",
-                file=sys.stderr,
-            )
+            _note(f"error: verification mismatch: {method} gives {count}, {partner} gives {check}")
             return EXIT_MISMATCH
-        print(f"verified: {method} == {partner}", file=sys.stderr)
+        _note(f"verified: {method} == {partner}")
 
     if args["output"] == "decimal":
         print(count)
@@ -454,7 +462,8 @@ def _run(argv) -> int:
 
 def main(argv=None) -> int:
     """Run the command line ``argv`` (by default the process's) and return its
-    exit status; the interpreter stays up. A closed stdout is status 1."""
+    exit status; the interpreter stays up. A closed stdout is status 1; a
+    closed stderr loses only the diagnostics."""
     try:
         status = run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
@@ -477,7 +486,10 @@ def console() -> None:
     """
     status = main()
     sys.stdout.flush()
-    sys.stderr.flush()
+    try:
+        sys.stderr.flush()
+    except BrokenPipeError:  # a closed stderr loses only the diagnostics
+        pass
     os._exit(status)
 
 

@@ -28,7 +28,6 @@ integers and never load it. Binomials and rising factorials are ``math.comb``
 and ``math.perm``, so no route loads the factoring module.
 """
 
-from collections.abc import Callable
 from itertools import accumulate, repeat
 from math import comb as binomial  # every binomial here; a binding that span tracing rebinds
 from math import factorial, perm, prod
@@ -107,7 +106,7 @@ def count_hyper(m: int, n: int, a: int, k: int) -> int:
 
 
 # the paper's columns 2..6 as counters of (m, n, a); count_hyper takes any column
-COUNT_BY_COLUMN: dict[int, Callable[[int, int, int], int]] = {
+COUNT_BY_COLUMN: "dict[int, Callable[[int, int, int], int]]" = {
     k: (lambda m, n, a, k=k: count_hyper(m, n, a, k)) for k in range(2, 7)
 }
 
@@ -212,7 +211,7 @@ class ClosedFormCase(Record):
 
     __slots__ = ("case_id", "ratio")
 
-    def __init__(self, case_id: str, ratio: Callable[..., tuple[int, int]]) -> None:
+    def __init__(self, case_id: str, ratio: "Callable[..., tuple[int, int]]") -> None:
         self._set(case_id, ratio)
 
     @property

@@ -3,16 +3,17 @@ generalization.
 
 All series here terminate because some numerator parameter is a non-positive
 integer. Every series is taken at argument 1, as all of the paper's are, and
-values are exact ``Fraction``s. The series walk is integer Horner: each
-level's step ratios are integer numerator/denominator pairs, the level's sum
-is folded from the tail as one integer fraction, reduced once per level value,
-and only the top level becomes a ``Fraction``. A nested sum's affine
-parameters are compiled once per call into sparse groups, with equal
-parameters merged.
+values are exact ``Fraction``s. One rule bounds every level: it stops at
+``termination_index`` of its numerators, and an inner level also at its outer
+index, as if minus that index were one more numerator. The series walk is
+integer Horner: each level's sum is folded from the tail as one integer
+fraction, reduced once per level value, with each step ratio computed where
+it is used; only the top level becomes a ``Fraction``.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import _EXPORTS, Record
 
@@ -38,35 +39,12 @@ class PFQParams(Record):
 
 def termination_index(numerators) -> int:
     """Last non-vanishing summation index: the smallest |a| over non-positive numerators."""
-    cap = min((-a for a in numerators if a <= 0), default=None)
-    if cap is None:
+    caps = [-a for a in numerators if a <= 0]
+    if not caps:
         raise NonTerminatingSeriesError(
             f"no non-positive integer among numerators {tuple(numerators)}"
         )
-    return cap
-
-
-def _ratios(nums, dens, bound: int):
-    """Yield the step ratios t_{j+1}/t_j = prod(a+j) / (prod(b+j)*(j+1)) as int pairs.
-
-    The walk takes steps j = 0..bound-1, and callers take the bound no larger
-    than the smallest |a| over non-positive numerators. So no numerator factor
-    a+j vanishes on the walk, every term it reaches is nonzero, and a vanishing
-    denominator factor there is an error.
-    """
-    for j in range(bound):
-        den = j + 1
-        for b in dens:
-            den *= b + j
-        if den == 0:
-            zero = next(b for b in dens if b + j == 0)
-            raise ZeroDenominatorFactorError(
-                f"denominator factor {zero} vanished at step {j} of {bound}"
-            )
-        num = 1
-        for a in nums:
-            num *= a + j
-        yield num, den
+    return min(caps)
 
 
 def eval_pfq(params: PFQParams) -> Fraction:
@@ -91,7 +69,7 @@ class AffineParam(Record):
         self._set(const, coeffs)
 
     def at(self, outer: tuple[int, ...]) -> int:
-        return self.const + sum(c * x for c, x in zip(self.coeffs, outer))
+        return sum(map(mul, self.coeffs, outer), self.const)
 
 
 class PFQLevel(Record):
@@ -105,50 +83,37 @@ class PFQLevel(Record):
         self._set(numerators, denominators)
 
 
-def _compile(params) -> tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]:
-    """Sparse (const, ((index, coeff), ...), multiplicity) groups; equal parameters merge."""
-    counts: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
-    for p in params:
-        key = (p.const, tuple((i, c) for i, c in enumerate(p.coeffs) if c))
-        counts[key] = counts.get(key, 0) + 1
-    return tuple((const, terms, mult) for (const, terms), mult in counts.items())
+def _level_sum(levels, outer: tuple[int, ...]) -> tuple[int, int]:
+    """Numerator and denominator of level ``len(outer)``'s sum at the outer indices
+    ``outer``; 1 below the last level, and at an outer index 0, where this level
+    and every one below it stop at their first term.
 
-
-def _at(groups, outer: tuple[int, ...]) -> list[int]:
-    """Parameter values at the outer indices, each repeated by its multiplicity."""
-    values = []
-    for const, terms, mult in groups:
-        for i, k in terms:
-            const += k * outer[i]
-        values += (const,) * mult
-    return values
-
-
-def _level_sum(levels, index: int, outer: tuple[int, ...]) -> tuple[int, int]:
-    """Numerator and denominator of level ``index``'s sum at the outer indices ``outer``.
-
-    Horner from the tail: with inner values p_j/q_j (1 at the last level) and
-    step ratios num_j/den_j, P/Q <- p_j/q_j + num_j/den_j * P/Q, all in
-    integers, reduced once at the end.
+    Bounded by the one rule above, the walk meets no vanishing numerator factor
+    a+j, so every term it reaches is nonzero and a vanishing denominator factor
+    there is an error. Horner from the tail: with inner values p_j/q_j and step
+    ratios t_{j+1}/t_j = num_j/den_j = prod(a+j) / ((j+1)*prod(b+j)),
+    P/Q <- p_j/q_j + num_j/den_j * P/Q, all in integers, reduced once at the end.
     """
-    nums, dens = levels[index]
-    nums, dens = _at(nums, outer), _at(dens, outer)
-    if index == 0:
-        bound = termination_index(nums)
-    else:
-        bound = min([outer[-1]] + [-a for a in nums if a <= 0])
-    ratios = list(_ratios(nums, dens, bound))
-    if index == len(levels) - 1:
-        P = Q = 1
-        for num, den in reversed(ratios):
-            P, Q = P * num + Q * den, Q * den
-    else:
-        inner = index + 1
-        P, Q = _level_sum(levels, inner, outer + (len(ratios),))
-        for j in range(len(ratios) - 1, -1, -1):
-            num, den = ratios[j]
-            p, q = _level_sum(levels, inner, outer + (j,))
-            P, Q = p * den * Q + num * P * q, q * den * Q
+    if len(outer) == len(levels) or outer[-1:] == (0,):
+        return 1, 1
+    level = levels[len(outer)]
+    nums = [p.at(outer) for p in level.numerators]
+    dens = [p.at(outer) for p in level.denominators]
+    bound = termination_index(nums + [-x for x in outer[-1:]])
+    P, Q = _level_sum(levels, outer + (bound,))
+    for j in range(bound - 1, -1, -1):
+        num, den = 1, j + 1
+        for a in nums:
+            num *= a + j
+        for b in dens:
+            den *= b + j
+        if den == 0:
+            zero = next(b for b in dens if b + j == 0)
+            raise ZeroDenominatorFactorError(
+                f"denominator factor {zero} vanished at step {j} of {bound}"
+            )
+        p, q = _level_sum(levels, outer + (j,))
+        P, Q = p * den * Q + num * P * q, q * den * Q
     g = gcd(P, Q)
     return P // g, Q // g
 
@@ -161,7 +126,4 @@ def eval_multi_pfq(levels: tuple[PFQLevel, ...]) -> Fraction:
     level's parameters are affine in the outer indices m_0..m_{i-1}. Level 0
     must terminate through a non-positive numerator.
     """
-    if not levels:
-        return Fraction(1)
-    compiled = tuple((_compile(level.numerators), _compile(level.denominators)) for level in levels)
-    return Fraction(*_level_sum(compiled, 0, ()))
+    return Fraction(*_level_sum(levels, ()))

@@ -9,7 +9,6 @@ that walk a shape cell by cell live here too, so the CLI reads them without
 importing those counters.
 """
 
-from collections.abc import Iterable
 from math import factorial, prod
 
 from . import _EXPORTS, Record
@@ -24,7 +23,7 @@ ENUMERATION_CAP = 12
 Partition = tuple[int, ...]
 
 
-def as_partition(parts: Iterable[int]) -> Partition:
+def as_partition(parts: "Iterable[int]") -> Partition:
     """Canonicalize to a tuple: trailing zeros dropped, weakly decreasing, positive."""
     rows = tuple(int(x) for x in parts)
     while rows and rows[-1] == 0:

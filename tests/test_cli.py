@@ -140,21 +140,23 @@ def test_cli_import_leaves_dataclasses_inspect_and_json_unloaded():
 
 
 def test_a_count_without_site_leaves_typing_unloaded():
-    # site may load typing (and with it re, enum and functools) for its .pth
-    # files; the package must not, or a start-up without them pays for it
+    # site may load typing (and with it re, enum, functools and collections)
+    # for its .pth files; the package must not, or a start-up without them pays
+    # for it. Annotations name Callable and Iterable as strings, so nothing
+    # imports collections.abc
     probe = (
         "import sys\n"
         "import battery_syt.cli as cli\n"
-        "print('typing' in sys.modules)\n"
+        "print('typing' in sys.modules, 'collections' in sys.modules)\n"
         "cli.run(['count', 'battery:rect:14x14,a=5,k=6'])\n"
-        "print('typing' in sys.modules)\n"
+        "print('typing' in sys.modules, 'collections' in sys.modules)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=60, check=True,
     ).stdout.splitlines()
-    assert out == ["False", str(counting.count_general(14, 14, 5, 6)), "False"]
+    assert out == ["False False", str(counting.count_general(14, 14, 5, 6)), "False False"]
 
 
 @pytest.mark.parametrize(
@@ -442,6 +444,29 @@ def test_a_closed_stdout_exits_1_without_a_traceback(output):
         os.close(write_end)
     assert done.returncode == 1
     assert done.stderr == b""  # no traceback
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "PYTHONUNBUFFERED"])
+def test_a_closed_stderr_loses_only_the_diagnostics(unbuffered):
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # the read end is closed before the child writes its first byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        parse_error, verified = [
+            subprocess.run([sys.executable, "-m", "battery_syt.cli", "count", *args], env=env,
+                           stdout=subprocess.PIPE, stderr=write_end, timeout=30)
+            for args in (["partition:3,5"], ["battery:rect:3x2,a=1,k=2", "--verify"])
+        ]
+    finally:
+        os.close(write_end)
+    # each ends as it does with stderr open: the parse error's status, and the
+    # count after its lost "verified:" line
+    assert (parse_error.returncode, parse_error.stdout) == (2, b"")
+    assert (verified.returncode, verified.stdout) == (0, b"12\n")
 
 
 def test_verify_unavailable_exits_3(capsys, monkeypatch):
