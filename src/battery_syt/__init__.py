@@ -29,8 +29,7 @@ _EXPORTS = {
         "ZeroDenominatorFactorError", "eval_multi_pfq", "eval_pfq", "termination_index",
     ),
     "oracle": (
-        "BatteryTableau", "count_line_convex", "count_linear_extensions", "enumerate_syt",
-        "is_valid_tableau", "linear_extension_profile",
+        "conjugate_spans", "count_line_convex", "count_linear_extensions", "linear_extension_profile",
     ),
     "shapes": (
         "BatteryShape", "Partition", "SkewShape", "TruncatedShape", "as_partition",
@@ -77,7 +76,7 @@ def _lazy(module: str, name: str):
 class Record:
     """Immutable value whose fields are its class's ``__slots__``, in order: the
     base of every record type in the package (factorizations, series
-    parameters, shapes, catalog cases and tableaux).
+    parameters, shapes and catalog cases).
 
     Equality (same class only), hashing and the ``Name(field=value, ...)``
     repr go by the field values, as for a frozen dataclass; assignment and

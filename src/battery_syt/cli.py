@@ -26,7 +26,6 @@ import time
 from . import Record, _lazy
 from .shapes import (
     DEFAULT_SIZE_CAP,
-    ENUMERATION_CAP,
     BatteryShape,
     Partition,
     SkewShape,
@@ -42,8 +41,8 @@ count_general = _lazy("counting", "count_general")
 closed_form = _lazy("counting", "closed_form")
 match_closed_form = _lazy("counting", "match_closed_form")
 count_linear_extensions = _lazy("oracle", "count_linear_extensions")
-count_line_convex = _lazy("oracle", "count_line_convex")  # only span tracing uses it
-enumerate_syt = _lazy("oracle", "enumerate_syt")
+count_line_convex = _lazy("oracle", "count_line_convex")
+conjugate_spans = _lazy("oracle", "conjugate_spans")
 factorize = _lazy("arith", "factorize")
 
 __all__ = ["ShapeParseError", "parse_shape_expr", "run", "main", "console"]
@@ -188,8 +187,8 @@ def _shape_size(shape: Shape) -> int:
 
 
 def _with_spans(shape: Shape) -> SkewShape | TruncatedShape | BatteryShape:
-    """A straight partition as the battery with no extra cells, which the DP and
-    the enumerator take; other shapes unchanged."""
+    """A straight partition as the battery with no extra cells, which the DP
+    takes; other shapes unchanged."""
     return BatteryShape(shape, 0, 1) if isinstance(shape, tuple) else shape
 
 
@@ -240,11 +239,10 @@ REGISTRY = {
         lambda shape, size_cap: isinstance(shape, tuple),
         lambda shape, size_cap: syt_count_straight(shape),
     ),
-    "enum": Method(
-        f"a battery or partition of at most {ENUMERATION_CAP} cells",
-        lambda shape, size_cap: isinstance(shape, (tuple, BatteryShape))
-        and _shape_size(shape) <= ENUMERATION_CAP,
-        lambda shape, size_cap: len(enumerate_syt(_with_spans(shape))),
+    "conjugate": Method(
+        "at most {size_cap} cells (--size-cap), the shape has {size}",
+        lambda shape, size_cap: _shape_size(shape) <= size_cap,
+        lambda shape, size_cap: count_line_convex(conjugate_spans(_with_spans(shape).row_spans()), size_cap),
     ),
 }
 
@@ -255,9 +253,11 @@ METHODS = {name: method.count for name, method in REGISTRY.items()}
 # refusal; --verify checks against the first applicable other method, so a
 # rectangle battery counted by general is checked by dp up to the size cap and
 # by hyper above it; closed is never a partner, as hyper and general apply
-# wherever it does
+# wherever it does. A shape only the DP counts is checked by the DP on the
+# conjugate layout of its spans, which re-checks the spans, the tables and the
+# mixed-radix layout but not the recurrence
 AUTO_ORDER = ("closed", "general", "hlf", "dp")
-PARTNER_ORDER = ("dp", "hyper", "general", "hlf", "enum")
+PARTNER_ORDER = ("dp", "hyper", "general", "hlf", "conjugate")
 
 
 def _note(line: str) -> None:

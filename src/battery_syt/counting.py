@@ -28,6 +28,7 @@ integers and never load it. Binomials and rising factorials are ``math.comb``
 and ``math.perm``, so no route loads the factoring module.
 """
 
+import sys
 from itertools import accumulate, repeat
 from math import comb as binomial  # every binomial here; a binding that span tracing rebinds
 from math import factorial, perm, prod
@@ -97,10 +98,20 @@ def _levels(m: int, n: int, a: int, k: int) -> tuple["PFQLevel", ...]:
     return tuple(levels)
 
 
+# stack frames left to the callers of count_hyper when it checks a nest's depth
+_CALLER_FRAMES = 100
+
+
 def count_hyper(m: int, n: int, a: int, k: int) -> int:
     """Count for the battery above column 1 <= k <= m of an m-by-n rectangle:
-    the rectangle count times the (k-1)-level nested sum of ``_levels``."""
+    the rectangle count times the (k-1)-level nested sum of ``_levels``.
+
+    The series walk takes a stack frame per level, so a nest too deep for the
+    recursion limit, less ``_CALLER_FRAMES``, raises OverflowError before
+    ``_levels`` builds its O(k^3) coefficients."""
     _check_rect_args(m, n, a, k)
+    if k + _CALLER_FRAMES > sys.getrecursionlimit():
+        raise OverflowError(f"a {k - 1}-level nested sum is deeper than the recursion limit allows")
     value = eval_multi_pfq(_levels(m, n, a, k))
     return _exact(rect_syt_count(m, n) * value.numerator, value.denominator, f"[({m}^{n}), {a}, {k}]")
 

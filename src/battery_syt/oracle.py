@@ -18,21 +18,16 @@ and those depend only on the filled counts of rows i-1, i and i+1, which are
 one mixed-radix digit of the new ideal. A table per row, built once per shape
 from the gates and indexed by that digit, gives both bits, so a new ideal's
 mask costs one division, one remainder and one lookup; about 0.7 µs a state
-on the largest battery the CLI verifies (CPython 3.11, 2-vCPU VM). Explicit
-enumeration follows the gate table directly.
+on the largest battery the CLI verifies (CPython 3.11, 2-vCPU VM).
 
 Every counting formula in the package is cross-checked against this module.
+A shape no formula counts is checked by the same DP on the conjugate layout
+of its spans (``conjugate_spans``): the ideals are the same, but the spans,
+the gate and open-bit tables and the mixed-radix places are all different.
 """
 
-from . import _EXPORTS, Record
-from .shapes import (
-    DEFAULT_SIZE_CAP,
-    ENUMERATION_CAP,
-    BatteryShape,
-    SkewShape,
-    TruncatedShape,
-    _check_line_convex,
-)
+from . import _EXPORTS
+from .shapes import DEFAULT_SIZE_CAP, BatteryShape, SkewShape, TruncatedShape, _check_line_convex
 
 __all__ = list(_EXPORTS["oracle"])
 
@@ -163,63 +158,21 @@ def count_line_convex(spans, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     return count
 
 
-class BatteryTableau(Record):
-    """A filled battery shape: the battery column top-down, then the base rows."""
+def conjugate_spans(spans) -> tuple[tuple[int, int], ...]:
+    """The row spans of a line-convex diagram's conjugate: each column with
+    cells becomes a row spanning the rows that cover it, so a battery's stacked
+    cells join the row of column k-1.
 
-    __slots__ = ("battery", "rows")
-
-    def __init__(self, battery: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> None:
-        self._set(battery, rows)
-
-
-def enumerate_syt(shape: BatteryShape, cap: int = ENUMERATION_CAP) -> list[BatteryTableau]:
-    """Explicitly build every tableau of a small battery shape."""
-    cells = shape.size
-    if cells > cap:
-        raise ValueError(f"enumeration is limited to {cap} cells, shape has {cells}")
-    spans = shape.row_spans()
-    gate = _gate_table(spans)
-    grid = [[0] * (stop - start) for start, stop in spans]
-    filled = [0] * len(spans)
-    found: list[BatteryTableau] = []
-
-    def place(value: int):
-        if value > cells:
-            battery = tuple(row[0] for row in grid[:shape.a])
-            found.append(BatteryTableau(battery, tuple(tuple(row) for row in grid[shape.a:])))
-            return
-        # the open rows are taken before the loop body changes `filled`
-        for i in [i for i, g in enumerate(gate) if (filled[i - 1] if i else 0) >= g[filled[i]]]:
-            grid[i][filled[i]] = value
-            filled[i] += 1
-            place(value + 1)
-            filled[i] -= 1
-            grid[i][filled[i]] = 0
-
-    place(1)
-    return found
-
-
-def is_valid_tableau(shape: BatteryShape, tableau: BatteryTableau) -> bool:
-    """Independent check of the filling rules: bijective entries, rows and columns
-    increasing, battery increasing, and battery bottom smaller than the cell it sits on."""
-    lam, a, k = shape.lam, shape.a, shape.k
-    if len(tableau.battery) != a or len(tableau.rows) != len(lam):
-        return False
-    if any(len(row) != lam[i] for i, row in enumerate(tableau.rows)):
-        return False
-    entries = list(tableau.battery) + [x for row in tableau.rows for x in row]
-    if sorted(entries) != list(range(1, shape.size + 1)):
-        return False
-    for j in range(1, a):
-        if tableau.battery[j - 1] >= tableau.battery[j]:
-            return False
-    if a and lam and tableau.battery[-1] >= tableau.rows[0][k - 1]:
-        return False
-    for i, row in enumerate(tableau.rows):
-        for j in range(len(row)):
-            if j > 0 and row[j - 1] >= row[j]:
-                return False
-            if i > 0 and j < lam[i - 1] and tableau.rows[i - 1][j] >= row[j]:
-                return False
-    return True
+    A column without cells is dropped. No row crosses it, so the rows covering
+    the columns on its two sides are disjoint and no cell on one side sits
+    above a cell on the other. The tableaux and the order ideals, so both
+    numbers of ``_span_profile``, are those of the spans themselves.
+    """
+    # between two consecutive span ends every column lies in the same rows
+    ends = sorted({x for s, e in spans if e > s for x in (s, e)})
+    rows = []
+    for left, right in zip(ends, ends[1:]):
+        covering = [i for i, (s, e) in enumerate(spans) if s <= left < e]
+        if covering:
+            rows += [(covering[0], covering[-1] + 1)] * (right - left)
+    return tuple(rows)

@@ -4,9 +4,9 @@ A partition is a plain tuple of weakly decreasing positive row lengths.
 Skew, truncated, and battery shapes are small immutable records (``Record``;
 never tuples, so a tuple is always a straight partition) that canonicalize and
 validate their fields in ``__init__``; a record cannot change afterwards, so
-every shape that exists is valid. The cell limits of the counters
-that walk a shape cell by cell live here too, so the CLI reads them without
-importing those counters.
+every shape that exists is valid. The cell limit of the order-ideal DP, which
+walks a shape cell by cell, lives here too, so the CLI reads it without
+importing the DP.
 """
 
 from math import factorial, prod
@@ -15,10 +15,8 @@ from . import _EXPORTS, Record
 
 __all__ = list(_EXPORTS["shapes"])
 
-# cell limits of the order-ideal DP (the default of --size-cap) and of
-# explicit enumeration
+# cell limit of the order-ideal DP (the default of --size-cap)
 DEFAULT_SIZE_CAP = 120
-ENUMERATION_CAP = 12
 
 Partition = tuple[int, ...]
 

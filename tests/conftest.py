@@ -1,5 +1,6 @@
 """Shared combinatorial helpers for the test suite, the paper's hypergeometric
-identities as references, and a fresh-interpreter probe."""
+identities and explicit tableau enumeration as references, and a
+fresh-interpreter probe."""
 
 import ast
 import os
@@ -117,6 +118,75 @@ def reduce_3f2(a: int, b: int, c: int, e: int) -> Fraction:
         if weight != 0:
             total += weight * gauss_2f1_neg(ci, b + a - 1, ei)
     return total
+
+
+# Explicit enumeration, the reference the order-ideal DP is tested against: it
+# builds every tableau of a small battery by following the DP's gate table, and
+# an independent checker tests each filling against the definition.
+
+ENUMERATION_CAP = 12
+
+
+class BatteryTableau(Record):
+    """A filled battery shape: the battery column top-down, then the base rows."""
+
+    __slots__ = ("battery", "rows")
+
+    def __init__(self, battery: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> None:
+        self._set(battery, rows)
+
+
+def enumerate_syt(shape, cap=ENUMERATION_CAP):
+    """Explicitly build every tableau of a small battery shape."""
+    cells = shape.size
+    if cells > cap:
+        raise ValueError(f"enumeration is limited to {cap} cells, shape has {cells}")
+    spans = shape.row_spans()
+    gate = _gate_table(spans)
+    grid = [[0] * (stop - start) for start, stop in spans]
+    filled = [0] * len(spans)
+    found = []
+
+    def place(value):
+        if value > cells:
+            battery = tuple(row[0] for row in grid[:shape.a])
+            found.append(BatteryTableau(battery, tuple(tuple(row) for row in grid[shape.a:])))
+            return
+        # the open rows are taken before the loop body changes `filled`
+        for i in [i for i, g in enumerate(gate) if (filled[i - 1] if i else 0) >= g[filled[i]]]:
+            grid[i][filled[i]] = value
+            filled[i] += 1
+            place(value + 1)
+            filled[i] -= 1
+            grid[i][filled[i]] = 0
+
+    place(1)
+    return found
+
+
+def is_valid_tableau(shape, tableau):
+    """Independent check of the filling rules: bijective entries, rows and columns
+    increasing, battery increasing, and battery bottom smaller than the cell it sits on."""
+    lam, a, k = shape.lam, shape.a, shape.k
+    if len(tableau.battery) != a or len(tableau.rows) != len(lam):
+        return False
+    if any(len(row) != lam[i] for i, row in enumerate(tableau.rows)):
+        return False
+    entries = list(tableau.battery) + [x for row in tableau.rows for x in row]
+    if sorted(entries) != list(range(1, shape.size + 1)):
+        return False
+    for j in range(1, a):
+        if tableau.battery[j - 1] >= tableau.battery[j]:
+            return False
+    if a and lam and tableau.battery[-1] >= tableau.rows[0][k - 1]:
+        return False
+    for i, row in enumerate(tableau.rows):
+        for j in range(len(row)):
+            if j > 0 and row[j - 1] >= row[j]:
+                return False
+            if i > 0 and j < lam[i - 1] and tableau.rows[i - 1][j] >= row[j]:
+                return False
+    return True
 
 
 def partitions_of(n, largest=None):

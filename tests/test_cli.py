@@ -94,8 +94,8 @@ def test_documented_invocation_partition(capsys):
 def test_documented_invocation_verified_dp(capsys):
     for argv, pair in (
         (["battery:rect:2x2,a=1,k=2", "--method", "dp"], "dp == hyper"),
-        # a battery over another base of at most 12 cells is checked by enumeration
-        (["battery:part:2,1,a=1,k=2"], "dp == enum"),
+        # a battery over another base is checked by the DP on its conjugate layout
+        (["battery:part:2,1,a=1,k=2"], "dp == conjugate"),
     ):
         status = cli.run(["count", *argv, "--verify"])
         captured = capsys.readouterr()
@@ -179,6 +179,10 @@ def test_a_count_without_site_leaves_typing_unloaded():
         (["skew:12,12,11,10/1", "--method", "dp"], {"battery_syt.oracle"},
          {"battery_syt.counting", "battery_syt.arith", "battery_syt.hypergeom", "fractions",
           "decimal"}),
+        # the partner of a shape only the DP counts is the DP again, on the conjugate layout
+        (["skew:12,12,11,10/1", "--verify"], {"battery_syt.oracle"},
+         {"battery_syt.counting", "battery_syt.arith", "battery_syt.hypergeom", "fractions",
+          "decimal"}),
         (["battery:rect:8x9,a=5,k=3", "--method", "hyper"],
          {"battery_syt.counting", "battery_syt.hypergeom", "fractions"},
          {"battery_syt.arith", "battery_syt.oracle"}),
@@ -189,8 +193,8 @@ def test_a_count_without_site_leaves_typing_unloaded():
          {"battery_syt.counting", "battery_syt.arith"},
          {"battery_syt.hypergeom", "battery_syt.oracle", "fractions"}),
     ],
-    ids=["closed", "closed-k2-a2", "closed-k2-a3", "closed-k3-n2", "general", "dp", "hyper", "hlf",
-         "factored"],
+    ids=["closed", "closed-k2-a2", "closed-k2-a3", "closed-k3-n2", "general", "dp", "dp-verify", "hyper",
+         "hlf", "factored"],
 )
 def test_a_count_loads_only_its_route(argv, loads, leaves, capsys):
     out, loaded = run_fresh(f"import battery_syt.cli as cli\ncli.run(['count', *{argv!r}])")
@@ -250,9 +254,12 @@ def test_cli_accepts_both_value_forms_on_either_side_of_the_shape(argv, capsys):
     (["count", "rect:2x2", "--method"], "argument --method: expected a value"),
     (["count", "rect:2x2", "--method", "bogus"],
      "argument --method: invalid choice 'bogus' (choose from auto, hyper, general, closed, dp)"),
-    # enum is a registry route, but not one the CLI runs as the primary count
+    # no route is named enum
     (["count", "rect:2x2", "--method=enum"],
      "argument --method: invalid choice 'enum' (choose from auto, hyper, general, closed, dp)"),
+    # conjugate is a registry route, but only a --verify partner
+    (["count", "rect:2x2", "--method=conjugate"],
+     "argument --method: invalid choice 'conjugate' (choose from auto, hyper, general, closed, dp)"),
     (["count", "rect:2x2", "--output", "xml"],
      "argument --output: invalid choice 'xml' (choose from decimal, factored, json)"),
     (["count", "rect:2x2", "--size-cap", "-1"], "argument --size-cap: must be non-negative, got -1"),
@@ -266,7 +273,7 @@ def test_cli_accepts_both_value_forms_on_either_side_of_the_shape(argv, capsys):
     (["count", "--verify"], "expected one SHAPE, got none"),
     (["count", "rect:2x2", "rect:3x3"], "expected one SHAPE, got 'rect:2x2', 'rect:3x3'"),
 ], ids=["unknown", "abbreviated", "dash-number", "method-missing", "method-bad", "method-enum",
-        "output-bad", "cap-negative", "cap-negative-joined", "cap-not-int", "cap-missing",
+        "method-conjugate", "output-bad", "cap-negative", "cap-negative-joined", "cap-not-int", "cap-missing",
         "flag-value", "no-command", "other-command", "no-shape", "only-a-flag", "two-shapes"])
 def test_cli_refuses_a_malformed_command_line_with_usage_and_exit_2(argv, why, capsys):
     assert cli.run(argv) == 2
@@ -428,6 +435,19 @@ def test_a_straight_shape_past_machine_size_exits_3_within_5_s(args, route):
     assert done.stderr.startswith(f"error: method {route!r} cannot count a shape this large: ")
 
 
+def test_a_nest_too_deep_for_the_recursion_limit_exits_3_within_5_s():
+    # the series walk takes a frame per level; the nest is refused before its
+    # O(k^3) coefficients are built
+    done = _count_in_a_fresh_process("battery:rect:1000x1,a=1,k=1000", "--method", "hyper")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: method 'hyper' cannot count a shape this large: "
+        "a 999-level nested sum is deeper than the recursion limit allows\n"
+    )
+    done = _count_in_a_fresh_process("battery:rect:150x1,a=1,k=150", "--method", "hyper")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "150\n", "")
+
+
 @pytest.mark.parametrize("output", ["decimal", "factored", "json"])
 def test_a_closed_stdout_exits_1_without_a_traceback(output):
     argv = [sys.executable, "-m", "battery_syt.cli", "count", "battery:rect:11x7,a=1,k=6", "--output", output]
@@ -470,13 +490,23 @@ def test_a_closed_stderr_loses_only_the_diagnostics(unbuffered):
 
 
 def test_verify_unavailable_exits_3(capsys, monkeypatch):
-    # a 13-cell skew shape has no second independent method; refused before
-    # the primary dp count runs
-    dp_calls = []
-    monkeypatch.setitem(cli.METHODS, "dp", lambda shape, size_cap: dp_calls.append(shape))
-    assert cli.run(["count", "skew:5,4,3,1/1", "--verify"]) == 3
+    # a partition above the dp size cap has no second method; refused before
+    # the primary hlf count runs
+    hlf_calls = []
+    monkeypatch.setitem(cli.METHODS, "hlf", lambda shape, size_cap: hlf_calls.append(shape))
+    assert cli.run(["count", "partition:130", "--verify"]) == 3
     assert "no second method" in capsys.readouterr().err
-    assert dp_calls == []
+    assert hlf_calls == []
+
+
+@pytest.mark.parametrize("expr, count", [
+    ("skew:12,12,11,10/1", "144882236918722960800"),
+    ("truncated:5,5,2,1\\2", "530"),
+    ("battery:part:5,4,3,a=2,k=2", "9744"),
+])
+def test_a_shape_only_the_dp_counts_is_verified_on_its_conjugate_layout(expr, count, capsys):
+    assert cli.run(["count", expr, "--verify"]) == 0
+    assert capsys.readouterr() == (f"{count}\n", "verified: dp == conjugate\n")
 
 
 def test_general_verified_by_hyper_above_the_dp_cap(capsys):
@@ -647,10 +677,10 @@ def shape_exprs(draw):
 
 @st.composite
 def count_flags(draw):
-    """Random --method ("enum" is a registry name the CLI refuses), --output, --verify and --size-cap."""
+    """Random --method ("conjugate" is a registry name the CLI refuses), --output, --verify and --size-cap."""
     flags = []
     if draw(st.booleans()):
-        flags += ["--method", draw(st.sampled_from(["auto", "hyper", "general", "closed", "dp", "enum"]))]
+        flags += ["--method", draw(st.sampled_from(["auto", "hyper", "general", "closed", "dp", "conjugate"]))]
     if draw(st.booleans()):
         flags += ["--output", draw(st.sampled_from(["decimal", "factored", "json"]))]
     if draw(st.booleans()):

@@ -7,17 +7,21 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 
 from battery_syt import cli
 from battery_syt.oracle import (
-    BatteryTableau,
     _capped,
     _span_profile,
+    conjugate_spans,
     count_line_convex,
     count_linear_extensions,
-    enumerate_syt,
-    is_valid_tableau,
     linear_extension_profile,
 )
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape, syt_count_straight
-from conftest import all_partitions_up_to, span_profile_by_two_tests
+from conftest import (
+    BatteryTableau,
+    all_partitions_up_to,
+    enumerate_syt,
+    is_valid_tableau,
+    span_profile_by_two_tests,
+)
 
 
 def _brute_force_extensions(spans):
@@ -349,3 +353,33 @@ def larger_span_shapes(draw):
 @example(_capped(SkewShape((5, 5), (5, 5)).row_spans(), 40))  # no cells at all
 def test_dp_matches_the_two_test_reference(spans):
     assert _span_profile(spans) == span_profile_by_two_tests(spans), spans
+
+
+def test_conjugate_spans_known_layouts():
+    # the stacked cell joins column 1's row; the empty columns 1 and 2 are dropped
+    assert conjugate_spans(BatteryShape((2, 2), 1, 2).row_spans()) == ((1, 3), (0, 3))
+    assert conjugate_spans(SkewShape((5, 5, 1), (3, 3)).row_spans()) == ((2, 3), (0, 2), (0, 2))
+    assert conjugate_spans(SkewShape((3, 3), (3, 1)).row_spans()) == ((1, 2), (1, 2))  # row 0 empty
+    assert conjugate_spans(((10**9, 10**9 + 2), (10**9, 10**9 + 1))) == ((0, 2), (0, 1))
+    assert conjugate_spans(()) == conjugate_spans(((4, 4),)) == ()
+
+
+def _spans_of(expr):
+    return _capped(cli._with_spans(cli.parse_shape_expr(expr)).row_spans(), 120)
+
+
+@settings(max_examples=150, deadline=None)
+@given(larger_span_shapes())
+@example(_spans_of("skew:5,5,1/3,3"))  # disconnected, with empty columns between
+@example(_spans_of("skew:7,7,4,4,1,1/5,5,2,2"))  # three parts, empty columns between each
+@example(_spans_of("skew:4,3,2/3,3"))  # an empty middle row
+@example(_spans_of("battery:part:3,1,a=4,k=3"))  # stacked cells over a one-row column
+@example(_spans_of("skew:5,5/5,5"))  # no cells at all
+# shapes no formula counts; the last is the dp-verify workload's largest battery
+# over a base other than a rectangle
+@example(_spans_of("skew:12,12,11,10/1"))
+@example(_spans_of("truncated:5,5,2,1\\2"))
+@example(_spans_of("battery:part:5,4,3,a=2,k=2"))
+@example(_spans_of("battery:part:11,11,9,4,4,2,a=4,k=8"))
+def test_conjugate_layout_has_the_same_tableaux_and_ideals(spans):
+    assert _span_profile(conjugate_spans(spans)) == _span_profile(spans), spans

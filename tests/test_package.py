@@ -23,8 +23,7 @@ EXPORTS = {
         "ZeroDenominatorFactorError", "eval_multi_pfq", "eval_pfq", "termination_index",
     ),
     "oracle": (
-        "BatteryTableau", "count_line_convex", "count_linear_extensions", "enumerate_syt",
-        "is_valid_tableau", "linear_extension_profile",
+        "conjugate_spans", "count_line_convex", "count_linear_extensions", "linear_extension_profile",
     ),
     "shapes": (
         "BatteryShape", "Partition", "SkewShape", "TruncatedShape", "as_partition",

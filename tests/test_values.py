@@ -13,9 +13,8 @@ import pytest
 from battery_syt.arith import Factorization
 from battery_syt.counting import ClosedFormCase
 from battery_syt.hypergeom import AffineParam, PFQLevel, PFQParams
-from battery_syt.oracle import BatteryTableau
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape
-from conftest import ContiguousDecomposition
+from conftest import BatteryTableau, ContiguousDecomposition
 
 # (record built from keyword arguments, the same fields positionally, its repr)
 CASES = [
