@@ -13,7 +13,8 @@ check each other:
   both subtableau counts are products over the profile's shifted column
   heights, and Heine's identity turns the sum over all profiles into one
   r-by-r Hankel determinant of moments, a polynomial in a marking variable y.
-  It is evaluated at rn+1 integers by fraction-free elimination and
+  Its known factor (1+y)^(r max(n-c, 0)), c = m-k+1, is divided out, and the
+  rest is evaluated at r min(n, c)+1 integers by fraction-free elimination and
   interpolated exactly, so the work is polynomial in m, n and k rather than
   the C(n+k-1, k-1) profiles the sum has;
 * the closed-form catalog: multiplicative formulas, over the rectangle count,
@@ -85,9 +86,9 @@ def _levels(m: int, n: int, a: int, k: int) -> tuple["PFQLevel", ...]:
     from .hypergeom import AffineParam, PFQLevel
 
     levels = []
+    outer = []  # (j, x_j's coefficient tuple) for each outer level j < i, built once and shared
     for i in range(k - 1):
         sum_x = (1,) * i
-        outer = [(j, (0,) * j + (-1,)) for j in range(i)]
         levels.append(PFQLevel(
             numerators=(AffineParam(a, sum_x), AffineParam(m - i), AffineParam(-n - i))
             + tuple(AffineParam(-(i - 1 - j), x_j) for j, x_j in outer for _ in range(2)),
@@ -95,6 +96,7 @@ def _levels(m: int, n: int, a: int, k: int) -> tuple["PFQLevel", ...]:
             + tuple(AffineParam(-(i - j), x_j) for j, x_j in outer for _ in range(2))
             + (AffineParam(1),),
         ))
+        outer.append((i, (0,) * i + (-1,)))
     return tuple(levels)
 
 
@@ -170,12 +172,20 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     as D(y) = det[mu_{i+j}(y)], mu_p(y) = sum_x x^p W(x) y^x. D(y) / y^C(r,2)
     is an integer polynomial E of degree rn with coefficients e_s, so the count
     is C_fix sum_s e_s (a)_s (mn-s)! / N!^r.
+
+    W is the Krawtchouk weight C(N, x) y^x times a degree-c polynomial,
+    c = m-k+1, and Christoffel's formula for it puts a known factor in E:
+    E = (1+y)^A Q with A = r max(n-c, 0), so Q, of degree r min(n, c), is
+    interpolated instead, from r min(n, c) + 1 values (every division is
+    checked). Chu-Vandermonde, sum_t C(A,t) (b)_t (M-t)! = (M+b)! (M-A)! / (M+b-A)!,
+    turns the sum over e into (mn+a)! / (mn+a-A)! sum_j q_j (a)_j (mn-A-j)!.
     """
     _check_rect_args(m, n, a, k)
     context = f"[({m}^{n}), {a}, {k}]"
     r = k - 1
     big = n + r - 1
-    deg = r * n
+    known = r * max(n - (m - k + 1), 0)  # A: (1+y)^A divides E
+    deg = r * n - known
     shift = r * (r - 1) // 2
     # the coefficient rows of mu_0 .. mu_{2r-2}: x^p W(x)
     table = [_weights(m, n, k)]
@@ -185,27 +195,25 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     for y in range(1, deg + 2):
         powers = list(accumulate(repeat(y, big), mul, initial=1))
         moments = [sum(map(mul, row, powers)) for row in table]
-        values.append(_exact(_hankel_det(moments, r, context), y**shift, context))
-    # forward differences at y = 1 give E in the basis (y-1)(y-2)...(y-j);
+        values.append(_exact(_hankel_det(moments, r, context), y**shift * (y + 1) ** known, context))
+    # forward differences at y = 1 give Q in the basis (y-1)(y-2)...(y-j);
     # an integer polynomial has its j-th difference divisible by j!
     newton = []
-    scale = 1
     for j in range(deg + 1):
-        newton.append(_exact(values[0], scale, context))
+        newton.append(_exact(values[0], factorial(j), context))
         values = [hi - lo for lo, hi in zip(values, values[1:])]
-        scale *= j + 1
     # Horner in that basis, expanding to monomial coefficients, lowest first
     coeffs = [newton[deg]]
     for j in range(deg - 1, -1, -1):
         coeffs = [hi - (j + 1) * lo for hi, lo in zip([newton[j]] + coeffs, coeffs + [0])]
-    # sum_s e_s (a)_s (mn-s)! / (mn-deg)!, nested over s so no (mn-s)! is formed
-    cells = m * n
+    # sum_j q_j (a)_j (mn-A-j)! / (mn-A-deg)!, nested over j so no (mn-A-j)! is formed
+    cells = m * n - known
     total = 0
     rising = 1
-    for s, e in enumerate(coeffs):
-        total = total * (cells - s + 1) + e * rising
-        rising *= a + s
-    num = total * factorial(cells - deg) * prod(factorial(d) for d in range(1, m - k + 1))
+    for j, q in enumerate(coeffs):
+        total = total * (cells - j + 1) + q * rising
+        rising *= a + j
+    num = total * factorial(cells - deg) * perm(m * n + a, known) * prod(map(factorial, range(1, m - k + 1)))
     den = prod(factorial(f) for f in range(n + k - 1, n + m)) * factorial(big) ** r
     return _exact(num, den, context)
 

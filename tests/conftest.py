@@ -1,17 +1,20 @@
 """Shared combinatorial helpers for the test suite, the paper's hypergeometric
-identities and explicit tableau enumeration as references, and a
-fresh-interpreter probe."""
+identities, explicit tableau enumeration and the all-points Hankel count as
+references, and a fresh-interpreter probe."""
 
 import ast
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, factorial, prod
+from operator import mul
 from pathlib import Path
 
 import battery_syt
 from battery_syt import Record
+from battery_syt.counting import _check_rect_args, _exact, _hankel_det, _weights
 from battery_syt.hypergeom import PFQParams, eval_pfq
 from battery_syt.oracle import _gate_table
 from battery_syt.shapes import conjugate, rotated_complement, syt_count_straight
@@ -252,6 +255,46 @@ def general_by_profiles(m, n, a, k):
             * syt_count_straight(rotated_complement(m, n, bullet_rows))
         )
     return total
+
+
+def general_all_points(m, n, a, k):
+    """Reference for ``count_general``: the same Hankel determinant, interpolated
+    as the whole polynomial E of degree rn from rn+1 values, without dividing
+    out its known factor (1+y)^A, and folded over all mn cells.
+    """
+    _check_rect_args(m, n, a, k)
+    context = f"[({m}^{n}), {a}, {k}]"
+    r = k - 1
+    big = n + r - 1
+    deg = r * n
+    shift = r * (r - 1) // 2
+    table = [_weights(m, n, k)]
+    for _ in range(2 * r - 2):
+        table.append(list(map(mul, range(big + 1), table[-1])))
+    values = []
+    for y in range(1, deg + 2):
+        powers = list(accumulate(repeat(y, big), mul, initial=1))
+        moments = [sum(map(mul, row, powers)) for row in table]
+        values.append(_exact(_hankel_det(moments, r, context), y**shift, context))
+    newton = []
+    scale = 1
+    for j in range(deg + 1):
+        newton.append(_exact(values[0], scale, context))
+        values = [hi - lo for lo, hi in zip(values, values[1:])]
+        scale *= j + 1
+    coeffs = [newton[deg]]
+    for j in range(deg - 1, -1, -1):
+        coeffs = [hi - (j + 1) * lo for hi, lo in zip([newton[j]] + coeffs, coeffs + [0])]
+    # sum_s e_s (a)_s (mn-s)! / (mn-deg)!
+    cells = m * n
+    total = 0
+    rising = 1
+    for s, e in enumerate(coeffs):
+        total = total * (cells - s + 1) + e * rising
+        rising *= a + s
+    num = total * factorial(cells - deg) * prod(factorial(d) for d in range(1, m - k + 1))
+    den = prod(factorial(f) for f in range(n + k - 1, n + m)) * factorial(big) ** r
+    return _exact(num, den, context)
 
 
 def span_profile_by_two_tests(spans):

@@ -21,7 +21,7 @@ from battery_syt import cli, counting
 from battery_syt.cli import parse_shape_expr
 from battery_syt.oracle import count_linear_extensions
 from battery_syt.shapes import BatteryShape
-from conftest import bullet_profiles, general_by_profiles
+from conftest import bullet_profiles, general_all_points, general_by_profiles
 
 
 def test_rect_syt_count():
@@ -118,6 +118,36 @@ def test_general_pinned_at_40x40():
     assert len(count) == 1957
     assert hashlib.sha256(count.encode()).hexdigest() == (
         "2e249008a18d3fb2c58a3bf447fe1066358ff15497f2262032cddcab7fdc0c13"
+    )
+
+
+def test_general_matches_all_points_reference():
+    # dividing out the known factor (1+y)^A changes the points and the fold, not the count
+    for m in range(1, 11):
+        for n in range(1, 11):
+            for k in range(1, m + 1):
+                for a in (0, 2):
+                    assert count_general(m, n, a, k) == general_all_points(m, n, a, k), (m, n, a, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(1, 12), st.integers(0, 6), st.integers(1, m))))
+def test_general_matches_all_points_reference_property(coords):
+    assert count_general(*coords) == general_all_points(*coords), coords
+
+
+def test_general_interpolates_only_the_unknown_factor(monkeypatch):
+    # at 20x20 k=20, r = 19 and c = 1: E has degree rn = 380 and the factor
+    # (1+y)^361, so the quotient takes 20 determinants instead of 381
+    calls = []
+    hankel_det = counting._hankel_det
+    monkeypatch.setattr(counting, "_hankel_det", lambda *args: calls.append(args) or hankel_det(*args))
+    count = str(count_general(20, 20, 3, 20))
+    assert len(calls) == 20
+    assert len(count) == 375
+    assert hashlib.sha256(count.encode()).hexdigest() == (
+        "223b66b249ddbb794731224d076905746d43205cf046957d1eb489cfcd228c4b"
     )
 
 
