@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it; each row is also that
 # submodule's __all__
 _EXPORTS = {
-    "arith": ("Factorization", "factorize", "is_prime"),
+    "arith": ("Factorization", "FactorizationBudgetError", "factorize", "is_prime"),
     "counting": (
         "CLOSED_FORM_CASES", "COUNT_BY_COLUMN", "NonIntegerCountError", "closed_form",
         "count_general", "count_hyper", "match_closed_form", "rect_syt_count",

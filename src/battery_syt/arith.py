@@ -5,12 +5,19 @@ imports it, so it loads only for factored and JSON output.
 small primes come from its hook-length factorials and end near the size of
 the shape, so past 2**11 trial division stops at the end of the first octave
 [2**j, 2**(j+1)) that divides nothing. What is left is taken apart by an
-integer root when it is a perfect power, and by Brent's rho otherwise, and
-``is_prime`` (Miller-Rabin, exact below 3.3 * 10**24, BPSW above) checks every
-prime reported.
+integer root when it is a perfect power, and otherwise by Brent's rho, then
+(once, if rho's first slice of the work budget did not split it) Pollard's
+p-1 stage 1, then rho again. ``is_prime`` (Miller-Rabin, exact below
+3.3 * 10**24, BPSW above) checks every prime reported.
+
+The work past trial division is bounded by one fixed budget counted in
+modular multiplications, each weighted by its modulus's size in 64-bit
+words, never in clock time, so a count meets the same outcome on every
+machine. When it runs out, ``factorize`` raises ``FactorizationBudgetError``
+with the primes it proved and the cofactors it could not take apart.
 """
 
-from math import gcd, isqrt, log2
+from math import gcd, isqrt, log10, log2
 
 from . import _EXPORTS, Record
 
@@ -33,6 +40,22 @@ _TRIAL_BOUND = 1_000_000
 # is proven not to.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
+
+# The work one factorize call may do past trial division, in modular
+# multiplications each weighted by its modulus's size in 64-bit words; spent
+# on rho alone, it lasts 0.85 s on a 50-digit cofactor (2-vCPU VM).
+_BUDGET = 1 << 22
+# Rho's first slice on each composite cofactor, before p-1 runs once. The
+# costliest rho split of a pinned factorization, PSI12 = 399165290221 *
+# 798330580441, takes 61% of it.
+_RHO_SLICE = _BUDGET // 2
+# Pollard's p-1 stage 1 bound: it splits off a prime p whose p - 1 has no
+# prime-power factor above it.
+_PM1_BOUND = 120_000
+# is_prime's full test of a b-bit n costs about b modular multiplications per
+# Miller-Rabin base and 4b for the strong Lucas test; factorize charges it
+# before the test on every cofactor from _PSI13 on.
+_PRIME_TEST_MULTS = len(_MR_BASES) + 4
 
 
 def is_prime(n: int) -> bool:
@@ -150,11 +173,62 @@ class Factorization(Record):
         )
 
 
-def _brent_rho(n: int) -> int:
-    """Return a non-trivial factor of odd composite n (Brent's cycle variant).
+class FactorizationBudgetError(ArithmeticError):
+    """``factorize`` spent its work budget before every factor was proven prime.
 
-    Fixed starting values with an incrementing polynomial constant keep the
-    search deterministic across runs.
+    ``factors`` is the ``Factorization`` of the primes it proved;
+    ``composites`` and ``untested`` are the (cofactor, exponent) pairs it left,
+    each proven composite or, when the budget could not pay for its primality
+    test, untested. The three multiply back to the number factored.
+    """
+
+    def __init__(self, factors: Factorization, composites, untested) -> None:
+        self.factors, self.composites, self.untested = factors, tuple(composites), tuple(untested)
+        parts = [str(factors)] if factors.factors else []
+        for label, leftovers in (("a composite", self.composites), ("an untested cofactor", self.untested)):
+            parts += [f"{label} of {_digits(c)} digits" + (f" to the power {e}" if e > 1 else "")
+                      for c, e in leftovers]
+        super().__init__("factorization over budget: " + " times ".join(parts))
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of n >= 1, without ``str``, which refuses more than
+    4300 digits unless the caller lifts the limit."""
+    digits = int((n.bit_length() - 1) * log10(2)) + 1
+    return digits + (n >= 10 ** digits)
+
+
+class _Budget:
+    """The work one ``factorize`` call has spent past trial division, in
+    modular multiplications each weighted by its modulus's size in 64-bit
+    words."""
+
+    __slots__ = ("spent",)
+
+    def __init__(self) -> None:
+        self.spent = 0
+
+    def charge(self, mults: int, n: int) -> None:
+        self.spent += mults * -(-n.bit_length() // 64)
+
+    def afford(self, mults: int, n: int) -> bool:
+        """Charge ``mults`` multiplications modulo n if what is left of the
+        budget pays for them, and say whether it did."""
+        if self.spent + mults * -(-n.bit_length() // 64) > _BUDGET:
+            return False
+        self.charge(mults, n)
+        return True
+
+
+def _brent_rho(n: int):
+    """Search for a non-trivial factor of odd composite n (Brent's cycle
+    variant of Pollard's rho).
+
+    A generator: it yields the modular multiplications of each batch of at
+    most 128 steps, so that its caller can charge them and stop it between
+    batches, and returns the factor. Fixed starting values with an
+    incrementing polynomial constant keep the search deterministic across
+    runs.
     """
     c = 1
     while True:
@@ -162,26 +236,85 @@ def _brent_rho(n: int) -> int:
         x = ys = y
         while g == 1:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                steps = min(128, r - k)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                yield steps
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
+                steps = min(128, r - k)
+                for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += 128
+                yield 2 * steps
             r <<= 1
         if g != n:
             return g
-        g = 1
+        steps, g = 0, 1
         while g == 1:
             ys = (ys * ys + c) % n
             g = gcd(abs(x - ys), n)
+            steps += 1
+        yield steps
         if g != n:
             return g
         c += 1  # degenerate cycle; retry with the next polynomial
+
+
+def _pollard_pm1(n: int, budget: _Budget) -> int | None:
+    """Pollard's p-1, stage 1 (Pollard 1974): gcd(2**E - 1, n), where E is
+    the product of the largest power of each prime that is at most
+    ``_PM1_BOUND``, taken by one ``pow`` per prime power.
+
+    Returns the gcd when it is a non-trivial factor of n, and None when it is
+    1 or n, or when what is left of the budget does not pay for the
+    exponentiation (binary powering: a q-bit exponent with w one bits costs
+    q + w - 2 multiplications).
+    """
+    sieve = bytearray([1]) * (_PM1_BOUND + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(_PM1_BOUND) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, _PM1_BOUND + 1, p)))
+    powers = []
+    for p in range(2, _PM1_BOUND + 1):
+        if sieve[p]:
+            q = p
+            while q * p <= _PM1_BOUND:
+                q *= p
+            powers.append(q)
+    if not budget.afford(sum(q.bit_length() + q.bit_count() - 2 for q in powers), n):
+        return None
+    a = 2
+    for q in powers:
+        a = pow(a, q, n)
+    g = gcd(a - 1, n)
+    return g if 1 < g < n else None
+
+
+def _split(n: int, budget: _Budget) -> int | None:
+    """A factor d of composite n with 1 < d < n, or None once the budget is spent.
+
+    Rho gets a first slice of the budget. If it has not split n by then,
+    p-1 runs once; if that finds nothing, rho goes on where it stopped.
+    """
+    rho = _brent_rho(n)
+    slice_end = min(budget.spent + _RHO_SLICE, _BUDGET)
+    try:
+        while budget.spent < slice_end:
+            budget.charge(next(rho), n)
+        d = _pollard_pm1(n, budget)
+        if d is not None:
+            return d
+        while budget.spent < _BUDGET:
+            budget.charge(next(rho), n)
+    except StopIteration as found:
+        return found.value
+    return None
 
 
 def _iroot(n: int, e: int) -> int:
@@ -219,10 +352,14 @@ def factorize(n: int) -> Factorization:
     Small factors come off by trial division: 2, 3, then a 6k+-1 wheel that
     runs to 2**11 and past it an octave [2**j, 2**(j+1)) at a time, stopping
     at the end of the first octave in which no prime divides n, at 10**6,
-    or once f*f > n, which proves the cofactor prime. A composite cofactor
-    that is a perfect power r**e is replaced by its root, counted e times;
-    any other is split by Pollard rho, and ``is_prime`` checks each prime
-    reported.
+    or once f*f > n, which proves the cofactor prime. ``is_prime`` tests
+    each cofactor left. A composite one that is a perfect power r**e is
+    replaced by its root, counted e times; any other is split by Pollard rho,
+    with p-1 stage 1 run once if rho's first slice of the budget fails.
+
+    Raises ``FactorizationBudgetError`` when the work past trial division
+    (rho, p-1 and the primality tests of cofactors from ``_PSI13`` on) would
+    exceed ``_BUDGET``.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -246,20 +383,36 @@ def factorize(n: int) -> Factorization:
         # trial division already proved the cofactor prime
         counts[n] = counts.get(n, 0) + 1
         n = 1
-    # (factor, times it divides n); every prime left is at least f, which
+    # (cofactor, times it divides n); every prime left is at least f, which
     # bounds the exponents _power_root tries. A perfect power goes on as its
     # root, since rho would take about sqrt(p) steps to split p off p**e
-    pending = [(n, 1)] if n > 1 else []
-    while pending:
+    budget = _Budget()
+    pending = [(n, 1)] if n > 1 else []  # not tested yet
+    composites = []  # proven composite, not split yet
+    while pending or composites:
+        if not pending:
+            v, times = composites[-1]
+            d = _split(v, budget)
+            if d is None:
+                raise _over_budget(counts, composites, ())
+            composites.pop()
+            pending += [(d, times), (v // d, times)]
+            continue
         v, times = pending.pop()
+        if v >= _PSI13 and not budget.afford(_PRIME_TEST_MULTS * v.bit_length(), v):
+            raise _over_budget(counts, composites, pending + [(v, times)])
         if is_prime(v):
             counts[v] = counts.get(v, 0) + times
             continue
         root, e = _power_root(v, f)
         if e > 1:
             pending.append((root, times * e))
-            continue
-        d = _brent_rho(v)
-        pending.append((d, times))
-        pending.append((v // d, times))
+        else:
+            composites.append((v, times))
     return Factorization(tuple(sorted(counts.items())))
+
+
+def _over_budget(counts, composites, untested) -> FactorizationBudgetError:
+    return FactorizationBudgetError(
+        Factorization(tuple(sorted(counts.items()))), sorted(composites), sorted(untested)
+    )

@@ -3,10 +3,11 @@ requested method, optionally cross-verify with an independent method, and print
 the result as a decimal, a prime factorization, or JSON.
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 parse error, 3 method
-inapplicable (also a shape too large for a route's integer primitives), 4
-verification mismatch or an inconsistent count (an arithmetic fault inside a
-counting route). A closed stderr loses only the diagnostics: the status and
-stdout stay what they would be.
+inapplicable (also a shape too large for a route's integer primitives) or a
+factorization over its work budget, 4 verification mismatch or an
+inconsistent count (an arithmetic fault inside a counting route). A closed
+stderr loses only the diagnostics: the status and stdout stay what they would
+be.
 
 Importing this module loads only the shape types; each counting route, and
 factorization, is imported the first time a call needs it. The one command's
@@ -441,7 +442,14 @@ def _run(argv) -> int:
     if args["output"] == "decimal":
         print(count)
         return EXIT_OK
-    factorization = factorize(count) if count >= 1 else None
+    # the factoring module is loaded here anyway: factorize is called next
+    from .arith import FactorizationBudgetError
+
+    try:
+        factorization = factorize(count) if count >= 1 else None
+    except FactorizationBudgetError as exc:
+        _note(f"error: {exc}")
+        return EXIT_METHOD
     if args["output"] == "factored":
         print(factorization)
         return EXIT_OK

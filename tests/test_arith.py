@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from battery_syt import arith
-from battery_syt.arith import Factorization, factorize, is_prime
-from battery_syt.arith import _brent_rho, _is_strong_lucas_prp
+from battery_syt.arith import Factorization, FactorizationBudgetError, factorize, is_prime
+from battery_syt.arith import _brent_rho, _is_strong_lucas_prp, _split
+from battery_syt.counting import count_hyper
 
 try:
     import sympy
@@ -17,6 +18,10 @@ except ImportError:  # sympy is an optional cross-check
 # The least strong pseudoprimes to all the prime bases 2..37 and 2..41.
 PSI12 = 318665857834031151167461
 PSI13 = 3317044064679887385961981
+# The 19- and 32-digit primes left in the [(20^20),5,6] count once p-1 has
+# split off its 18-digit prime: rho would need billions of steps, and p - 1
+# has a 12-digit prime factor for P19 and a 22-digit one for P32
+P19, P32 = 7861398396751765951, 10612701531967838679465676699543
 
 
 def _primes_below(n):
@@ -154,6 +159,77 @@ def test_factorize_takes_a_power_of_large_primes_apart_without_rho(monkeypatch):
         assert split == rho_calls
 
 
+def _spent_on(monkeypatch, n):
+    """factorize(n) and the share of the work budget it spent."""
+    budgets, make = [], arith._Budget
+    monkeypatch.setattr(arith, "_Budget", lambda: budgets.append(make()) or budgets[-1])
+    factors = factorize(n)
+    return factors, budgets[0].spent / arith._BUDGET
+
+
+def test_pinned_factorizations_spend_at_most_half_the_budget(monkeypatch):
+    # PSI12 is the costliest rho split of a pinned factorization; the
+    # flagships' large primes are the pair 3361178017 * 2839893182041
+    pair = 3361178017 * 2839893182041
+    for n, factors in (
+        (PSI12, ((399165290221, 1), (798330580441, 1))),
+        (pair, ((3361178017, 1), (2839893182041, 1))),
+        (count_hyper(11, 7, 1, 6), None),
+        (count_hyper(7, 11, 1, 4), None),
+        (count_hyper(14, 14, 3, 6), None),
+    ):
+        result, spent = _spent_on(monkeypatch, n)
+        assert result.value() == n
+        assert factors is None or result.factors == factors
+        assert spent <= 0.5, (n, spent)
+
+
+def test_factorize_refuses_a_product_of_two_primes_past_its_budget():
+    with pytest.raises(FactorizationBudgetError) as refused:
+        factorize(P19 * P32)
+    exc = refused.value
+    assert (exc.factors, exc.composites, exc.untested) == (Factorization(()), ((P19 * P32, 1),), ())
+    assert str(exc) == "factorization over budget: a composite of 50 digits"
+    assert isinstance(exc, ArithmeticError)
+
+
+def test_p_minus_1_splits_off_a_prime_rho_cannot_reach(monkeypatch):
+    # p - 1 = 2^2 * 3 * 11 * seven primes near 10**5, all below the p-1 bound;
+    # P32 - 1 has a 22-digit prime factor, so the gcd is p alone; rho would
+    # need about 10**16 steps for either prime
+    p = 132 * prod((100003, 100019, 100043, 100049, 100057, 100069, 100103)) + 1
+    assert is_prime(p) and is_prime(P32)
+    assert max(q for q, _ in factorize(p - 1).factors) <= arith._PM1_BOUND
+    found, pm1 = [], arith._pollard_pm1
+    monkeypatch.setattr(arith, "_pollard_pm1", lambda n, budget: found.append(pm1(n, budget)) or found[-1])
+    assert factorize(p * P32).factors == ((P32, 1), (p, 1))
+    assert found == [p]
+    # without p-1, rho alone runs out of budget
+    monkeypatch.setattr(arith, "_pollard_pm1", lambda n, budget: None)
+    with pytest.raises(FactorizationBudgetError) as refused:
+        factorize(p * P32)
+    assert refused.value.composites == ((p * P32, 1),)
+
+
+def test_the_budget_pays_for_primality_tests_of_large_cofactors(monkeypatch):
+    # the Mersenne prime 2**21701 - 1 has 6,533 digits: its full test would
+    # cost far more than the budget, so it is refused untested, and the
+    # message counts its digits without str(), past the 4300-digit limit
+    mersenne = 2 ** 21701 - 1
+    tested = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    with pytest.raises(FactorizationBudgetError) as refused:
+        factorize(mersenne)
+    assert (refused.value.composites, refused.value.untested) == ((), ((mersenne, 1),))
+    assert str(refused.value) == "factorization over budget: an untested cofactor of 6533 digits"
+    assert tested == []
+
+
+def test_digits_counts_decimal_digits():
+    for n in (1, 9, 10, 99, 100, 2 ** 64, 10 ** 50 - 1, 10 ** 50, 10 ** 50 + 1, 3 ** 2000):
+        assert arith._digits(n) == len(str(n)), n
+
+
 def test_iroot_is_the_floor_of_the_root():
     for e in (2, 3, 5, 7, 97):
         for x in (1, 2, 3, 4097, 10 ** 9 + 7, 3 ** 700):
@@ -168,7 +244,7 @@ def test_brent_rho_fallback_branches():
     # reach these: 55 overshoots the batched gcd and backtracks; 25 backtracks
     # onto the whole cycle too and retries with the next polynomial constant
     for n in (55, 25):
-        d = _brent_rho(n)
+        d = _split(n, arith._Budget())
         assert 1 < d < n and n % d == 0
 
 

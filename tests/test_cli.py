@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from battery_syt import cli, counting
 from battery_syt.counting import NonIntegerCountError
@@ -448,6 +448,39 @@ def test_a_nest_too_deep_for_the_recursion_limit_exits_3_within_5_s():
     assert (done.returncode, done.stdout, done.stderr) == (0, "150\n", "")
 
 
+# Counts whose factoring runs out of its work budget, each with the digits of
+# the composite cofactor it leaves
+OVER_BUDGET = {
+    "battery:rect:20x20,a=5,k=6": 50,
+    "battery:rect:10x10,a=99999,k=5": 80,
+    "battery:rect:24x24,a=2,k=4": 73,
+    "battery:rect:30x30,a=3,k=3": 61,
+    "battery:rect:40x40,a=10,k=6": 238,
+}
+
+
+@pytest.mark.parametrize("output", ["factored", "json"])
+@pytest.mark.parametrize("expr", OVER_BUDGET)
+def test_factoring_over_budget_exits_3_within_10_s(expr, output):
+    done = _count_in_a_fresh_process(expr, "--output", output, timeout=10)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error: factorization over budget: 2^")
+    assert done.stderr.endswith(f" times a composite of {OVER_BUDGET[expr]} digits\n")
+    assert done.stderr.count("\n") == 1
+
+
+def test_factoring_over_budget_names_the_primes_it_proved(capsys):
+    # trial division, then rho (121181, 58914169) and p-1 (108635493437930911)
+    assert cli.run(["count", "battery:rect:20x20,a=5,k=6", "--output", "factored"]) == 3
+    assert capsys.readouterr() == ("", (
+        "error: factorization over budget: 2^17*3^9*5^4*7^7*11^2*13^3*17*19*29*31^3*37^7*41^8"
+        "*43^8*47^7*53^6*59^5*61^5*67^5*71^4*73^4*79^4*83^3*89^3*97^4*101^3*103^2*107^2*109^2"
+        "*113^2*127^3*131^3*137^2*139^2*149^3*151*157*163*167*173*179*181*191^2*193^2*197^2"
+        "*199^2*211*223*227*229*233*239*241*251*257*263*269*271*277*281*283*293*383*389*397*401"
+        "*121181*58914169*108635493437930911 times a composite of 50 digits\n"
+    ))
+
+
 @pytest.mark.parametrize("output", ["decimal", "factored", "json"])
 def test_a_closed_stdout_exits_1_without_a_traceback(output):
     argv = [sys.executable, "-m", "battery_syt.cli", "count", "battery:rect:11x7,a=1,k=6", "--output", output]
@@ -692,6 +725,11 @@ def count_flags(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(shape_exprs(), count_flags())
+@example("battery:rect:20x20,a=5,k=6", ["--output", "factored"])
+@example("battery:rect:10x10,a=99999,k=5", ["--output", "json"])
+@example("battery:rect:24x24,a=2,k=4", ["--output", "factored"])
+@example("battery:rect:30x30,a=3,k=3", ["--output", "json"])
+@example("battery:rect:40x40,a=10,k=6", ["--output", "factored"])
 def test_cli_exits_only_0_2_3_or_4(expr, flags):
     # an exception escaping run() fails the test as well
     assert cli.run(["count", expr, *flags]) in (0, 2, 3, 4)

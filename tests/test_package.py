@@ -13,7 +13,7 @@ from conftest import run_fresh
 
 # submodule -> the names the package exports from it
 EXPORTS = {
-    "arith": ("Factorization", "factorize", "is_prime"),
+    "arith": ("Factorization", "FactorizationBudgetError", "factorize", "is_prime"),
     "counting": (
         "CLOSED_FORM_CASES", "COUNT_BY_COLUMN", "NonIntegerCountError", "closed_form",
         "count_general", "count_hyper", "match_closed_form", "rect_syt_count",
