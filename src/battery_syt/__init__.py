@@ -25,8 +25,8 @@ _EXPORTS = {
         "count_general", "count_hyper", "match_closed_form", "rect_syt_count",
     ),
     "hypergeom": (
-        "AffineParam", "NonTerminatingSeriesError", "PFQLevel", "PFQParams",
-        "ZeroDenominatorFactorError", "eval_multi_pfq", "eval_pfq", "termination_index",
+        "NonTerminatingSeriesError", "ZeroDenominatorFactorError", "eval_multi_pfq", "eval_pfq",
+        "termination_index",
     ),
     "oracle": (
         "conjugate_spans", "count_line_convex", "count_linear_extensions", "linear_extension_profile",
@@ -75,8 +75,8 @@ def _lazy(module: str, name: str):
 
 class Record:
     """Immutable value whose fields are its class's ``__slots__``, in order: the
-    base of every record type in the package (factorizations, series
-    parameters, shapes and catalog cases).
+    base of every record type in the package (factorizations, shapes and
+    catalog cases).
 
     Equality (same class only), hashing and the ``Name(field=value, ...)``
     repr go by the field values, as for a frozen dataclass; assignment and

@@ -8,7 +8,8 @@ the shape, so past 2**11 trial division stops at the end of the first octave
 integer root when it is a perfect power, and otherwise by Brent's rho, then
 (once, if rho's first slice of the work budget did not split it) Pollard's
 p-1 stage 1, then rho again. ``is_prime`` (Miller-Rabin, exact below
-3.3 * 10**24, BPSW above) checks every prime reported.
+3.3 * 10**24, BPSW above) proves each prime reported that trial division did
+not, once.
 
 The work past trial division is bounded by one fixed budget counted in
 modular multiplications, each weighted by its modulus's size in 64-bit
@@ -399,6 +400,9 @@ def factorize(n: int) -> Factorization:
             pending += [(d, times), (v // d, times)]
             continue
         v, times = pending.pop()
+        if v in counts:  # a prime proven already, split off another cofactor
+            counts[v] += times
+            continue
         if v >= _PSI13 and not budget.afford(_PRIME_TEST_MULTS * v.bit_length(), v):
             raise _over_budget(counts, composites, pending + [(v, times)])
         if is_prime(v):
@@ -409,10 +413,16 @@ def factorize(n: int) -> Factorization:
             pending.append((root, times * e))
         else:
             composites.append((v, times))
-    return Factorization(tuple(sorted(counts.items())))
+    return _proven(counts)
+
+
+def _proven(counts: dict[int, int]) -> Factorization:
+    """The ``Factorization`` of primes ``factorize`` has proven, by trial
+    division or ``is_prime``, built without testing each one again."""
+    result = object.__new__(Factorization)
+    result._set(tuple(sorted(counts.items())))
+    return result
 
 
 def _over_budget(counts, composites, untested) -> FactorizationBudgetError:
-    return FactorizationBudgetError(
-        Factorization(tuple(sorted(counts.items()))), sorted(composites), sorted(untested)
-    )
+    return FactorizationBudgetError(_proven(counts), sorted(composites), sorted(untested))

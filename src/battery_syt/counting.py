@@ -21,12 +21,14 @@ check each other:
   for families with the column and one more coordinate fixed at small values;
   a case's id names the coordinates it fixes.
 
-Counts are integers by construction; a non-integer intermediate or an inexact
-division aborts loudly since it can only mean a wrong parameter table. The
-series engine (``hypergeom``, and with it ``fractions``) is imported on the
-first hyper count; the other routes, the closed forms included, divide
-integers and never load it. Binomials and rising factorials are ``math.comb``
-and ``math.perm``, so no route loads the factoring module.
+Counts are integers by construction. Every route ends in one checked integer
+division (``_exact``): ``count_hyper`` divides the rectangle count times the
+nested sum's numerator by its denominator, as ``closed_form`` does with a
+case's ratio. A non-integer intermediate or an inexact division aborts
+loudly, since it can only mean a wrong parameter table. The series engine
+(``hypergeom``) is imported on the first hyper count; the other routes never
+load it. Binomials and rising factorials are ``math.comb`` and ``math.perm``,
+so no route loads the factoring module.
 """
 
 import sys
@@ -76,25 +78,24 @@ def _check_rect_args(m: int, n: int, a: int, k: int):
         raise ValueError(f"battery length must be non-negative, got a={a}")
 
 
-def _levels(m: int, n: int, a: int, k: int) -> tuple["PFQLevel", ...]:
+def _levels(m: int, n: int, a: int, k: int) -> tuple:
     """Nested-sum parameters for the battery above column k, one level per column left of it.
 
-    Level i sums over x_i; its parameters are affine in the outer indices
-    x_0..x_{i-1}, and the coefficient on x_j sits at position j. Column 1 has
-    no levels; column 2 has the single level 3F2(a, m, -n; 1, -mn; 1).
+    Level i sums over x_i; it is a (numerators, denominators) pair of
+    parameters (const, coeffs), affine in the outer indices x_0..x_{i-1}, with
+    the coefficient on x_j at position j. Column 1 has no levels; column 2 has
+    the single level 3F2(a, m, -n; 1, -mn; 1).
     """
-    from .hypergeom import AffineParam, PFQLevel
-
     levels = []
     outer = []  # (j, x_j's coefficient tuple) for each outer level j < i, built once and shared
     for i in range(k - 1):
         sum_x = (1,) * i
-        levels.append(PFQLevel(
-            numerators=(AffineParam(a, sum_x), AffineParam(m - i), AffineParam(-n - i))
-            + tuple(AffineParam(-(i - 1 - j), x_j) for j, x_j in outer for _ in range(2)),
-            denominators=(AffineParam(-m * n, sum_x),)
-            + tuple(AffineParam(-(i - j), x_j) for j, x_j in outer for _ in range(2))
-            + (AffineParam(1),),
+        levels.append((
+            ((a, sum_x), (m - i, ()), (-n - i, ()))
+            + tuple((-(i - 1 - j), x_j) for j, x_j in outer for _ in range(2)),
+            ((-m * n, sum_x),)
+            + tuple((-(i - j), x_j) for j, x_j in outer for _ in range(2))
+            + ((1, ()),),
         ))
         outer.append((i, (0,) * i + (-1,)))
     return tuple(levels)
@@ -114,8 +115,8 @@ def count_hyper(m: int, n: int, a: int, k: int) -> int:
     _check_rect_args(m, n, a, k)
     if k + _CALLER_FRAMES > sys.getrecursionlimit():
         raise OverflowError(f"a {k - 1}-level nested sum is deeper than the recursion limit allows")
-    value = eval_multi_pfq(_levels(m, n, a, k))
-    return _exact(rect_syt_count(m, n) * value.numerator, value.denominator, f"[({m}^{n}), {a}, {k}]")
+    num, den = eval_multi_pfq(_levels(m, n, a, k))
+    return _exact(rect_syt_count(m, n) * num, den, f"[({m}^{n}), {a}, {k}]")
 
 
 # the paper's columns 2..6 as counters of (m, n, a); count_hyper takes any column

@@ -2,20 +2,23 @@
 generalization.
 
 All series here terminate because some numerator parameter is a non-positive
-integer. Every series is taken at argument 1, as all of the paper's are, and
-values are exact ``Fraction``s. One rule bounds every level: it stops at
-``termination_index`` of its numerators, and an inner level also at its outer
-index, as if minus that index were one more numerator. The series walk is
-integer Horner: each level's sum is folded from the tail as one integer
-fraction, reduced once per level value, with each step ratio computed where
-it is used; only the top level becomes a ``Fraction``.
+integer. Every series is taken at argument 1, as all of the paper's are. A
+level is a pair (numerators, denominators) of parameters, and a parameter is
+a pair (const, coeffs) read as const + sum(coeffs[j] * outer[j]) over the
+outer summation indices; coefficients past len(coeffs) are zero, so a
+constant c is (c, ()). A value is an exact (numerator, denominator) pair of
+integers in lowest terms with a positive denominator. One rule bounds every
+level: it stops at ``termination_index`` of its numerators, and an inner
+level also at its outer index, as if minus that index were one more
+numerator. The series walk is integer Horner: each level's sum is folded
+from the tail as one integer fraction, reduced once per level value, with
+each step ratio computed where it is used.
 """
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from . import _EXPORTS, Record
+from . import _EXPORTS
 
 __all__ = list(_EXPORTS["hypergeom"])
 
@@ -28,15 +31,6 @@ class ZeroDenominatorFactorError(ArithmeticError):
     """A denominator factor vanished at a summation step the series actually reaches."""
 
 
-class PFQParams(Record):
-    """Integer parameters of a terminating series sum_j prod(a_i)_j / prod(b_i)_j / j!."""
-
-    __slots__ = ("numerators", "denominators")
-
-    def __init__(self, numerators: tuple[int, ...], denominators: tuple[int, ...]) -> None:
-        self._set(tuple(int(x) for x in numerators), tuple(int(x) for x in denominators))
-
-
 def termination_index(numerators) -> int:
     """Last non-vanishing summation index: the smallest |a| over non-positive numerators."""
     caps = [-a for a in numerators if a <= 0]
@@ -47,40 +41,11 @@ def termination_index(numerators) -> int:
     return min(caps)
 
 
-def eval_pfq(params: PFQParams) -> Fraction:
-    """Exact value of a terminating series: the one-level nested sum."""
-    level = PFQLevel(
-        tuple(map(AffineParam, params.numerators)),
-        tuple(map(AffineParam, params.denominators)),
-    )
+def eval_pfq(numerators, denominators) -> tuple[int, int]:
+    """Exact value of the terminating series sum_j prod(a_i)_j / prod(b_i)_j / j!
+    over integer parameters: the one-level nested sum."""
+    level = ([(int(a), ()) for a in numerators], [(int(b), ()) for b in denominators])
     return eval_multi_pfq((level,))
-
-
-class AffineParam(Record):
-    """Integer parameter const + sum(coeffs[i] * outer[i]) over outer summation indices.
-
-    Coefficients beyond len(coeffs) are implicitly zero, so constants need no
-    padding.
-    """
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const: int, coeffs: tuple[int, ...] = ()) -> None:
-        self._set(const, coeffs)
-
-    def at(self, outer: tuple[int, ...]) -> int:
-        return sum(map(mul, self.coeffs, outer), self.const)
-
-
-class PFQLevel(Record):
-    """One level of a nested hypergeometric sum; parameters may depend on outer indices."""
-
-    __slots__ = ("numerators", "denominators")
-
-    def __init__(
-        self, numerators: tuple[AffineParam, ...], denominators: tuple[AffineParam, ...]
-    ) -> None:
-        self._set(numerators, denominators)
 
 
 def _level_sum(levels, outer: tuple[int, ...]) -> tuple[int, int]:
@@ -96,9 +61,9 @@ def _level_sum(levels, outer: tuple[int, ...]) -> tuple[int, int]:
     """
     if len(outer) == len(levels) or outer[-1:] == (0,):
         return 1, 1
-    level = levels[len(outer)]
-    nums = [p.at(outer) for p in level.numerators]
-    dens = [p.at(outer) for p in level.denominators]
+    numerators, denominators = levels[len(outer)]
+    nums = [sum(map(mul, coeffs, outer), const) for const, coeffs in numerators]
+    dens = [sum(map(mul, coeffs, outer), const) for const, coeffs in denominators]
     bound = termination_index(nums + [-x for x in outer[-1:]])
     P, Q = _level_sum(levels, outer + (bound,))
     for j in range(bound - 1, -1, -1):
@@ -118,12 +83,14 @@ def _level_sum(levels, outer: tuple[int, ...]) -> tuple[int, int]:
     return P // g, Q // g
 
 
-def eval_multi_pfq(levels: tuple[PFQLevel, ...]) -> Fraction:
+def eval_multi_pfq(levels) -> tuple[int, int]:
     """Exact value of the leveled sum over indices m_0 >= m_1 >= ... with per-level
-    Pochhammer quotients.
+    Pochhammer quotients, as a (numerator, denominator) pair in lowest terms
+    with a positive denominator.
 
     Each level contributes prod(a)_{m_i} / prod(b)_{m_i} / m_i! where the
     level's parameters are affine in the outer indices m_0..m_{i-1}. Level 0
     must terminate through a non-positive numerator.
     """
-    return Fraction(*_level_sum(levels, ()))
+    P, Q = _level_sum(levels, ())
+    return (P, Q) if Q > 0 else (-P, -Q)

@@ -8,14 +8,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from operator import mul
 from pathlib import Path
 
 import battery_syt
 from battery_syt import Record
 from battery_syt.counting import _check_rect_args, _exact, _hankel_det, _weights
-from battery_syt.hypergeom import PFQParams, eval_pfq
+from battery_syt.hypergeom import eval_pfq
 from battery_syt.oracle import _gate_table
 from battery_syt.shapes import conjugate, rotated_complement, syt_count_straight
 
@@ -28,6 +28,20 @@ def rising(x, n):
 def multichoose(a, s):
     """C(a+s-1, s), the ways to choose s of a kinds with repetition; 1 at a = s = 0."""
     return rising(a, s) // factorial(s)
+
+
+def as_fraction(pair):
+    """A series value, an integer pair, as a ``Fraction``, once the pair is
+    checked to be in lowest terms with a positive denominator."""
+    num, den = pair
+    assert type(num) is int and type(den) is int, pair
+    assert den > 0 and gcd(num, den) == 1, pair
+    return Fraction(num, den)
+
+
+def series(numerators, denominators) -> Fraction:
+    """The terminating series with these integer parameters, by ``eval_pfq``."""
+    return as_fraction(eval_pfq(numerators, denominators))
 
 
 # The paper's integer-parameter identities: a binomial-quotient closed form for
@@ -47,16 +61,17 @@ def gauss_2f1_neg(a: int, b: int, c: int) -> Fraction:
 
 
 class ContiguousDecomposition(Record):
-    """Two-term rewrite of 3F2(a, b, -c; d, -e; 1); see contiguous_step."""
+    """Two-term rewrite of 3F2(a, b, -c; d, -e; 1); see contiguous_step. Each
+    series is its (numerators, denominators) pair."""
 
     __slots__ = ("coefficient1", "params1", "coefficient2", "params2")
 
     def __init__(
         self,
         coefficient1: Fraction,
-        params1: PFQParams,
+        params1: tuple,
         coefficient2: Fraction,
-        params2: PFQParams,
+        params2: tuple,
     ) -> None:
         self._set(coefficient1, params1, coefficient2, params2)
 
@@ -64,9 +79,9 @@ class ContiguousDecomposition(Record):
         """Value of the decomposition; branches with coefficient 0 are never evaluated."""
         total = Fraction(0)
         if self.coefficient1 != 0:
-            total += self.coefficient1 * eval_pfq(self.params1)
+            total += self.coefficient1 * series(*self.params1)
         if self.coefficient2 != 0:
-            total += self.coefficient2 * eval_pfq(self.params2)
+            total += self.coefficient2 * series(*self.params2)
         return total
 
 
@@ -86,9 +101,9 @@ def contiguous_step(a: int, b: int, c: int, d: int, e: int) -> ContiguousDecompo
     coeff2 = Fraction(d + c, d)
     return ContiguousDecomposition(
         coefficient1=coeff1,
-        params1=PFQParams((a, b + 1, -c + 1), (d + 1, -e + 1)),
+        params1=((a, b + 1, -c + 1), (d + 1, -e + 1)),
         coefficient2=coeff2,
-        params2=PFQParams((a, b + 1, -c), (d + 1, -e)),
+        params2=((a, b + 1, -c), (d + 1, -e)),
     )
 
 
@@ -345,9 +360,12 @@ def span_profile_by_two_tests(spans):
     return sum(ways for ways, _ in level.values()), states
 
 
-# stdlib modules the CLI leaves unloaded unless a call needs them; the last
-# three it never loads, since it reads its options without argparse
-WATCHED_STDLIB = ("fractions", "decimal", "json", "dataclasses", "inspect", "argparse", "gettext", "locale")
+# stdlib modules the CLI leaves unloaded unless a call needs them; the first
+# three no count loads, since the series engine sums in plain integers, and
+# the last three it never loads, since it reads its options without argparse
+WATCHED_STDLIB = (
+    "fractions", "decimal", "numbers", "json", "dataclasses", "inspect", "argparse", "gettext", "locale",
+)
 
 
 def run_fresh(code):

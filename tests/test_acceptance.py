@@ -16,10 +16,9 @@ from battery_syt.counting import (
     count_hyper,
     rect_syt_count,
 )
-from battery_syt.hypergeom import PFQParams, eval_pfq
 from battery_syt.oracle import count_linear_extensions, linear_extension_profile
 from battery_syt.shapes import BatteryShape, hook_lengths, syt_count_straight
-from conftest import contiguous_step, gauss_2f1_neg, reduce_3f2
+from conftest import contiguous_step, gauss_2f1_neg, reduce_3f2, series
 
 WIDE_BATTERY_FACTORS = (
     (2, 5), (3, 2), (5, 2), (11, 1), (13, 1), (17, 2), (19, 3), (23, 2),
@@ -79,7 +78,7 @@ def test_criterion_04_gauss_identity_grid():
     for c in range(0, 9):
         for a in range(0, c + 1):
             for b in range(1, 10):
-                assert eval_pfq(PFQParams((-a, b), (-c,))) == gauss_2f1_neg(a, b, c)
+                assert series((-a, b), (-c,)) == gauss_2f1_neg(a, b, c)
                 cases += 1
     elapsed = time.perf_counter() - start
     assert cases == 405
@@ -95,7 +94,7 @@ def test_criterion_05_contiguous_and_sum_expansion_grids():
             for d in range(1, 6):
                 for e in range(0, 7):
                     for c in range(0, e + 1):
-                        source = eval_pfq(PFQParams((a, b, -c), (d, -e)))
+                        source = series((a, b, -c), (d, -e))
                         assert contiguous_step(a, b, c, d, e).evaluate() == source
                         contiguous_cases += 1
     expansion_cases = 0
@@ -104,9 +103,9 @@ def test_criterion_05_contiguous_and_sum_expansion_grids():
             for d in range(1, 5):
                 for e in range(1, 6):
                     for c in range(1, e + 1):
-                        lhs = eval_pfq(PFQParams((a, b, -c), (d, -e)))
+                        lhs = series((a, b, -c), (d, -e))
                         tail = sum(
-                            eval_pfq(PFQParams((t, b + 1, -c + 1), (d + 1, -e + 1)))
+                            series((t, b + 1, -c + 1), (d + 1, -e + 1))
                             for t in range(1, a + 1)
                         )
                         assert (lhs - 1) * d * e == b * c * tail
@@ -124,7 +123,7 @@ def test_criterion_06_reduction_algorithm_grid():
         for b in range(1, 7):
             for e in range(0, 13):
                 for c in range(0, e + 1):
-                    assert reduce_3f2(a, b, c, e) == eval_pfq(PFQParams((a, b, -c), (1, -e)))
+                    assert reduce_3f2(a, b, c, e) == series((a, b, -c), (1, -e))
                     cases += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

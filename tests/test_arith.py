@@ -98,14 +98,13 @@ def test_factorize_stops_trial_division_where_the_small_primes_end(monkeypatch):
 
 
 def test_factorize_proves_a_cofactor_prime_by_trial_division(monkeypatch):
-    # a cofactor below f*f is proven prime without is_prime, so only the
-    # Factorization checks it; 10000019 needs the first octave past 2**11
-    # (its square root is 3162); a prime cofactor past the stop goes to
-    # is_prime first, looked up as a module global
+    # a cofactor below f*f is proven prime without is_prime, and the result
+    # does not test it again; 10000019 needs the first octave past 2**11 (its
+    # square root is 3162); a prime cofactor past the stop goes to is_prime,
+    # looked up as a module global, once
     calls = []
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    for p, checks in ((1009, [2, 1009]), (10000019, [2, 10000019]),
-                      (2839893182041, [2839893182041, 2, 2839893182041])):
+    for p, checks in ((1009, []), (10000019, []), (2839893182041, [2839893182041])):
         calls.clear()
         assert factorize(2 ** 40 * p).factors == ((2, 40), (p, 1))
         assert calls == checks
@@ -209,6 +208,31 @@ def test_p_minus_1_splits_off_a_prime_rho_cannot_reach(monkeypatch):
     with pytest.raises(FactorizationBudgetError) as refused:
         factorize(p * P32)
     assert refused.value.composites == ((p * P32, 1),)
+
+
+def test_factorize_proves_each_prime_once(monkeypatch):
+    # 2 and 1009 come off by trial division, 10007, 10009 and 10037 by rho,
+    # the 38-digit p by p-1, and P32 is what p-1 leaves; rho splits 10009 off
+    # two cofactors, and the second time it is known prime. Neither the
+    # result nor the refusal tests a prime again
+    p = 132 * prod((100003, 100019, 100043, 100049, 100057, 100069, 100103)) + 1
+    n = 2 ** 3 * 1009 ** 2 * 10007 * 10009 ** 2 * 10037 * p * P32
+    tested, found, pm1 = [], [], arith._pollard_pm1
+    monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    monkeypatch.setattr(arith, "_pollard_pm1", lambda n, budget: found.append(pm1(n, budget)) or found[-1])
+    result = factorize(n)
+    assert result.factors == ((2, 3), (1009, 2), (10007, 1), (10009, 2), (10037, 1), (P32, 1), (p, 1))
+    assert found == [p]
+    primes = [v for v in tested if v in dict(result.factors)]
+    assert sorted(primes) == [10007, 10009, 10037, P32, p]
+    assert len(set(tested)) == len(tested)
+    assert result == Factorization(result.factors)  # what a caller builds is tested
+    # over budget, the proven primes are not tested again either
+    tested.clear()
+    with pytest.raises(FactorizationBudgetError) as refused:
+        factorize(10009 * 10037 * P19 * P32)
+    assert refused.value.factors.factors == ((10009, 1), (10037, 1))
+    assert sorted(v for v in tested if v < P19) == [10009, 10037]
 
 
 def test_the_budget_pays_for_primality_tests_of_large_cofactors(monkeypatch):

@@ -183,9 +183,14 @@ def test_a_count_without_site_leaves_typing_unloaded():
         (["skew:12,12,11,10/1", "--verify"], {"battery_syt.oracle"},
          {"battery_syt.counting", "battery_syt.arith", "battery_syt.hypergeom", "fractions",
           "decimal"}),
+        # the series engine sums in plain integers, as a primary route and as
+        # the partner of general above the DP cap
         (["battery:rect:8x9,a=5,k=3", "--method", "hyper"],
-         {"battery_syt.counting", "battery_syt.hypergeom", "fractions"},
-         {"battery_syt.arith", "battery_syt.oracle"}),
+         {"battery_syt.counting", "battery_syt.hypergeom"},
+         {"battery_syt.arith", "battery_syt.oracle", "fractions", "decimal", "numbers"}),
+        (["battery:rect:12x13,a=4,k=5", "--verify"],
+         {"battery_syt.counting", "battery_syt.hypergeom"},
+         {"battery_syt.arith", "battery_syt.oracle", "fractions", "decimal", "numbers"}),
         (["partition:5,3,1"], set(),
          {"battery_syt.counting", "battery_syt.arith", "battery_syt.oracle", "fractions"}),
         # factored output is what loads the factoring module
@@ -194,7 +199,7 @@ def test_a_count_without_site_leaves_typing_unloaded():
          {"battery_syt.hypergeom", "battery_syt.oracle", "fractions"}),
     ],
     ids=["closed", "closed-k2-a2", "closed-k2-a3", "closed-k3-n2", "general", "dp", "dp-verify", "hyper",
-         "hlf", "factored"],
+         "general-verify", "hlf", "factored"],
 )
 def test_a_count_loads_only_its_route(argv, loads, leaves, capsys):
     out, loaded = run_fresh(f"import battery_syt.cli as cli\ncli.run(['count', *{argv!r}])")

@@ -3,19 +3,16 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from battery_syt.hypergeom import (
-    AffineParam,
     NonTerminatingSeriesError,
-    PFQLevel,
-    PFQParams,
     ZeroDenominatorFactorError,
     eval_multi_pfq,
     eval_pfq,
     termination_index,
 )
-from conftest import contiguous_step, gauss_2f1_neg, multichoose, reduce_3f2, rising
+from conftest import as_fraction, contiguous_step, gauss_2f1_neg, multichoose, reduce_3f2, rising, series
 
 
 def F(*args):
@@ -23,28 +20,38 @@ def F(*args):
 
 
 def test_eval_pfq_known_values():
-    assert eval_pfq(PFQParams((-1, 2), (-2,))) == 2
-    assert eval_pfq(PFQParams((0, 3, 7), (2, -5))) == 1
-    assert eval_pfq(PFQParams((1, 2, -2), (1, -4))) == F(5, 2)
+    # (numerator, denominator) in lowest terms, the denominator positive
+    assert eval_pfq((-1, 2), (-2,)) == (2, 1)
+    assert eval_pfq((0, 3, 7), (2, -5)) == (1, 1)
+    assert eval_pfq((1, 2, -2), (1, -4)) == (5, 2)
+    assert eval_pfq((-1, 1), (1,)) == (0, 1)  # 1 - 1
+    assert eval_pfq((-1, 1), (-2,)) == (3, 2)  # 1 + 1/2: the step's denominator product is -2
+    assert eval_pfq((-1, 3), (2,)) == (-1, 2)  # 1 - 3/2
+    assert eval_pfq((-2, 6), (-3,)) == (12, 1)  # 1 + 4 + 7, and C(9, 2) / C(3, 2)
+    for nums, dens in (((-1, 2), (-2,)), ((-1, 1), (-2,)), ((-2, 6), (-3,))):
+        num, den = eval_pfq(nums, dens)
+        assert type(num) is int and type(den) is int
+    # the parameters are read as integers
+    assert eval_pfq([-2.0, 3], [4]) == eval_pfq((-2, 3), (4,)) == (1, 10)
 
 
 def test_eval_pfq_rejects_non_terminating():
     with pytest.raises(NonTerminatingSeriesError):
-        eval_pfq(PFQParams((1, 2), (3,)))
+        eval_pfq((1, 2), (3,))
 
 
 def test_eval_pfq_zero_denominator_before_termination():
     # terminates at step 3 but the denominator parameter -2 vanishes at step 2
     with pytest.raises(ZeroDenominatorFactorError):
-        eval_pfq(PFQParams((-3, 1), (-2,)))
+        eval_pfq((-3, 1), (-2,))
     # a numerator 0 ends the series before the bad denominator is reached
-    assert eval_pfq(PFQParams((0, -3), (-2,))) == 1
+    assert eval_pfq((0, -3), (-2,)) == (1, 1)
 
 
 def test_zero_z_hides_a_later_zero_denominator():
     # a factor vanishing at step 0 is reached from t_0 = 1
     with pytest.raises(ZeroDenominatorFactorError):
-        eval_pfq(PFQParams((-3,), (0,)))
+        eval_pfq((-3,), (0,))
 
 
 def test_termination_index():
@@ -69,7 +76,7 @@ def test_term_recurrence_matches_pochhammer_products():
             for j in range(cap + 1)
         ]
         assert 0 not in terms
-        assert eval_pfq(PFQParams(tuple(nums), tuple(dens))) == sum(terms)
+        assert series(tuple(nums), tuple(dens)) == sum(terms)
 
 
 def test_gauss_known_values():
@@ -88,14 +95,14 @@ def test_gauss_matches_direct_summation():
     for c in range(0, 9):
         for a in range(0, c + 1):
             for b in range(1, 9):
-                direct = eval_pfq(PFQParams((-a, b), (-c,)))
+                direct = series((-a, b), (-c,))
                 assert direct == gauss_2f1_neg(a, b, c)
 
 
 def test_contiguous_step_known_cases():
     step = contiguous_step(2, 1, 1, 1, 2)
     assert step.coefficient1 == -2 and step.coefficient2 == 2
-    assert step.evaluate() == eval_pfq(PFQParams((2, 1, -1), (1, -2))) == 2
+    assert step.evaluate() == series((2, 1, -1), (1, -2)) == 2
 
     # numerator 0 collapses every series to 1, so only the coefficients matter
     for c in range(0, 4):
@@ -106,7 +113,7 @@ def test_contiguous_step_known_cases():
 
     # base case b = -1: source is 1 - ac/(de)
     step = contiguous_step(1, -1, 1, 1, 1)
-    assert step.evaluate() == eval_pfq(PFQParams((1, -1, -1), (1, -1))) == 0
+    assert step.evaluate() == series((1, -1, -1), (1, -1)) == 0
 
 
 def test_contiguous_step_rejects_bad_ranges():
@@ -126,7 +133,7 @@ def test_contiguous_identity_grid():
             for d in range(1, 4):
                 for e in range(0, 5):
                     for c in range(0, e + 1):
-                        source = eval_pfq(PFQParams((a, b, -c), (d, -e)))
+                        source = series((a, b, -c), (d, -e))
                         assert contiguous_step(a, b, c, d, e).evaluate() == source
 
 
@@ -137,9 +144,9 @@ def test_sum_expansion_identity_grid():
             for d in range(1, 4):
                 for e in range(1, 5):
                     for c in range(1, e + 1):
-                        lhs = eval_pfq(PFQParams((a, b, -c), (d, -e)))
+                        lhs = series((a, b, -c), (d, -e))
                         tail = sum(
-                            eval_pfq(PFQParams((t, b + 1, -c + 1), (d + 1, -e + 1)))
+                            series((t, b + 1, -c + 1), (d + 1, -e + 1))
                             for t in range(1, a + 1)
                         )
                         assert lhs == 1 + F(b * c, d * e) * tail
@@ -151,7 +158,7 @@ def test_reduce_3f2_known_values():
         for n in range(0, 5):
             assert reduce_3f2(1, m, n, m * n + 2) == gauss_2f1_neg(n, m, m * n + 2)
     assert reduce_3f2(2, 2, 2, 4) == F(9, 2)
-    assert reduce_3f2(3, 3, 2, 6) == eval_pfq(PFQParams((3, 3, -2), (1, -6)))
+    assert reduce_3f2(3, 3, 2, 6) == series((3, 3, -2), (1, -6))
 
 
 def test_reduce_3f2_matches_direct_summation():
@@ -159,7 +166,7 @@ def test_reduce_3f2_matches_direct_summation():
         for b in range(1, 5):
             for e in range(0, 8):
                 for c in range(0, e + 1):
-                    assert reduce_3f2(a, b, c, e) == eval_pfq(PFQParams((a, b, -c), (1, -e)))
+                    assert reduce_3f2(a, b, c, e) == series((a, b, -c), (1, -e))
 
 
 def test_reduce_3f2_rejects_bad_ranges():
@@ -169,10 +176,20 @@ def test_reduce_3f2_rejects_bad_ranges():
         reduce_3f2(2, 1, 3, 2)
 
 
+def _constants(values):
+    return tuple((v, ()) for v in values)
+
+
 def test_affine_param():
-    assert AffineParam(-1, (-1,)).at((3,)) == -4
-    assert AffineParam(5).at((2, 7)) == 5
-    assert AffineParam(0, (1, 1)).at((2, 7)) == 9
+    # a parameter (const, coeffs) is const + sum(coeffs[j] * outer[j]); the
+    # coefficients past len(coeffs) are zero, so (5, ()) is (5, (0, 0))
+    def nest(param):
+        return ((_constants((-2,)), ()), (_constants((-2,)), ()), ((param,), _constants((1,))))
+
+    assert eval_multi_pfq(nest((5, ()))) == eval_multi_pfq(nest((5, (0, 0))))
+    assert eval_multi_pfq(nest((-1, (-1,)))) == eval_multi_pfq(nest((-1, (-1, 0))))
+    for param in ((-1, (-1,)), (5, ()), (0, (1, 1)), (2, (0, -1)), (-3, (1,))):
+        assert as_fraction(eval_multi_pfq(nest(param))) == _nested_sum_reference(nest(param)), param
 
 
 def test_multi_pfq_single_level_equals_pfq():
@@ -182,25 +199,19 @@ def test_multi_pfq_single_level_equals_pfq():
         ((0, 9), (3,)),
     ]
     for nums, dens in cases:
-        levels = (
-            PFQLevel(
-                numerators=tuple(AffineParam(v) for v in nums),
-                denominators=tuple(AffineParam(v) for v in dens),
-            ),
-        )
-        assert eval_multi_pfq(levels) == eval_pfq(PFQParams(nums, dens))
+        assert eval_multi_pfq(((_constants(nums), _constants(dens)),)) == eval_pfq(nums, dens)
 
 
 def test_multi_pfq_zero_numerator_gives_one():
     levels = (
-        PFQLevel((AffineParam(0), AffineParam(3)), (AffineParam(-5),)),
-        PFQLevel((AffineParam(1, (1,)),), (AffineParam(1),)),
+        (_constants((0, 3)), _constants((-5,))),
+        (((1, (1,)),), _constants((1,))),
     )
-    assert eval_multi_pfq(levels) == 1
+    assert eval_multi_pfq(levels) == (1, 1)
 
 
 def test_multi_pfq_rejects_non_terminating_level_zero():
-    levels = (PFQLevel((AffineParam(2),), (AffineParam(1),)),)
+    levels = ((_constants((2,)), _constants((1,))),)
     with pytest.raises(NonTerminatingSeriesError):
         eval_multi_pfq(levels)
 
@@ -208,19 +219,10 @@ def test_multi_pfq_rejects_non_terminating_level_zero():
 def _two_levels(m, n, a):
     # first counting level (index t), second level depends on it (index v)
     return (
-        PFQLevel(
-            numerators=(AffineParam(a), AffineParam(m), AffineParam(-n)),
-            denominators=(AffineParam(-m * n), AffineParam(1)),
-        ),
-        PFQLevel(
-            numerators=(
-                AffineParam(a, (1,)), AffineParam(m - 1), AffineParam(-n - 1),
-                AffineParam(0, (-1,)), AffineParam(0, (-1,)),
-            ),
-            denominators=(
-                AffineParam(-m * n, (1,)), AffineParam(-1, (-1,)),
-                AffineParam(-1, (-1,)), AffineParam(1),
-            ),
+        (_constants((a, m, -n)), _constants((-m * n, 1))),
+        (
+            ((a, (1,)), (m - 1, ()), (-n - 1, ()), (0, (-1,)), (0, (-1,))),
+            ((-m * n, (1,)), (-1, (-1,)), (-1, (-1,)), (1, ())),
         ),
     )
 
@@ -246,21 +248,26 @@ def test_multi_pfq_two_levels_equals_hand_rolled_double_sum():
     for m in range(3, 6):
         for n in range(1, 4):
             for a in range(0, 4):
-                assert eval_multi_pfq(_two_levels(m, n, a)) == double_sum(m, n, a)
+                assert as_fraction(eval_multi_pfq(_two_levels(m, n, a))) == double_sum(m, n, a)
 
 
 def _nested_sum_reference(levels):
     """The nested sum term by term: per-level Pochhammer products over m_0 >= m_1 >= ...
 
-    A term whose numerator product vanishes contributes nothing, and neither do
-    the later terms of its level or the levels inside it. A denominator product
-    that vanishes at a term reached from a nonzero one is a
-    ZeroDenominatorFactorError.
+    A parameter (const, coeffs) is const plus coeffs[j] times the j-th outer
+    index, for each coefficient given. A term whose numerator product vanishes
+    contributes nothing, and neither do the later terms of its level or the
+    levels inside it. A denominator product that vanishes at a term reached
+    from a nonzero one is a ZeroDenominatorFactorError.
     """
+    def value(param, outer):
+        const, coeffs = param
+        return const + sum(coeffs[j] * outer[j] for j in range(len(coeffs)))
+
     def level_sum(i, outer):
-        level = levels[i]
-        nums = [p.at(outer) for p in level.numerators]
-        dens = [p.at(outer) for p in level.denominators]
+        numerators, denominators = levels[i]
+        nums = [value(p, outer) for p in numerators]
+        dens = [value(p, outer) for p in denominators]
         caps = [-a for a in nums if a <= 0]
         if i == 0:
             if not caps:
@@ -286,19 +293,20 @@ def _nested_sum_reference(levels):
 @st.composite
 def small_multi_specs(draw):
     """1-3 levels of 1-3 numerators and 0-2 denominators, constants in [-6, 4],
-    coefficients in [-1, 1] on the outer indices. Level 0's first numerator is
-    a constant in [-5, -1], so every nested sum terminates."""
+    up to one coefficient in [-1, 1] per outer index (a shorter tuple leaves
+    the rest zero). Level 0's first numerator is a constant in [-5, -1], so
+    every nested sum terminates."""
     levels = []
     for i in range(draw(st.integers(1, 3))):
         def param():
-            coeffs = draw(st.lists(st.integers(-1, 1), min_size=i, max_size=i))
-            return AffineParam(draw(st.integers(-6, 4)), tuple(coeffs))
+            coeffs = draw(st.lists(st.integers(-1, 1), min_size=0, max_size=i))
+            return draw(st.integers(-6, 4)), tuple(coeffs)
 
         nums = tuple(param() for _ in range(draw(st.integers(1, 3))))
         if i == 0:
-            nums = (AffineParam(-draw(st.integers(1, 5))),) + nums[1:]
+            nums = ((-draw(st.integers(1, 5)), ()),) + nums[1:]
         dens = tuple(param() for _ in range(draw(st.integers(0, 2))))
-        levels.append(PFQLevel(nums, dens))
+        levels.append((nums, dens))
     return tuple(levels)
 
 
@@ -311,5 +319,14 @@ def _outcome(evaluate, levels):
 
 @settings(max_examples=200, deadline=None)
 @given(small_multi_specs())
+# a zero sum, 1 - 1
+@example(((_constants((-1, 1)), _constants((1,))),))
+# a step whose denominator product is negative: 1 + 1/2 at the top, and a
+# negative inner level under it
+@example(((_constants((-1, 1)), _constants((-2,))),))
+@example(((_constants((-2,)), ()), (((-1, ()), (3, (1,))), ((-2, (0,)),))))
 def test_multi_pfq_matches_term_by_term_reference(levels):
-    assert _outcome(eval_multi_pfq, levels) == _outcome(_nested_sum_reference, levels)
+    # each value is an integer pair in lowest terms with a positive
+    # denominator (as_fraction checks) and equals the reference's Fraction
+    exact = _outcome(lambda levels: as_fraction(eval_multi_pfq(levels)), levels)
+    assert exact == _outcome(_nested_sum_reference, levels)

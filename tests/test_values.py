@@ -12,7 +12,6 @@ import pytest
 
 from battery_syt.arith import Factorization
 from battery_syt.counting import ClosedFormCase
-from battery_syt.hypergeom import AffineParam, PFQLevel, PFQParams
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape
 from conftest import BatteryTableau, ContiguousDecomposition
 
@@ -24,29 +23,17 @@ CASES = [
         "Factorization(factors=((2, 3), (5, 1)))",
     ),
     (
-        PFQParams(numerators=(-2, 3), denominators=(4,)),
-        ((-2, 3), (4,)),
-        "PFQParams(numerators=(-2, 3), denominators=(4,))",
-    ),
-    (
         ContiguousDecomposition(
             coefficient1=Fraction(-1, 2),
-            params1=PFQParams((1, 2, 0), (2, 0)),
+            params1=((1, 2, 0), (2, 0)),
             coefficient2=Fraction(2),
-            params2=PFQParams((1, 2, -1), (2, -1)),
+            params2=((1, 2, -1), (2, -1)),
         ),
-        (Fraction(-1, 2), PFQParams((1, 2, 0), (2, 0)), Fraction(2), PFQParams((1, 2, -1), (2, -1))),
+        (Fraction(-1, 2), ((1, 2, 0), (2, 0)), Fraction(2), ((1, 2, -1), (2, -1))),
         "ContiguousDecomposition(coefficient1=Fraction(-1, 2), "
-        "params1=PFQParams(numerators=(1, 2, 0), denominators=(2, 0)), "
+        "params1=((1, 2, 0), (2, 0)), "
         "coefficient2=Fraction(2, 1), "
-        "params2=PFQParams(numerators=(1, 2, -1), denominators=(2, -1)))",
-    ),
-    (AffineParam(const=3), (3, ()), "AffineParam(const=3, coeffs=())"),
-    (
-        PFQLevel(numerators=(AffineParam(-2),), denominators=(AffineParam(1, (0, 1)),)),
-        ((AffineParam(-2),), (AffineParam(1, (0, 1)),)),
-        "PFQLevel(numerators=(AffineParam(const=-2, coeffs=()),), "
-        "denominators=(AffineParam(const=1, coeffs=(0, 1)),))",
+        "params2=((1, 2, -1), (2, -1)))",
     ),
     (SkewShape(outer=(3, 2)), ((3, 2), ()), "SkewShape(outer=(3, 2), inner=())"),
     (
@@ -89,13 +76,6 @@ def test_unequal_to_another_type_with_the_same_values(record, fields, text):
     assert record != list(fields)
 
 
-def test_series_parameters_and_level_with_equal_fields_differ():
-    params = PFQParams((-2,), ())
-    level = PFQLevel((-2,), ())
-    assert (params.numerators, params.denominators) == (level.numerators, level.denominators)
-    assert params != level
-
-
 @pytest.mark.parametrize("record, fields, text", CASES, ids=IDS)
 def test_assignment_and_deletion_raise(record, fields, text):
     for name in inspect.signature(type(record)).parameters:  # the fields, in order
@@ -126,15 +106,12 @@ def test_pickle_and_copy_round_trips(record, fields, text):
 
 
 def test_defaults():
-    assert AffineParam(3).coeffs == ()
     assert SkewShape((2,)).inner == ()
 
 
 def test_construction_canonicalizes():
     assert BatteryShape([3, 3, 0], 1, 2).lam == (3, 3)
     assert BatteryShape([3, 3, 0], 1, 2) == BatteryShape((3, 3), 1, 2)
-    params = PFQParams([-2.0, 3], [4])
-    assert params.numerators == (-2, 3) and params.denominators == (4,)
     skew = SkewShape([3, 2, 0], [1, 0])
     assert (skew.outer, skew.inner) == ((3, 2), (1,))
     assert TruncatedShape(SkewShape((3, 3)), [1, 0]).truncation == (1,)
