@@ -19,7 +19,8 @@ check each other:
   the C(n+k-1, k-1) profiles the sum has;
 * the closed-form catalog: multiplicative formulas, over the rectangle count,
   for families with the column and one more coordinate fixed at small values;
-  a case's id names the coordinates it fixes.
+  a case's id names the coordinates it fixes, so a battery's case is found
+  by looking up its own.
 
 Counts are integers by construction. Every route ends in one checked integer
 division (``_exact``): ``count_hyper`` divides the rectangle count times the
@@ -37,7 +38,7 @@ from math import comb as binomial  # every binomial here; a binding that span tr
 from math import factorial, perm, prod
 from operator import mul
 
-from . import _EXPORTS, Record, _lazy
+from . import _EXPORTS, _lazy
 from .shapes import (
     rotated_complement,  # noqa: F401  (kept as a module binding that span tracing rebinds)
     syt_count_straight,
@@ -219,30 +220,6 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     return _exact(num, den, context)
 
 
-class ClosedFormCase(Record):
-    """One multiplicative formula from the fixed-parameter catalog.
-
-    The id is the record of the coordinates the case fixes: ``k2-a1`` is the
-    battery of length 1 above column 2, ``k2-m3`` column 2 over width 3.
-    ``ratio`` takes the other two of m, n, a (``params``, in that order) and
-    gives the battery count over the rectangle count as an integer
-    (numerator, denominator) pair, which ``closed_form`` divides once.
-    """
-
-    __slots__ = ("case_id", "ratio")
-
-    def __init__(self, case_id: str, ratio: "Callable[..., tuple[int, int]]") -> None:
-        self._set(case_id, ratio)
-
-    @property
-    def fixed(self) -> dict[str, int]:
-        return {part[0]: int(part[1:]) for part in self.case_id.split("-")}
-
-    @property
-    def params(self) -> tuple[str, ...]:
-        return tuple(name for name in "mna" if name not in self.fixed)
-
-
 def _poly_k2_a3(m, n):
     return (
         m * m * (7 * n * n + 7 * n + 2)
@@ -280,121 +257,101 @@ def _poly_k5_n2(m, a):
     )
 
 
-CLOSED_FORM_CASES: dict[str, ClosedFormCase] = {
-    case.case_id: case
-    for case in (
-        ClosedFormCase(
-            "k2-a1",
-            lambda m, n: (binomial(m * n + m, m), binomial(m * n + m - n, m)),
+# A case's id names the coordinates it fixes: k2-a1 is the battery of length 1
+# above column 2, k2-m3 column 2 over width 3. Its ratio takes the other two of
+# m, n, a, in that order, and gives the battery count over the rectangle count
+# as an integer (numerator, denominator) pair, which closed_form divides once.
+# Every column lists its a cases, then its m cases, then its n cases, so
+# match_closed_form's lookups in that order find the first match in this order.
+CLOSED_FORM_CASES: "dict[str, Callable[[int, int], tuple[int, int]]]" = {
+    "k2-a1": lambda m, n: (binomial(m * n + m, m), binomial(m * n + m - n, m)),
+    "k2-a2": lambda m, n: (
+        binomial(m * n + m, m) * (2 * m * n + m - n + 1),
+        binomial(m * n + m - n + 1, m + 1) * (m + 1),
+    ),
+    "k2-a3": lambda m, n: (
+        binomial(m * n + m, m) * _poly_k2_a3(m, n),
+        binomial(m * n - n + m + 2, m + 2) * 2 * (m + 2) * (m + 1),
+    ),
+    "k2-m3": lambda n, a: (
+        binomial(3 * n + a, a) * (n + 1) * (a * n + 2 * a + 8 * n + 4),
+        binomial(2 * n + a + 2, a + 1) * 2 * (2 * n + 1),
+    ),
+    "k2-m4": lambda n, a: (
+        binomial(4 * n + a, a)
+        * (n + 1)
+        * (
+            a * a * (n + 2) * (n + 3)
+            + a * (n + 2) * (29 * n + 15)
+            + 18 * (3 * n + 1) * (3 * n + 2)
         ),
-        ClosedFormCase(
-            "k2-a2",
-            lambda m, n: (
-                binomial(m * n + m, m) * (2 * m * n + m - n + 1),
-                binomial(m * n + m - n + 1, m + 1) * (m + 1),
-            ),
+        binomial(3 * n + a + 3, a + 1) * 6 * (3 * n + 1) * (3 * n + 2),
+    ),
+    "k2-n2": lambda m, a: ((a + 1) * (a * (m + 1) + 4 * (2 * m - 1)), 4 * (2 * m - 1)),
+    "k2-n3": lambda m, a: (
+        (a + 1)
+        * (
+            a * a * (m + 1) * (m + 2)
+            + a * (29 * m - 14) * (m + 1)
+            + 18 * (3 * m - 1) * (3 * m - 2)
         ),
-        ClosedFormCase(
-            "k2-a3",
-            lambda m, n: (
-                binomial(m * n + m, m) * _poly_k2_a3(m, n),
-                binomial(m * n - n + m + 2, m + 2) * 2 * (m + 2) * (m + 1),
-            ),
+        18 * (3 * m - 1) * (3 * m - 2),
+    ),
+    "k3-n2": lambda m, a: (
+        (a + 1)
+        * (a + 2)
+        * (
+            a * a * m * (m + 1)
+            + a * (m + 1) * (19 * m - 24)
+            + 24 * (2 * m - 1) * (2 * m - 3)
         ),
-        ClosedFormCase(
-            "k2-m3",
-            lambda n, a: (
-                binomial(3 * n + a, a) * (n + 1) * (a * n + 2 * a + 8 * n + 4),
-                binomial(2 * n + a + 2, a + 1) * 2 * (2 * n + 1),
-            ),
-        ),
-        ClosedFormCase(
-            "k2-m4",
-            lambda n, a: (
-                binomial(4 * n + a, a)
-                * (n + 1)
-                * (
-                    a * a * (n + 2) * (n + 3)
-                    + a * (n + 2) * (29 * n + 15)
-                    + 18 * (3 * n + 1) * (3 * n + 2)
-                ),
-                binomial(3 * n + a + 3, a + 1) * 6 * (3 * n + 1) * (3 * n + 2),
-            ),
-        ),
-        ClosedFormCase(
-            "k2-n2",
-            lambda m, a: ((a + 1) * (a * (m + 1) + 4 * (2 * m - 1)), 4 * (2 * m - 1)),
-        ),
-        ClosedFormCase(
-            "k2-n3",
-            lambda m, a: (
-                (a + 1)
-                * (
-                    a * a * (m + 1) * (m + 2)
-                    + a * (29 * m - 14) * (m + 1)
-                    + 18 * (3 * m - 1) * (3 * m - 2)
-                ),
-                18 * (3 * m - 1) * (3 * m - 2),
-            ),
-        ),
-        ClosedFormCase(
-            "k3-n2",
-            lambda m, a: (
-                (a + 1)
-                * (a + 2)
-                * (
-                    a * a * m * (m + 1)
-                    + a * (m + 1) * (19 * m - 24)
-                    + 24 * (2 * m - 1) * (2 * m - 3)
-                ),
-                48 * (2 * m - 1) * (2 * m - 3),
-            ),
-        ),
-        ClosedFormCase(
-            "k3-n3",
-            lambda m, a: (
-                (a + 1) * (a + 2) * _poly_k3_n3(m, a),
-                1296 * (3 * m - 1) * (3 * m - 2) * (3 * m - 4) * (3 * m - 5),
-            ),
-        ),
-        ClosedFormCase(
-            "k4-n2",
-            lambda m, a: (
-                (a + 1) * (a + 2) * (a + 3) * _poly_k4_n2(m, a),
-                1152 * (2 * m - 1) * (2 * m - 3) * (2 * m - 5),
-            ),
-        ),
-        ClosedFormCase(
-            "k5-n2",
-            lambda m, a: (
-                (a + 1) * (a + 2) * (a + 3) * (a + 4) * _poly_k5_n2(m, a),
-                46080 * (2 * m - 1) * (2 * m - 3) * (2 * m - 5) * (2 * m - 7),
-            ),
-        ),
-    )
+        48 * (2 * m - 1) * (2 * m - 3),
+    ),
+    "k3-n3": lambda m, a: (
+        (a + 1) * (a + 2) * _poly_k3_n3(m, a),
+        1296 * (3 * m - 1) * (3 * m - 2) * (3 * m - 4) * (3 * m - 5),
+    ),
+    "k4-n2": lambda m, a: (
+        (a + 1) * (a + 2) * (a + 3) * _poly_k4_n2(m, a),
+        1152 * (2 * m - 1) * (2 * m - 3) * (2 * m - 5),
+    ),
+    "k5-n2": lambda m, a: (
+        (a + 1) * (a + 2) * (a + 3) * (a + 4) * _poly_k5_n2(m, a),
+        46080 * (2 * m - 1) * (2 * m - 3) * (2 * m - 5) * (2 * m - 7),
+    ),
 }
+
+
+def _case_coords(case_id: str) -> tuple[dict[str, int], tuple[str, ...]]:
+    """A case id read as the coordinates it fixes, and the names of its ratio's
+    two parameters: the other two of m, n, a, in that order."""
+    fixed = {part[0]: int(part[1:]) for part in case_id.split("-")}
+    return fixed, tuple(name for name in "mna" if name not in fixed)
 
 
 def closed_form(case_id: str, **params: int) -> int:
     """Evaluate a catalog case; raises KeyError for unknown ids, ValueError out of range."""
-    case = CLOSED_FORM_CASES[case_id]
-    if set(params) != set(case.params):
-        raise ValueError(f"case {case_id} takes parameters {case.params}, got {tuple(params)}")
-    coords = {**case.fixed, **params}
+    ratio = CLOSED_FORM_CASES[case_id]
+    fixed, names = _case_coords(case_id)
+    if set(params) != set(names):
+        raise ValueError(f"case {case_id} takes parameters {names}, got {tuple(params)}")
+    coords = {**fixed, **params}
     m, n = coords["m"], coords["n"]
     _check_rect_args(m, n, coords["a"], coords["k"])
-    num, den = case.ratio(*(params[name] for name in case.params))
+    num, den = ratio(*(params[name] for name in names))
     return _exact(rect_syt_count(m, n) * num, den, f"closed form {case_id}{params}")
 
 
 def match_closed_form(m: int, n: int, a: int, k: int) -> tuple[str, dict[str, int]] | None:
-    """First catalog case whose fixed coordinates are those of the battery [(m^n), a, k], if any."""
+    """First catalog case whose fixed coordinates are those of the battery [(m^n), a, k], if any:
+    the battery's column with its a, then its m, then its n."""
     try:
         _check_rect_args(m, n, a, k)
     except ValueError:
         return None
-    coords = {"m": m, "n": n, "a": a, "k": k}
-    for case_id, case in CLOSED_FORM_CASES.items():
-        if all(coords[name] == value for name, value in case.fixed.items()):
-            return case_id, {name: coords[name] for name in case.params}
+    coords = {"m": m, "n": n, "a": a}
+    for name in "amn":
+        case_id = f"k{k}-{name}{coords[name]}"
+        if case_id in CLOSED_FORM_CASES:
+            return case_id, {other: coords[other] for other in "mna" if other != name}
     return None

@@ -11,6 +11,7 @@ from battery_syt.counting import (
     CLOSED_FORM_CASES,
     COUNT_BY_COLUMN,
     NonIntegerCountError,
+    _case_coords,
     closed_form,
     count_general,
     count_hyper,
@@ -176,9 +177,9 @@ def test_criterion_08_closed_form_catalog():
     assert set(grids) == set(CLOSED_FORM_CASES), "catalog must cover all eleven cases"
     cases = 0
     for case_id, grid in grids.items():
-        case = CLOSED_FORM_CASES[case_id]
+        fixed = _case_coords(case_id)[0]
         for params in grid:
-            coords = {**case.fixed, **params}
+            coords = {**fixed, **params}
             expected = count_general(*(coords[name] for name in "mnak"))
             assert closed_form(case_id, **params) == expected, (case_id, params)
             cases += 1
@@ -202,11 +203,12 @@ def test_criterion_09_integrality_across_sweeps():
                     except NonIntegerCountError:
                         violations += 1
                     evaluated += 1
-    for case_id, case in CLOSED_FORM_CASES.items():
+    for case_id in CLOSED_FORM_CASES:
+        fixed, names = _case_coords(case_id)
         for first in range(2, 6):
             for second in range(1, 5):
-                params = dict(zip(case.params, (first, second)))
-                coords = {**case.fixed, **params}
+                params = dict(zip(names, (first, second)))
+                coords = {**fixed, **params}
                 # n and a are at least 1 on this grid, so only the width can fall short
                 if coords["m"] >= coords["k"]:
                     try:

@@ -10,6 +10,7 @@ from battery_syt.counting import (
     CLOSED_FORM_CASES,
     COUNT_BY_COLUMN,
     NonIntegerCountError,
+    _case_coords,
     _exact,
     closed_form,
     count_general,
@@ -186,11 +187,9 @@ def test_closed_form_known_values():
     assert closed_form("k2-n2", m=3, a=1) == 12
     assert count_hyper(3, 2, 1, 2) == 12
     # a case's id names the coordinates it fixes; params are the other two of m, n, a
-    assert CLOSED_FORM_CASES["k2-a1"].fixed == {"k": 2, "a": 1}
-    assert CLOSED_FORM_CASES["k2-a1"].params == ("m", "n")
-    assert CLOSED_FORM_CASES["k2-m3"].fixed == {"k": 2, "m": 3}
-    assert CLOSED_FORM_CASES["k2-m3"].params == ("n", "a")
-    assert CLOSED_FORM_CASES["k5-n2"].params == ("m", "a")
+    assert _case_coords("k2-a1") == ({"k": 2, "a": 1}, ("m", "n"))
+    assert _case_coords("k2-m3") == ({"k": 2, "m": 3}, ("n", "a"))
+    assert _case_coords("k5-n2")[1] == ("m", "a")
 
 
 def test_closed_form_rejects_bad_input():
@@ -222,9 +221,9 @@ def test_closed_forms_match_general():
     }
     assert set(grids) == set(CLOSED_FORM_CASES)
     for case_id, grid in grids.items():
-        case = CLOSED_FORM_CASES[case_id]
+        fixed = _case_coords(case_id)[0]
         for params in grid:
-            coords = {**case.fixed, **params}
+            coords = {**fixed, **params}
             expected = count_general(*(coords[name] for name in "mnak"))
             assert closed_form(case_id, **params) == expected, (case_id, params)
 
@@ -238,6 +237,47 @@ def test_match_closed_form():
     assert match_closed_form(3, 0, 1, 2) is None  # no rows
     assert match_closed_form(3, 2, -1, 2) is None  # negative battery length
     assert match_closed_form(11, 7, 1, 6) is None
+
+
+def _first_in_catalog_order(m, n, a, k):
+    """The first case, scanning the catalog in key order, whose fixed coordinates are the battery's."""
+    try:
+        counting._check_rect_args(m, n, a, k)
+    except ValueError:
+        return None
+    coords = {"m": m, "n": n, "a": a, "k": k}
+    for case_id in CLOSED_FORM_CASES:
+        fixed, names = _case_coords(case_id)
+        if all(coords[name] == value for name, value in fixed.items()):
+            return case_id, {name: coords[name] for name in names}
+    return None
+
+
+def test_match_closed_form_is_the_first_match_in_catalog_order():
+    matches = 0
+    for m in range(-1, 8):
+        for n in range(-1, 6):
+            for a in range(-1, 6):
+                for k in range(-1, 8):
+                    match = match_closed_form(m, n, a, k)
+                    assert match == _first_in_catalog_order(m, n, a, k), (m, n, a, k)
+                    matches += match is not None
+    assert matches == 246
+
+
+def test_catalog_keys_read_back_and_list_a_then_m_then_n():
+    order = []
+    for case_id in CLOSED_FORM_CASES:
+        fixed = _case_coords(case_id)[0]
+        assert "-".join(f"{name}{value}" for name, value in fixed.items()) == case_id
+        column, coordinate = fixed
+        assert column == "k" and coordinate in "amn"
+        order.append((fixed["k"], "amn".index(coordinate)))
+    # match_closed_form looks a column's cases up by a, then m, then n, which
+    # is the first match in catalog order only while the catalog lists them so
+    for k in {k for k, _ in order}:
+        ranks = [rank for column, rank in order if column == k]
+        assert ranks == sorted(ranks), k
 
 
 def test_match_closed_form_candidates_agree():

@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from battery_syt.arith import Factorization
-from battery_syt.counting import ClosedFormCase
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape
 from conftest import BatteryTableau, ContiguousDecomposition
 
@@ -42,11 +41,6 @@ CASES = [
         "TruncatedShape(base=SkewShape(outer=(3, 3), inner=()), truncation=(1,))",
     ),
     (BatteryShape(lam=(3, 3), a=1, k=2), ((3, 3), 1, 2), "BatteryShape(lam=(3, 3), a=1, k=2)"),
-    (
-        ClosedFormCase(case_id="k2-a1", ratio=Fraction),
-        ("k2-a1", Fraction),
-        "ClosedFormCase(case_id='k2-a1', ratio=<class 'fractions.Fraction'>)",
-    ),
     (
         BatteryTableau(battery=(3,), rows=((1, 4), (2, 5))),
         ((3,), ((1, 4), (2, 5))),
