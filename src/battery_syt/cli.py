@@ -24,7 +24,7 @@ import os
 import sys
 import time
 
-from . import Record, _lazy
+from . import _lazy
 from .shapes import (
     DEFAULT_SIZE_CAP,
     BatteryShape,
@@ -36,7 +36,7 @@ from .shapes import (
 )
 
 # The routes, each imported the first time it runs. They stay module bindings,
-# which REGISTRY calls through and span tracing rebinds.
+# which METHODS calls through and span tracing rebinds.
 count_hyper = _lazy("counting", "count_hyper")
 count_general = _lazy("counting", "count_general")
 closed_form = _lazy("counting", "closed_form")
@@ -193,62 +193,41 @@ def _with_spans(shape: Shape) -> SkewShape | TruncatedShape | BatteryShape:
     return BatteryShape(shape, 0, 1) if isinstance(shape, tuple) else shape
 
 
-class Method(Record):
-    """A counting method: what shapes it needs, a cheap static test for that, and the count.
-
-    ``needs`` is formatted with size_cap and the shape's size for the
-    not-applicable message. ``applies`` never evaluates a count, so auto and
-    --verify can pick methods without running them.
-    """
-
-    __slots__ = ("needs", "applies", "count")
-
-    def __init__(
-        self,
-        needs: str,
-        applies: "Callable[[Shape, int], bool]",
-        count: "Callable[[Shape, int], int]",
-    ) -> None:
-        self._set(needs, applies, count)
-
-
-REGISTRY = {
-    "hyper": Method(
-        "a battery over a rectangle",
-        lambda shape, size_cap: _rect(shape) is not None,
-        lambda shape, size_cap: count_hyper(*_rect(shape)),
+# name -> its count of (shape, size_cap); the one place a count lives, which
+# run() counts through, fault-injection tests patch and span tracing wraps
+METHODS = {
+    "hyper": lambda shape, size_cap: count_hyper(*_rect(shape)),
+    "general": lambda shape, size_cap: count_general(*_rect(shape)),
+    "closed": lambda shape, size_cap: (lambda case_id, params: closed_form(case_id, **params))(
+        *match_closed_form(*_rect(shape))
     ),
-    "general": Method(
-        "a battery over a rectangle",
-        lambda shape, size_cap: _rect(shape) is not None,
-        lambda shape, size_cap: count_general(*_rect(shape)),
-    ),
-    "closed": Method(
-        "a battery over a rectangle covered by a closed-form case",
-        lambda shape, size_cap: _rect(shape) is not None and match_closed_form(*_rect(shape)) is not None,
-        lambda shape, size_cap: (lambda case_id, params: closed_form(case_id, **params))(
-            *match_closed_form(*_rect(shape))
-        ),
-    ),
-    "dp": Method(
-        "at most {size_cap} cells (--size-cap), the shape has {size}",
-        lambda shape, size_cap: _shape_size(shape) <= size_cap,
-        lambda shape, size_cap: count_linear_extensions(_with_spans(shape), size_cap),
-    ),
-    "hlf": Method(
-        "a straight partition",
-        lambda shape, size_cap: isinstance(shape, tuple),
-        lambda shape, size_cap: syt_count_straight(shape),
-    ),
-    "conjugate": Method(
-        "at most {size_cap} cells (--size-cap), the shape has {size}",
-        lambda shape, size_cap: _shape_size(shape) <= size_cap,
-        lambda shape, size_cap: count_line_convex(conjugate_spans(_with_spans(shape).row_spans()), size_cap),
+    "dp": lambda shape, size_cap: count_linear_extensions(_with_spans(shape), size_cap),
+    "hlf": lambda shape, size_cap: syt_count_straight(shape),
+    "conjugate": lambda shape, size_cap: count_line_convex(
+        conjugate_spans(_with_spans(shape).row_spans()), size_cap
     ),
 }
 
-# monkeypatch point for fault-injection tests; run() counts only through it
-METHODS = {name: method.count for name, method in REGISTRY.items()}
+# name -> (needs, applies): what shapes the method counts, and a cheap static
+# test for that. needs is formatted with size_cap and the shape's size for the
+# not-applicable message; applies never evaluates a count, so auto and
+# --verify can pick methods without running them
+_ON_RECT = ("a battery over a rectangle", lambda shape, size_cap: _rect(shape) is not None)
+_UNDER_CAP = (
+    "at most {size_cap} cells (--size-cap), the shape has {size}",
+    lambda shape, size_cap: _shape_size(shape) <= size_cap,
+)
+REGISTRY = {
+    "hyper": _ON_RECT,
+    "general": _ON_RECT,
+    "closed": (
+        "a battery over a rectangle covered by a closed-form case",
+        lambda shape, size_cap: _rect(shape) is not None and match_closed_form(*_rect(shape)) is not None,
+    ),
+    "dp": _UNDER_CAP,
+    "hlf": ("a straight partition", lambda shape, size_cap: isinstance(shape, tuple)),
+    "conjugate": _UNDER_CAP,
+}
 
 # auto runs the first applicable method, falling back to dp for its size-cap
 # refusal; --verify checks against the first applicable other method, so a
@@ -289,7 +268,7 @@ def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[int | None, int
 
 def _first_applicable(shape: Shape, order, size_cap: int, skip: str | None = None) -> str | None:
     return next(
-        (name for name in order if name != skip and REGISTRY[name].applies(shape, size_cap)),
+        (name for name in order if name != skip and REGISTRY[name][1](shape, size_cap)),
         None,
     )
 
@@ -414,8 +393,9 @@ def _run(argv) -> int:
     method = args["method"]
     if method == "auto":
         method = _first_applicable(shape, AUTO_ORDER, size_cap) or "dp"
-    if not REGISTRY[method].applies(shape, size_cap):
-        needs = REGISTRY[method].needs.format(size_cap=size_cap, size=_shape_size(shape))
+    needs, applies = REGISTRY[method]
+    if not applies(shape, size_cap):
+        needs = needs.format(size_cap=size_cap, size=_shape_size(shape))
         _note(f"error: method {method!r} not applicable: it needs {needs}")
         return EXIT_METHOD
     partner = None

@@ -11,12 +11,13 @@ check each other:
   bullet profile has at most r = k-1 columns), a rotated complement
   subtableau, and a binomial interleaving factor. By the hook length formula
   both subtableau counts are products over the profile's shifted column
-  heights, and Heine's identity turns the sum over all profiles into one
-  r-by-r Hankel determinant of moments, a polynomial in a marking variable y.
-  Its known factor (1+y)^(r max(n-c, 0)), c = m-k+1, is divided out, and the
-  rest is evaluated at r min(n, c)+1 integers by fraction-free elimination and
-  interpolated exactly, so the work is polynomial in m, n and k rather than
-  the C(n+k-1, k-1) profiles the sum has;
+  heights, or equally over its shifted row lengths, and Heine's identity turns
+  the sum over all profiles into one Hankel determinant of moments, a
+  polynomial in a marking variable y, on the shorter side of the profile's
+  n-by-r box. Its known factor (1+y)^(r max(n-c, 0)), c = m-k+1, is divided
+  out, and the rest is evaluated at r min(n, c)+1 integers by fraction-free
+  elimination and interpolated exactly, so the work is polynomial in m, n and
+  k rather than the C(n+k-1, k-1) profiles the sum has;
 * the closed-form catalog: multiplicative formulas, over the rectangle count,
   for families with the column and one more coordinate fixed at small values;
   a case's id names the coordinates it fixes, so a battery's case is found
@@ -181,6 +182,15 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     interpolated instead, from r min(n, c) + 1 values (every division is
     checked). Chu-Vandermonde, sum_t C(A,t) (b)_t (M-t)! = (M+b)! (M-A)! / (M+b-A)!,
     turns the sum over e into (mn+a)! / (mn+a-A)! sum_j q_j (a)_j (mn-A-j)!.
+
+    When n < r the profile is read by its n row lengths instead, a smaller
+    determinant for a battery far right of a short rectangle: the points
+    l_j = mu_j + n - j lie in the same [0, N], the complement's are m+n-1-l_j,
+    and the two counts multiply to s! (mn-s)! Delta(l)^2 prod C(m+n-1, l_j) /
+    (m+n-1)!^n. Summed by Heine over n-point sets with the weight
+    C(m+n-1, x) y^x, that is det[mu_{i+j}(y)] of size n with D(y) / y^C(n,2)
+    equal to E up to a constant factor, so the same (1+y)^A divides it, the
+    same points interpolate it and the count divides by (m+n-1)!^n alone.
     """
     _check_rect_args(m, n, a, k)
     context = f"[({m}^{n}), {a}, {k}]"
@@ -188,16 +198,25 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     big = n + r - 1
     known = r * max(n - (m - k + 1), 0)  # A: (1+y)^A divides E
     deg = r * n - known
-    shift = r * (r - 1) // 2
-    # the coefficient rows of mu_0 .. mu_{2r-2}: x^p W(x)
-    table = [_weights(m, n, k)]
-    for _ in range(2 * r - 2):
+    if n < r:  # the row side: n points a profile, weight C(m+n-1, x)
+        side = n
+        weights = [binomial(m + n - 1, x) for x in range(big + 1)]
+        fixed, den = 1, factorial(m + n - 1) ** n
+    else:  # the column side: r points a profile, weight W(x)
+        side = r
+        weights = _weights(m, n, k)
+        fixed = prod(map(factorial, range(1, m - k + 1)))
+        den = prod(factorial(f) for f in range(n + k - 1, n + m)) * factorial(big) ** r
+    shift = side * (side - 1) // 2
+    # the coefficient rows of mu_0 .. mu_{2 side-2}: x^p times the weight
+    table = [weights]
+    for _ in range(2 * side - 2):
         table.append(list(map(mul, range(big + 1), table[-1])))
     values = []
     for y in range(1, deg + 2):
         powers = list(accumulate(repeat(y, big), mul, initial=1))
         moments = [sum(map(mul, row, powers)) for row in table]
-        values.append(_exact(_hankel_det(moments, r, context), y**shift * (y + 1) ** known, context))
+        values.append(_exact(_hankel_det(moments, side, context), y**shift * (y + 1) ** known, context))
     # forward differences at y = 1 give Q in the basis (y-1)(y-2)...(y-j);
     # an integer polynomial has its j-th difference divisible by j!
     newton = []
@@ -215,8 +234,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     for j, q in enumerate(coeffs):
         total = total * (cells - j + 1) + q * rising
         rising *= a + j
-    num = total * factorial(cells - deg) * perm(m * n + a, known) * prod(map(factorial, range(1, m - k + 1)))
-    den = prod(factorial(f) for f in range(n + k - 1, n + m)) * factorial(big) ** r
+    num = total * factorial(cells - deg) * perm(m * n + a, known) * fixed
     return _exact(num, den, context)
 
 

@@ -453,6 +453,18 @@ def test_a_nest_too_deep_for_the_recursion_limit_exits_3_within_5_s():
     assert (done.returncode, done.stdout, done.stderr) == (0, "150\n", "")
 
 
+@pytest.mark.parametrize("expr, count", [
+    ("battery:rect:60x1,a=0,k=60", "1"),
+    ("battery:rect:100x1,a=1,k=50", "50"),
+    ("battery:rect:40x2,a=1,k=40", "202278371832757962680400"),
+], ids=["60x1", "100x1", "40x2"])
+def test_auto_counts_a_battery_far_right_of_a_short_rectangle_within_5_s(expr, count):
+    # general takes determinants of the profile box's shorter side, n here;
+    # each count is the DP's
+    done = _count_in_a_fresh_process(expr)
+    assert (done.returncode, done.stdout, done.stderr) == (0, count + "\n", "")
+
+
 # Counts whose factoring runs out of its work budget, each with the digits of
 # the composite cofactor it leaves
 OVER_BUDGET = {
@@ -651,9 +663,9 @@ def small_batteries(draw):
 @given(small_batteries())
 def test_applicable_methods_agree(shape):
     counts = {
-        name: method.count(shape, cli.DEFAULT_SIZE_CAP)
-        for name, method in cli.REGISTRY.items()
-        if method.applies(shape, cli.DEFAULT_SIZE_CAP)
+        name: cli.METHODS[name](shape, cli.DEFAULT_SIZE_CAP)
+        for name, (needs, applies) in cli.REGISTRY.items()
+        if applies(shape, cli.DEFAULT_SIZE_CAP)
     }
     assert "dp" in counts
     assert len(set(counts.values())) == 1, (shape, counts)
@@ -665,7 +677,16 @@ def test_method_exits_3_exactly_when_inapplicable(shape, method, size_cap):
     base = ",".join(map(str, shape.lam))
     expr = f"battery:part:{base},a={shape.a},k={shape.k}"
     status = cli.run(["count", expr, "--method", method, "--size-cap", str(size_cap)])
-    assert status == (0 if cli.REGISTRY[method].applies(shape, size_cap) else 3)
+    needs, applies = cli.REGISTRY[method]
+    assert status == (0 if applies(shape, size_cap) else 3)
+
+
+def test_every_method_has_one_count_and_one_rule():
+    assert cli.METHODS.keys() == cli.REGISTRY.keys()
+    named = set(cli.AUTO_ORDER) | set(cli.PARTNER_ORDER) | set(cli._OPTIONS["--method"]) - {"auto"}
+    assert named <= cli.METHODS.keys()
+    for needs, applies in cli.REGISTRY.values():
+        assert isinstance(needs, str) and callable(applies)
 
 
 def _joined(values):

@@ -152,6 +152,26 @@ def test_general_interpolates_only_the_unknown_factor(monkeypatch):
     )
 
 
+def test_general_row_side_matches_profiles_and_hyper():
+    # n < k-1: count_general reads each profile by its n row lengths
+    for k in range(3, 13):
+        for n in range(1, min(4, k - 2) + 1):
+            for m in (k, k + 3):
+                for a in range(0, 4):
+                    _check_routes_agree(m, n, a, k)
+
+
+def test_general_row_side_takes_n_by_n_determinants(monkeypatch):
+    # at 40x2 k=40, r = 39 and c = 1: Q has degree r min(n, c) = 39, so 40
+    # values, each a determinant of the shorter side n = 2 rather than r = 39
+    calls = []
+    hankel_det = counting._hankel_det
+    monkeypatch.setattr(counting, "_hankel_det", lambda *args: calls.append(args) or hankel_det(*args))
+    assert count_general(40, 2, 1, 40) == 202278371832757962680400
+    assert len(calls) == 40
+    assert {size for _, size, _ in calls} == {2}
+
+
 def test_general_refuses_a_perturbed_weight(monkeypatch, capsys):
     # the final division by N!^r prod F! checks integrality; one weight off by
     # one leaves a non-integer count here (not at every shape)
