@@ -179,6 +179,10 @@ def test_a_count_without_site_leaves_typing_unloaded():
         (["skew:12,12,11,10/1", "--method", "dp"], {"battery_syt.oracle"},
          {"battery_syt.counting", "battery_syt.arith", "battery_syt.hypergeom", "fractions",
           "decimal"}),
+        # a battery over a rectangle walks half its base's ideals, weighted by math.comb
+        (["battery:rect:6x5,a=2,k=3", "--method", "dp"], {"battery_syt.oracle"},
+         {"battery_syt.counting", "battery_syt.arith", "battery_syt.hypergeom", "fractions",
+          "decimal"}),
         # the partner of a shape only the DP counts is the DP again, on the conjugate layout
         (["skew:12,12,11,10/1", "--verify"], {"battery_syt.oracle"},
          {"battery_syt.counting", "battery_syt.arith", "battery_syt.hypergeom", "fractions",
@@ -198,8 +202,8 @@ def test_a_count_without_site_leaves_typing_unloaded():
          {"battery_syt.counting", "battery_syt.arith"},
          {"battery_syt.hypergeom", "battery_syt.oracle", "fractions"}),
     ],
-    ids=["closed", "closed-k2-a2", "closed-k2-a3", "closed-k3-n2", "general", "dp", "dp-verify", "hyper",
-         "general-verify", "hlf", "factored"],
+    ids=["closed", "closed-k2-a2", "closed-k2-a3", "closed-k3-n2", "general", "dp", "dp-rectangle",
+         "dp-verify", "hyper", "general-verify", "hlf", "factored"],
 )
 def test_a_count_loads_only_its_route(argv, loads, leaves, capsys):
     out, loaded = run_fresh(f"import battery_syt.cli as cli\ncli.run(['count', *{argv!r}])")

@@ -261,15 +261,25 @@ def _shape_cells(shape):
     return [(r, c) for r, row in enumerate(outer) for c in range(inner[r], row - cut[r])]
 
 
-def _count_downsets(cells):
+def _count_downsets(cells, most=None):
     """Brute force: the subsets of cells closed under taking the left and the
-    upper neighbour, which generate the order of a line-convex diagram."""
+    upper neighbour, which generate the order of a line-convex diagram; with
+    ``most``, only those of at most that many cells."""
     index = {cell: j for j, cell in enumerate(cells)}
     below = [sum(1 << index[p] for p in ((r, c - 1), (r - 1, c)) if p in index) for r, c in cells]
     return sum(
         all(subset & need == need for j, need in enumerate(below) if subset >> j & 1)
         for subset in range(1 << len(cells))
+        if most is None or subset.bit_count() <= most
     )
+
+
+def _rectangle_cut(m, n, a, k):
+    """The level a battery over the m-by-n rectangle is split at: the middle,
+    or past the n(k-1) cells an ideal leaving (1, k) out can hold when the
+    battery has cells."""
+    middle = (m * n + 1) // 2
+    return max(middle, n * (k - 1) + 1) if a else middle
 
 
 @st.composite
@@ -298,15 +308,46 @@ def small_shapes(draw):
 @example(cli.parse_shape_expr("skew:3,3/3"))
 @example(cli.parse_shape_expr("skew:4,3,2/3,3"))  # an empty middle row
 @example(BatteryShape((2, 1), 3, 2))
+@example(BatteryShape((3, 3), 2, 2))  # a rectangle base: its ideals up to the cut
+@example(BatteryShape((4,), 1, 4))  # the cut past the middle, at the whole row
+@example(BatteryShape((2, 2, 2), 0, 1))  # a straight rectangle
 def test_dp_visits_exactly_the_order_ideals(shape):
     cells = _shape_cells(shape)
     assert len(cells) == shape.size
-    assert linear_extension_profile(shape)[1] == _count_downsets(cells), shape
+    if isinstance(shape, BatteryShape) and shape.is_rectangle():
+        m, n = shape.lam[0], len(shape.lam)
+        base = [(r, c) for r in range(n) for c in range(m)]
+        expected = _count_downsets(base, _rectangle_cut(m, n, shape.a, shape.k))
+    else:
+        expected = _count_downsets(cells)
+    assert linear_extension_profile(shape)[1] == expected, shape
 
 
 def test_dp_profile_pinned_on_the_largest_verify_battery():
     assert linear_extension_profile(BatteryShape((11,) * 8, 3, 6)) == (
-        29032714351326166831529458339421513690767590218938080000, 79443)
+        29032714351326166831529458339421513690767590218938080000, 39006)
+
+
+@st.composite
+def rectangle_batteries(draw):
+    """Batteries over an m-by-n rectangle with m, n <= 7, a <= 4 and any k."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    return BatteryShape((m,) * n, draw(st.integers(0, 4)), draw(st.integers(1, m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rectangle_batteries())
+@example(BatteryShape((1,) * 6, 3, 1))  # one column: a chain
+@example(BatteryShape((6,), 3, 4))  # one row
+@example(BatteryShape((5,) * 4, 2, 1))  # k = 1: every ideal but the empty one holds (1, 1)
+@example(BatteryShape((5,) * 4, 2, 5))  # k = m
+@example(BatteryShape((6,) * 5, 0, 3))  # no battery cells: g is f
+@example(BatteryShape((5,) * 11, 2, 4))  # the cut, 34 cells, past the middle, 28
+def test_rectangle_walk_matches_the_full_walk(shape):
+    spans = _capped(shape.row_spans(), 120)
+    count, states = linear_extension_profile(shape)
+    assert count == count_line_convex(spans) == span_profile_by_two_tests(spans)[0], shape
+    assert states <= _span_profile(spans)[1], shape
 
 
 @pytest.mark.parametrize("expr, profile", [
