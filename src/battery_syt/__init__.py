@@ -5,7 +5,8 @@ cells stacked above its k-th column. The package counts tableaux of such
 shapes (and of straight, skew, and truncated shapes) with arbitrary-precision
 arithmetic, by several mutually checking routes: terminating hypergeometric
 series, the pivot decomposition summed as one Hankel determinant, a
-closed-form catalog, and a linear-extension dynamic program.
+closed-form catalog, and a linear-extension dynamic program. A straight
+shape's hook length count is checked by Frobenius's formula.
 
 Importing the package loads none of its modules. Each exported name, and each
 submodule, is imported on first access (PEP 562), so a program pays only for
@@ -24,6 +25,7 @@ _EXPORTS = {
         "CLOSED_FORM_CASES", "COUNT_BY_COLUMN", "NonIntegerCountError", "closed_form",
         "count_general", "count_hyper", "match_closed_form", "rect_syt_count",
     ),
+    "frobenius": ("syt_count_frobenius",),
     "hypergeom": (
         "NonTerminatingSeriesError", "ZeroDenominatorFactorError", "eval_multi_pfq", "eval_pfq",
         "termination_index",

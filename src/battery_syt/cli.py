@@ -32,6 +32,7 @@ from .shapes import (
     SkewShape,
     TruncatedShape,
     as_partition,
+    dp_cells,
     syt_count_straight,
 )
 
@@ -44,6 +45,7 @@ match_closed_form = _lazy("counting", "match_closed_form")
 count_linear_extensions = _lazy("oracle", "count_linear_extensions")
 count_line_convex = _lazy("oracle", "count_line_convex")
 conjugate_spans = _lazy("oracle", "conjugate_spans")
+syt_count_frobenius = _lazy("frobenius", "syt_count_frobenius")
 factorize = _lazy("arith", "factorize")
 
 __all__ = ["ShapeParseError", "parse_shape_expr", "run", "main", "console"]
@@ -203,19 +205,22 @@ METHODS = {
     ),
     "dp": lambda shape, size_cap: count_linear_extensions(_with_spans(shape), size_cap),
     "hlf": lambda shape, size_cap: syt_count_straight(shape),
+    "frobenius": lambda shape, size_cap: syt_count_frobenius(shape),
     "conjugate": lambda shape, size_cap: count_line_convex(
         conjugate_spans(_with_spans(shape).row_spans()), size_cap
     ),
 }
 
 # name -> (needs, applies): what shapes the method counts, and a cheap static
-# test for that. needs is formatted with size_cap and the shape's size for the
-# not-applicable message; applies never evaluates a count, so auto and
-# --verify can pick methods without running them
+# test for that. needs is formatted with size_cap and the cells the DP walks
+# (``dp_cells``) for the not-applicable message; applies never evaluates a
+# count, so auto and --verify can pick methods without running them
 _ON_RECT = ("a battery over a rectangle", lambda shape, size_cap: _rect(shape) is not None)
+_STRAIGHT = ("a straight partition", lambda shape, size_cap: isinstance(shape, tuple))
+# the oracle's own refusal reads the same dp_cells
 _UNDER_CAP = (
-    "at most {size_cap} cells (--size-cap), the shape has {size}",
-    lambda shape, size_cap: _shape_size(shape) <= size_cap,
+    "at most {size_cap} cells (--size-cap), the shape has {size} to walk",
+    lambda shape, size_cap: dp_cells(shape) <= size_cap,
 )
 REGISTRY = {
     "hyper": _ON_RECT,
@@ -225,19 +230,26 @@ REGISTRY = {
         lambda shape, size_cap: _rect(shape) is not None and match_closed_form(*_rect(shape)) is not None,
     ),
     "dp": _UNDER_CAP,
-    "hlf": ("a straight partition", lambda shape, size_cap: isinstance(shape, tuple)),
-    "conjugate": _UNDER_CAP,
+    "hlf": _STRAIGHT,
+    "frobenius": _STRAIGHT,
+    # the conjugate layout keeps a battery's stacked cells as rows: it walks them all
+    "conjugate": (
+        "at most {size_cap} cells (--size-cap)",
+        lambda shape, size_cap: _shape_size(shape) <= size_cap,
+    ),
 }
 
 # auto runs the first applicable method, falling back to dp for its size-cap
-# refusal; --verify checks against the first applicable other method, so a
-# rectangle battery counted by general is checked by dp up to the size cap and
-# by hyper above it; closed is never a partner, as hyper and general apply
-# wherever it does. A shape only the DP counts is checked by the DP on the
-# conjugate layout of its spans, which re-checks the spans, the tables and the
-# mixed-radix layout but not the recurrence
+# refusal; --verify checks against the first applicable other method. A
+# straight shape is checked by Frobenius's formula at any size; it shares only
+# the parser with the hook length formula (no hook, conjugate or factorial
+# division). A rectangle battery counted by general is checked by dp up to the
+# size cap and by hyper above it; closed is never a partner, as hyper and
+# general apply wherever it does. A shape only the DP counts is checked by the
+# DP on the conjugate layout of its spans, which re-checks the spans, the
+# tables and the mixed-radix layout but not the recurrence
 AUTO_ORDER = ("closed", "general", "hlf", "dp")
-PARTNER_ORDER = ("dp", "hyper", "general", "hlf", "conjugate")
+PARTNER_ORDER = ("frobenius", "dp", "hyper", "general", "conjugate")
 
 
 def _note(line: str) -> None:
@@ -395,7 +407,7 @@ def _run(argv) -> int:
         method = _first_applicable(shape, AUTO_ORDER, size_cap) or "dp"
     needs, applies = REGISTRY[method]
     if not applies(shape, size_cap):
-        needs = needs.format(size_cap=size_cap, size=_shape_size(shape))
+        needs = needs.format(size_cap=size_cap, size=dp_cells(shape))
         _note(f"error: method {method!r} not applicable: it needs {needs}")
         return EXIT_METHOD
     partner = None

@@ -5,8 +5,8 @@ Skew, truncated, and battery shapes are small immutable records (``Record``;
 never tuples, so a tuple is always a straight partition) that canonicalize and
 validate their fields in ``__init__``; a record cannot change afterwards, so
 every shape that exists is valid. The cell limit of the order-ideal DP, which
-walks a shape cell by cell, lives here too, so the CLI reads it without
-importing the DP.
+walks a shape cell by cell, and the cells it counts against that limit
+(``dp_cells``) live here too, so the CLI reads them without importing the DP.
 """
 
 from math import factorial, prod
@@ -168,3 +168,18 @@ class BatteryShape(Record):
     def row_spans(self) -> tuple[tuple[int, int], ...]:
         """The shape as a line-convex diagram: a stacked cells, then the base rows."""
         return ((self.k - 1, self.k),) * self.a + tuple((0, row) for row in self.lam)
+
+
+def dp_cells(shape) -> int:
+    """The cells the order-ideal DP counts against its size cap.
+
+    A battery over a rectangle is walked over its base only, its a stacked
+    cells carried as one weight (see ``oracle``), so it counts the base's
+    cells plus one when a > 0. Any other shape, a straight partition
+    included, counts all its cells.
+    """
+    if isinstance(shape, tuple):
+        return sum(shape)
+    if isinstance(shape, BatteryShape) and shape.is_rectangle():
+        return sum(shape.lam) + min(shape.a, 1)
+    return shape.size

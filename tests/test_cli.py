@@ -246,12 +246,13 @@ def test_bad_flags_exit_2(capsys):
      "--size-cap", "{cap}"],
 ], ids=["spaced", "joined", "before", "around", "repeated"])
 def test_cli_accepts_both_value_forms_on_either_side_of_the_shape(argv, capsys):
-    # the shape has 7 cells: a size cap of 7 lets dp count it, 6 refuses it
+    # the DP walks 7 cells, the 6 of the base and one for the battery: a size
+    # cap of 7 lets dp count it, 6 refuses it
     assert cli.run(["count", *(arg.format(cap=7) for arg in argv)]) == 0
     assert capsys.readouterr() == ("2^2*3\n", "verified: dp == hyper\n")
     assert cli.run(["count", *(arg.format(cap=6) for arg in argv)]) == 3
     assert capsys.readouterr() == (
-        "", "error: method 'dp' not applicable: it needs at most 6 cells (--size-cap), the shape has 7\n"
+        "", "error: method 'dp' not applicable: it needs at most 6 cells (--size-cap), the shape has 7 to walk\n"
     )
 
 
@@ -544,13 +545,17 @@ def test_a_closed_stderr_loses_only_the_diagnostics(unbuffered):
 
 
 def test_verify_unavailable_exits_3(capsys, monkeypatch):
-    # a partition above the dp size cap has no second method; refused before
-    # the primary hlf count runs
-    hlf_calls = []
-    monkeypatch.setitem(cli.METHODS, "hlf", lambda shape, size_cap: hlf_calls.append(shape))
-    assert cli.run(["count", "partition:130", "--verify"]) == 3
+    # a 137-cell skew shape is above the dp size cap and no formula counts it;
+    # refused before the primary dp count runs
+    dp_calls = []
+    monkeypatch.setitem(cli.METHODS, "dp", lambda shape, size_cap: dp_calls.append(shape))
+    assert cli.run(["count", "skew:20,20,20,20,20,20,20/3", "--verify"]) == 3
+    assert "method 'dp' not applicable" in capsys.readouterr().err
+    # with no applicable partner, --verify is refused before the primary runs too
+    monkeypatch.setattr(cli, "PARTNER_ORDER", ("dp",))
+    assert cli.run(["count", "skew:3,2/1", "--verify"]) == 3
     assert "no second method" in capsys.readouterr().err
-    assert hlf_calls == []
+    assert dp_calls == []
 
 
 @pytest.mark.parametrize("expr, count", [
@@ -570,6 +575,18 @@ def test_general_verified_by_hyper_above_the_dp_cap(capsys):
     assert "verified: general == hyper" in captured.err
     assert captured.out.strip() == (
         "106084817684399890735406624326724286026347717660455570184145434852773744000"
+    )
+
+
+def test_dp_size_cap_on_a_rectangle_base_counts_the_base_and_one_cell(capsys):
+    # 129 cells, but the DP walks the 30-cell base and carries the 99 stacked
+    # cells as one weight
+    general = counting.count_general(6, 5, 99, 2)
+    assert cli.run(["count", "battery:rect:6x5,a=99,k=2", "--method", "dp"]) == 0
+    assert capsys.readouterr() == (f"{general}\n", "")
+    assert cli.run(["count", "battery:rect:6x5,a=99,k=2", "--method", "dp", "--size-cap", "30"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: method 'dp' not applicable: it needs at most 30 cells (--size-cap), the shape has 31 to walk\n"
     )
 
 

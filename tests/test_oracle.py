@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from battery_syt import cli
+from battery_syt.counting import count_general
 from battery_syt.oracle import (
     _capped,
     _span_profile,
@@ -348,6 +349,31 @@ def test_rectangle_walk_matches_the_full_walk(shape):
     count, states = linear_extension_profile(shape)
     assert count == count_line_convex(spans) == span_profile_by_two_tests(spans)[0], shape
     assert states <= _span_profile(spans)[1], shape
+
+
+@pytest.mark.parametrize("m, n, states", [(2, 60, 961), (3, 39, 5950)])
+def test_a_straight_rectangle_is_walked_the_same_in_either_orientation(m, n, states):
+    # either layout walks the fewer, longer rows: the same ideals and the same count
+    tall = linear_extension_profile(BatteryShape((m,) * n, 0, 1))
+    assert tall == linear_extension_profile(BatteryShape((n,) * m, 0, 1))
+    assert tall == (syt_count_straight((m,) * n), states)
+
+
+def _no_stacked_rows(self):
+    raise AssertionError("the stacked cells were laid out as rows")
+
+
+@pytest.mark.parametrize("m, n, a, k", [
+    (6, 5, 99, 2), (4, 3, 500, 3), (5, 5, 10**9, 4), (11, 8, 10**6, 6), (1, 7, 10**4, 1),
+])
+def test_the_size_cap_counts_a_rectangle_base_and_one_cell(m, n, a, k, monkeypatch):
+    # the walk reads the base only: the a stacked cells are never laid out as rows,
+    # neither for the count nor for the refusal
+    monkeypatch.setattr(BatteryShape, "row_spans", _no_stacked_rows)
+    shape = BatteryShape((m,) * n, a, k)
+    assert count_linear_extensions(shape, size_cap=m * n + 1) == count_general(m, n, a, k)
+    with pytest.raises(ValueError, match=f"diagram has {m * n + 1} cells, above the size cap {m * n}"):
+        count_linear_extensions(shape, size_cap=m * n)
 
 
 @pytest.mark.parametrize("expr, profile", [

@@ -18,6 +18,7 @@ EXPORTS = {
         "CLOSED_FORM_CASES", "COUNT_BY_COLUMN", "NonIntegerCountError", "closed_form",
         "count_general", "count_hyper", "match_closed_form", "rect_syt_count",
     ),
+    "frobenius": ("syt_count_frobenius",),
     "hypergeom": (
         "NonTerminatingSeriesError", "ZeroDenominatorFactorError", "eval_multi_pfq", "eval_pfq",
         "termination_index",
