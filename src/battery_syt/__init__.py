@@ -77,8 +77,7 @@ def _lazy(module: str, name: str):
 
 class Record:
     """Immutable value whose fields are its class's ``__slots__``, in order: the
-    base of every record type in the package (factorizations, shapes and
-    catalog cases).
+    base of every record type in the package (factorizations and shapes).
 
     Equality (same class only), hashing and the ``Name(field=value, ...)``
     repr go by the field values, as for a frozen dataclass; assignment and

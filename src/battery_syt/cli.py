@@ -232,7 +232,7 @@ REGISTRY = {
     "dp": _UNDER_CAP,
     "hlf": _STRAIGHT,
     "frobenius": _STRAIGHT,
-    # the conjugate layout keeps a battery's stacked cells as rows: it walks them all
+    # the conjugate layout walks a battery's stacked cells, which the DP weighs
     "conjugate": (
         "at most {size_cap} cells (--size-cap)",
         lambda shape, size_cap: _shape_size(shape) <= size_cap,
@@ -247,7 +247,7 @@ REGISTRY = {
 # size cap and by hyper above it; closed is never a partner, as hyper and
 # general apply wherever it does. A shape only the DP counts is checked by the
 # DP on the conjugate layout of its spans, which re-checks the spans, the
-# tables and the mixed-radix layout but not the recurrence
+# tables, the mixed-radix layout and, for a battery, the recurrence
 AUTO_ORDER = ("closed", "general", "hlf", "dp")
 PARTNER_ORDER = ("frobenius", "dp", "hyper", "general", "conjugate")
 

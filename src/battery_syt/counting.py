@@ -170,7 +170,8 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     A profile with column heights t_1 >= ... >= t_r maps to the distinct
     points l_i = t_i + r - i of [0, N], N = n+r-1, with s = sum(l) - C(r,2).
     Its two tableau counts multiply to s! (mn-s)! C_fix Delta(l)^2 prod w(l_i),
-    w = W / N! (``_weights``) and C_fix = prod_{d<=m-k} d! / prod_{F=n+k-1}^{n+m-1} F!.
+    w = W / N! (``_weights``) and C_fix = prod_{d<=m-k} d! / prod_{F=n+k-1}^{n+m-1} F!,
+    formed as 1 / ((n+k-1)! prod_{d=1}^{m-k} (d+1)_{n+k-1}), each F! over its d!.
     Heine's identity sums Delta(l)^2 prod W(l_i) y^(l_i) over all point sets
     as D(y) = det[mu_{i+j}(y)], mu_p(y) = sum_x x^p W(x) y^x. D(y) / y^C(r,2)
     is an integer polynomial E of degree rn with coefficients e_s, so the count
@@ -201,12 +202,12 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     if n < r:  # the row side: n points a profile, weight C(m+n-1, x)
         side = n
         weights = [binomial(m + n - 1, x) for x in range(big + 1)]
-        fixed, den = 1, factorial(m + n - 1) ** n
+        den = factorial(m + n - 1) ** n
     else:  # the column side: r points a profile, weight W(x)
         side = r
         weights = _weights(m, n, k)
-        fixed = prod(map(factorial, range(1, m - k + 1)))
-        den = prod(factorial(f) for f in range(n + k - 1, n + m)) * factorial(big) ** r
+        den = factorial(n + k - 1) * prod(perm(d + n + k - 1, n + k - 1) for d in range(1, m - k + 1))
+        den *= factorial(big) ** r
     shift = side * (side - 1) // 2
     # the coefficient rows of mu_0 .. mu_{2 side-2}: x^p times the weight
     table = [weights]
@@ -234,7 +235,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     for j, q in enumerate(coeffs):
         total = total * (cells - j + 1) + q * rising
         rising *= a + j
-    num = total * factorial(cells - deg) * perm(m * n + a, known) * fixed
+    num = total * factorial(cells - deg) * perm(m * n + a, known)
     return _exact(num, den, context)
 
 

@@ -3,10 +3,10 @@
 A partial filling of a shape with 1..j corresponds to a downward-closed set of
 cells, so tableaux are exactly the maximal chains of ideals. Every shape the
 package handles is a line-convex diagram given by per-row column spans (a
-battery's stacked cells are one-cell rows above its k-th column), so an ideal
-is fixed by each row's filled-prefix length. Counting walks the ideals level
-by level (j cells filled, then j+1) and sums transition multiplicities, which
-stays exact for any cell count the state space allows.
+battery by its base's rows, its stacked cells carried as one weight, below),
+so an ideal is fixed by each row's filled-prefix length. Counting walks the
+ideals level by level (j cells filled, then j+1) and sums transition
+multiplicities, which stays exact for any cell count the state space allows.
 
 One rule says when a row may take its next cell: a gate table, built once
 from the spans, gives for cell c of row i how many cells of row i-1 must be
@@ -19,26 +19,27 @@ one mixed-radix digit of the new ideal. A table per row, built once per shape
 from the gates and indexed by that digit, gives both bits, so a new ideal's
 mask costs one division, one remainder and one lookup.
 
-A battery over an m-by-n rectangle R (a straight rectangle is the one with
-a = 0) needs only about half of R's ideals, because R is its own dual under a
-180 degree turn. Let f(K) be the DP's count for an ideal K of R, B the chain
-of the a battery cells below (1, k), and g(K) the number of tableaux of
-B ∪ K: g(∅) = 1 and g(K) = Σ_{corners c} g(K∖c) + [(1, k) ∉ K] C(a-1+|K|, |K|)
-f(K), so g is f at a = 0. An ideal without (1, k) holds at most n(k-1) cells
-of R, so past that every ideal of the battery with a + h cells is B ∪ K with
-|K| = h. R∖K turned by 180 degrees is an ideal σ(R∖K) of R with mn - h cells
-and the same tableaux, so
+A battery is walked over its base λ's ideals only, by the pivot split. Let
+f(K) be the DP's count for an ideal K of λ, B the chain of the a battery
+cells below (1, k), and g(K) the number of tableaux of B ∪ K: g(∅) = 1 and
+g(K) = Σ_{corners c} g(K∖c) + [(1, k) ∉ K] C(a-1+|K|, |K|) f(K), so g is f
+at a = 0. Only the levels up to Σ_i min(λ_i, k-1), the most cells an ideal
+without (1, k) holds, take a weight. The walk carries g above f in one
+integer, so a move is still one addition, and the size cap counts the base's
+cells plus one for the battery (``shapes.dp_cells``).
+
+Spans whose rows are all one span form an m-by-n rectangle R, its own dual
+under a 180 degree turn. Past level n(k-1) every ideal of the battery with
+a + h cells is B ∪ K with |K| = h, and R∖K turned is an ideal σ(R∖K) of R
+with mn - h cells and the same tableaux, so the walk stops at level h:
 
     count = Σ_{|K| = h} g(K) f(σ(R∖K)),  h = max(⌈mn/2⌉, n(k-1) + 1)
 
-(h = ⌈mn/2⌉ at a = 0). The walk carries g above f in one integer, so a move
-is still one addition. It never lays the a battery cells out, so the size cap
-counts the base's mn cells plus one for the battery (``shapes.dp_cells``). A
-state costs more the more rows it has, so a straight rectangle, its own
-transpose, is walked with its fewer, longer rows. On 11x8 a=3 k=6, the
-largest battery the CLI verifies, it visits 39,006 states where the full walk
-visits 79,443, about 1.1 µs a state either way: 43 against 85 ms (best of 5,
-CPython 3.11.7, 2-vCPU Xeon VM).
+(h = ⌈mn/2⌉ at a = 0); every other walk ends at the whole shape. A state
+costs more the more rows it has, so a straight rectangle, its own transpose,
+is walked with its fewer, longer rows. On 11x8 a=3 k=6 the cut walk visits
+39,006 states where the full walk visits 79,443: 43 against 85 ms (best of
+5, CPython 3.11.7, 2-vCPU Xeon VM).
 
 Every counting formula in the package is cross-checked against this module.
 A shape no formula counts is checked by the same DP on the conjugate layout
@@ -46,10 +47,12 @@ of its spans (``conjugate_spans``): the ideals are the same, but the spans,
 the gate and open-bit tables and the mixed-radix places are all different.
 """
 
-from math import comb
+from math import comb, prod
 
 from . import _EXPORTS
-from .shapes import DEFAULT_SIZE_CAP, BatteryShape, SkewShape, TruncatedShape, _check_line_convex, dp_cells
+from .shapes import (
+    DEFAULT_SIZE_CAP, BatteryShape, SkewShape, TruncatedShape, _check_line_convex, _column_runs, dp_cells,
+)
 
 __all__ = list(_EXPORTS["oracle"])
 
@@ -157,40 +160,36 @@ def _levels(spans):
         yield level
 
 
-def _span_profile(spans) -> tuple[int, int]:
-    """(tableau count, ideal states visited) of capped spans: every level of
-    ``_levels``, the last one the whole shape."""
-    states = 0
-    for level in _levels(spans):
-        states += len(level)
-    return sum(ways for ways, _ in level.values()), states
-
-
-def _rectangle_profile(m: int, n: int, a: int, k: int) -> tuple[int, int]:
-    """(tableau count, ideal states visited) of the battery with a cells above
-    column k of the m-by-n rectangle, by the identity of the module docstring:
-    the walk over the rectangle's ideals stops at level ``cut``. Each state
-    carries f(K) below bit ``shift`` and g(K) from it up."""
-    if not a and n > m:  # a straight rectangle is its own transpose: walk fewer, longer rows
-        m, n = n, m
-    cells = m * n
+def _profile(spans, a: int = 0, k: int = 1) -> tuple[int, int]:
+    """(tableau count, ideal states visited) of capped spans with a battery of
+    a cells above their column k, by the module docstring's identity: at each
+    level t <= last, each ideal below ``open_top`` (fewer than k cells in row
+    0) adds C(a-1+t, t) f(K), kept below bit ``shift``, to g(K) above it. A
+    rectangle's walk stops at level ``cut``."""
+    cells = sum(e - s for s, e in spans)
+    rectangle = cells > 0 and spans.count(spans[0]) == len(spans)
+    if rectangle and not a and len(spans) ** 2 > cells:  # its own transpose: walk fewer, longer rows
+        spans = ((0, len(spans)),) * (cells // len(spans))
     # the most cells an ideal leaving (1, k) out holds; no level is weighted at a = 0
-    last = n * (k - 1) if a else -1
-    cut = max((cells + 1) // 2, last + 1)
+    last = sum(min(e - s, k - 1) for s, e in spans) if a else -1
+    cut = max((cells + 1) // 2, last + 1) if rectangle else cells
     shift = cut * cut.bit_length() + 1 if a else 0  # f(K) <= cut! < 2**shift
     low = (1 << shift) - 1 if a else -1
-    open_top = k * (m + 1) ** (n - 1)  # the states below it fill fewer than k cells of row 0
+    open_top = k * prod(e - s + 1 for s, e in spans[1:])
     states = 0
     # zip stops at level cut before it asks the walk for the next one
-    for t, level in zip(range(cut + 1), _levels(((0, m),) * n)):
+    for t, level in zip(range(cut + 1), _levels(spans)):
         states += len(level)
         if t <= last:  # the top battery cell may come last: g(K) takes C(a-1+t, t) f(K)
             weight = comb(a - 1 + t, t) << shift
             for state, entry in level.items():
                 if state < open_top:
                     entry[0] += (entry[0] & low) * weight
-        if t == cells - cut:  # f of each ideal, keyed by the ideal it completes
+        if rectangle and t == cells - cut:  # f of each ideal, keyed by the ideal it completes
+            m, n = spans[0][1] - spans[0][0], len(spans)
             other = {_turned_complement(state, m, n): ways & low for state, (ways, _) in level.items()}
+    if not rectangle:
+        return sum(ways >> shift for ways, _ in level.values()), states
     return sum((ways >> shift) * other[state] for state, (ways, _) in level.items()), states
 
 
@@ -211,21 +210,20 @@ def linear_extension_profile(shape: SpanShape, size_cap: int = DEFAULT_SIZE_CAP)
     """Exact tableau count of any shape with ``row_spans()`` (battery, skew or
     truncated) and the number of ideal states visited.
 
-    A battery over a rectangle, a straight rectangle included as a = 0, walks
-    its base's ideals to the middle (``_rectangle_profile``), and the size
-    cap counts its base's cells plus one (``dp_cells``), checked before any
-    span is built; every other shape walks all of its ideals.
+    A battery over any base, a straight shape included as a = 0, walks its
+    base's ideals with its a cells as one weight, to the middle only on a
+    rectangle (``_profile``); the size cap counts its base's cells plus one
+    (``dp_cells``), checked before any span is built.
     """
-    if isinstance(shape, BatteryShape) and shape.is_rectangle():
+    if isinstance(shape, BatteryShape):
         _refuse_above(dp_cells(shape), size_cap)
-        return _rectangle_profile(shape.lam[0], len(shape.lam), shape.a, shape.k)
-    return _span_profile(_capped(shape.row_spans(), size_cap))
+        return _profile(tuple((0, row) for row in shape.lam), shape.a, shape.k)
+    return _profile(_capped(shape.row_spans(), size_cap))
 
 
 def count_linear_extensions(shape: SpanShape, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     """Exact number of standard Young tableaux of any shape with ``row_spans()``."""
-    count, _ = linear_extension_profile(shape, size_cap)
-    return count
+    return linear_extension_profile(shape, size_cap)[0]
 
 
 def count_line_convex(spans, size_cap: int = DEFAULT_SIZE_CAP) -> int:
@@ -237,8 +235,7 @@ def count_line_convex(spans, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     """
     spans = _capped(spans, size_cap)
     _check_line_convex(spans)
-    count, _ = _span_profile(spans)
-    return count
+    return _profile(spans)[0]
 
 
 def conjugate_spans(spans) -> tuple[tuple[int, int], ...]:
@@ -248,14 +245,11 @@ def conjugate_spans(spans) -> tuple[tuple[int, int], ...]:
 
     A column without cells is dropped. No row crosses it, so the rows covering
     the columns on its two sides are disjoint and no cell on one side sits
-    above a cell on the other. The tableaux and the order ideals, so both
-    numbers of ``_span_profile``, are those of the spans themselves.
+    above a cell on the other. The tableaux and the order ideals are those of
+    the spans themselves.
     """
-    # between two consecutive span ends every column lies in the same rows
-    ends = sorted({x for s, e in spans if e > s for x in (s, e)})
     rows = []
-    for left, right in zip(ends, ends[1:]):
-        covering = [i for i, (s, e) in enumerate(spans) if s <= left < e]
+    for left, right, covering in _column_runs(spans):
         if covering:
             rows += [(covering[0], covering[-1] + 1)] * (right - left)
     return tuple(rows)

@@ -102,14 +102,19 @@ class SkewShape(Record):
         return sum(self.outer) - sum(self.inner)
 
 
+def _column_runs(spans):
+    """(left, right, rows) of each run of columns between consecutive ends of
+    non-empty spans: its columns lie in the same rows, so one stands for all."""
+    ends = sorted({x for s, e in spans if e > s for x in (s, e)})
+    for left, right in zip(ends, ends[1:]):
+        yield left, right, [i for i, (s, e) in enumerate(spans) if s <= left < e]
+
+
 def _check_line_convex(spans):
     """Every column of the row-contiguous cell set must also be contiguous."""
-    # between two consecutive span ends every column lies in the same rows, so
-    # one column per run stands for them all, however wide the shape
-    for col in sorted({x for span in spans for x in span})[:-1]:
-        rows = [i for i, (s, e) in enumerate(spans) if s <= col < e]
+    for left, _, rows in _column_runs(spans):
         if rows and rows[-1] - rows[0] + 1 != len(rows):
-            raise ValueError(f"column {col + 1} is not contiguous: occupied rows {[r + 1 for r in rows]}")
+            raise ValueError(f"column {left + 1} is not contiguous: occupied rows {[r + 1 for r in rows]}")
 
 
 class TruncatedShape(Record):
@@ -166,20 +171,20 @@ class BatteryShape(Record):
         return bool(self.lam) and all(row == self.lam[0] for row in self.lam)
 
     def row_spans(self) -> tuple[tuple[int, int], ...]:
-        """The shape as a line-convex diagram: a stacked cells, then the base rows."""
+        """A stacked cells, then the base rows: the layout ``conjugate_spans`` reads; the DP weighs the battery."""
         return ((self.k - 1, self.k),) * self.a + tuple((0, row) for row in self.lam)
 
 
 def dp_cells(shape) -> int:
     """The cells the order-ideal DP counts against its size cap.
 
-    A battery over a rectangle is walked over its base only, its a stacked
-    cells carried as one weight (see ``oracle``), so it counts the base's
-    cells plus one when a > 0. Any other shape, a straight partition
-    included, counts all its cells.
+    A battery over any base is walked over its base only, its a stacked cells
+    carried as one weight (see ``oracle``), so it counts the base's cells
+    plus one when a > 0. Any other shape, a straight partition included,
+    counts all its cells.
     """
     if isinstance(shape, tuple):
         return sum(shape)
-    if isinstance(shape, BatteryShape) and shape.is_rectangle():
+    if isinstance(shape, BatteryShape):
         return sum(shape.lam) + min(shape.a, 1)
     return shape.size

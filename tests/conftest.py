@@ -313,9 +313,9 @@ def general_all_points(m, n, a, k):
 
 
 def span_profile_by_two_tests(spans):
-    """Reference for ``oracle._span_profile``: the same walk over the same
-    ideals, re-testing rows i and i+1 against the gate table after each step
-    instead of reading their bits from a table per row.
+    """Reference for the full walk of ``oracle._levels``: the same walk over
+    the same ideals, re-testing rows i and i+1 against the gate table after
+    each step instead of reading their bits from a table per row.
 
     Returns (tableau count, ideal states visited) of capped spans.
     """

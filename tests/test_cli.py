@@ -562,6 +562,8 @@ def test_verify_unavailable_exits_3(capsys, monkeypatch):
     ("skew:12,12,11,10/1", "144882236918722960800"),
     ("truncated:5,5,2,1\\2", "530"),
     ("battery:part:5,4,3,a=2,k=2", "9744"),
+    # the DP carries the battery as one weight, the conjugate layout walks its four rows
+    ("battery:part:11,11,9,4,4,2,a=4,k=8", "16324202273500604439131175"),
 ])
 def test_a_shape_only_the_dp_counts_is_verified_on_its_conjugate_layout(expr, count, capsys):
     assert cli.run(["count", expr, "--verify"]) == 0
@@ -587,6 +589,17 @@ def test_dp_size_cap_on_a_rectangle_base_counts_the_base_and_one_cell(capsys):
     assert cli.run(["count", "battery:rect:6x5,a=99,k=2", "--method", "dp", "--size-cap", "30"]) == 3
     assert capsys.readouterr() == (
         "", "error: method 'dp' not applicable: it needs at most 30 cells (--size-cap), the shape has 31 to walk\n"
+    )
+
+
+def test_dp_size_cap_on_a_partition_base_counts_the_base_and_one_cell(capsys):
+    # 100,019 cells, but the DP walks the 20-cell base and carries the 99,999
+    # stacked cells as one weight, as on a rectangle base
+    assert cli.run(["count", "battery:part:6,5,5,4,a=99999,k=2"]) == 0
+    assert capsys.readouterr() == ("751032457015161535500000\n", "")
+    assert cli.run(["count", "battery:part:6,5,5,4,a=99999,k=2", "--size-cap", "20"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: method 'dp' not applicable: it needs at most 20 cells (--size-cap), the shape has 21 to walk\n"
     )
 
 

@@ -172,6 +172,15 @@ def test_general_row_side_takes_n_by_n_determinants(monkeypatch):
     assert {size for _, size, _ in calls} == {2}
 
 
+@pytest.mark.parametrize("m, n, a, k", [
+    (1000, 1, 1, 1), (2000, 1, 1, 1), (400, 3, 5, 4), (500, 2, 3, 3), (300, 2, 2, 1),
+])
+def test_general_column_side_on_a_long_base(m, n, a, k):
+    # the constant prod d! / prod F! is one denominator of F!/d! factors; as
+    # two factorial products it ran to megabits at m = 1000 (about 15 s)
+    assert count_general(m, n, a, k) == count_hyper(m, n, a, k)
+
+
 def test_general_refuses_a_perturbed_weight(monkeypatch, capsys):
     # the final division by N!^r prod F! checks integrality; one weight off by
     # one leaves a non-integer count here (not at every shape)

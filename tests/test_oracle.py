@@ -1,6 +1,6 @@
 import io
 from contextlib import redirect_stdout
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, example, given, reject, settings, strategies as st
@@ -9,7 +9,7 @@ from battery_syt import cli
 from battery_syt.counting import count_general
 from battery_syt.oracle import (
     _capped,
-    _span_profile,
+    _levels,
     conjugate_spans,
     count_line_convex,
     count_linear_extensions,
@@ -21,6 +21,7 @@ from conftest import (
     all_partitions_up_to,
     enumerate_syt,
     is_valid_tableau,
+    partitions_of,
     span_profile_by_two_tests,
 )
 
@@ -48,6 +49,15 @@ def _brute_force_extensions(spans):
 
     rec(0)
     return total
+
+
+def _full_walk(spans):
+    """(tableau count, ideal states visited) of capped spans over every level
+    of ``_levels``, a rectangle's included: the last level is the whole shape."""
+    states = 0
+    for level in _levels(spans):
+        states += len(level)
+    return sum(ways for ways, _ in level.values()), states
 
 
 def test_known_counts():
@@ -275,6 +285,23 @@ def _count_downsets(cells, most=None):
     )
 
 
+def _walked_rectangle(shape):
+    """(m, n) of the rectangle the DP walks to the middle: a battery's base, or
+    a skew or truncated shape whose rows are all one span, from the shape's
+    fields; None for any other walk."""
+    if isinstance(shape, BatteryShape):
+        rows = [(0, length) for length in shape.lam]
+    else:
+        base = shape.base if isinstance(shape, TruncatedShape) else shape
+        cut = shape.truncation if isinstance(shape, TruncatedShape) else ()
+        inner = base.inner + (0,) * (len(base.outer) - len(base.inner))
+        cut += (0,) * (len(base.outer) - len(cut))
+        rows = [(inner[r], row - cut[r]) for r, row in enumerate(base.outer)]
+    if rows and rows[0][1] > rows[0][0] and rows.count(rows[0]) == len(rows):
+        return rows[0][1] - rows[0][0], len(rows)
+    return None
+
+
 def _rectangle_cut(m, n, a, k):
     """The level a battery over the m-by-n rectangle is split at: the middle,
     or past the n(k-1) cells an ideal leaving (1, k) out can hold when the
@@ -312,15 +339,21 @@ def small_shapes(draw):
 @example(BatteryShape((3, 3), 2, 2))  # a rectangle base: its ideals up to the cut
 @example(BatteryShape((4,), 1, 4))  # the cut past the middle, at the whole row
 @example(BatteryShape((2, 2, 2), 0, 1))  # a straight rectangle
+@example(BatteryShape((3, 1), 4, 2))  # a base other than a rectangle: all of its ideals
+@example(cli.parse_shape_expr("skew:4,4/1,1"))  # a skew shape whose rows are one span
+@example(cli.parse_shape_expr("truncated:3,3\\3"))  # an empty row: no rectangle
 def test_dp_visits_exactly_the_order_ideals(shape):
+    # a battery walks its base's ideals, its stacked cells carried as a weight
     cells = _shape_cells(shape)
     assert len(cells) == shape.size
-    if isinstance(shape, BatteryShape) and shape.is_rectangle():
-        m, n = shape.lam[0], len(shape.lam)
-        base = [(r, c) for r in range(n) for c in range(m)]
-        expected = _count_downsets(base, _rectangle_cut(m, n, shape.a, shape.k))
-    else:
+    if isinstance(shape, BatteryShape):
+        cells = [(r, c) for r, length in enumerate(shape.lam) for c in range(length)]
+    rectangle = _walked_rectangle(shape)
+    if rectangle is None:
         expected = _count_downsets(cells)
+    else:
+        a, k = (shape.a, shape.k) if isinstance(shape, BatteryShape) else (0, 1)
+        expected = _count_downsets(cells, _rectangle_cut(*rectangle, a, k))
     assert linear_extension_profile(shape)[1] == expected, shape
 
 
@@ -348,7 +381,7 @@ def test_rectangle_walk_matches_the_full_walk(shape):
     spans = _capped(shape.row_spans(), 120)
     count, states = linear_extension_profile(shape)
     assert count == count_line_convex(spans) == span_profile_by_two_tests(spans)[0], shape
-    assert states <= _span_profile(spans)[1], shape
+    assert states <= _full_walk(spans)[1], shape
 
 
 @pytest.mark.parametrize("m, n, states", [(2, 60, 961), (3, 39, 5950)])
@@ -363,24 +396,53 @@ def _no_stacked_rows(self):
     raise AssertionError("the stacked cells were laid out as rows")
 
 
-@pytest.mark.parametrize("m, n, a, k", [
-    (6, 5, 99, 2), (4, 3, 500, 3), (5, 5, 10**9, 4), (11, 8, 10**6, 6), (1, 7, 10**4, 1),
-])
-def test_the_size_cap_counts_a_rectangle_base_and_one_cell(m, n, a, k, monkeypatch):
-    # the walk reads the base only: the a stacked cells are never laid out as rows,
-    # neither for the count nor for the refusal
+def _pivot_split(lam, a, k):
+    """Reference count of the battery over lam, from the skew DP and the hook
+    length formula: the cells filled before the top battery cell are a-1
+    battery cells and an ideal mu of lam leaving (1, k) out, interleaved in
+    C(a-1+|mu|, |mu|) ways, and lam/mu is filled after it."""
+    total = 0
+    for size in range(sum(lam) + 1):
+        for mu in partitions_of(size, k - 1):
+            if len(mu) <= len(lam) and all(part <= row for part, row in zip(mu, lam)):
+                skew = count_line_convex(SkewShape(lam, mu).row_spans())
+                total += comb(a - 1 + size, size) * syt_count_straight(mu) * skew
+    return total
+
+
+def _base_id(value):
+    """A rectangle base as m-n, any other base as its rows."""
+    if not isinstance(value, tuple):
+        return str(value)
+    if value.count(value[0]) == len(value):
+        return f"{value[0]}-{len(value)}"
+    return ",".join(map(str, value))
+
+
+@pytest.mark.parametrize("lam, a, k", [
+    ((6,) * 5, 99, 2), ((4,) * 3, 500, 3), ((5,) * 5, 10**9, 4), ((11,) * 8, 10**6, 6), ((1,) * 7, 10**4, 1),
+    ((6, 5, 5, 4), 99999, 2), ((5, 3, 3, 1), 500, 3), ((4, 4, 2), 10**6, 4), ((3, 1), 7, 3),
+], ids=_base_id)
+def test_the_size_cap_counts_a_rectangle_base_and_one_cell(lam, a, k, monkeypatch):
+    # the walk reads the base only, a rectangle or any other: the a stacked cells
+    # are never laid out as rows, neither for the count nor for the refusal
     monkeypatch.setattr(BatteryShape, "row_spans", _no_stacked_rows)
-    shape = BatteryShape((m,) * n, a, k)
-    assert count_linear_extensions(shape, size_cap=m * n + 1) == count_general(m, n, a, k)
-    with pytest.raises(ValueError, match=f"diagram has {m * n + 1} cells, above the size cap {m * n}"):
-        count_linear_extensions(shape, size_cap=m * n)
+    shape = BatteryShape(lam, a, k)
+    cells = sum(lam) + 1
+    if shape.is_rectangle():
+        reference = count_general(lam[0], len(lam), a, k)
+    else:
+        reference = _pivot_split(lam, a, k)
+    assert count_linear_extensions(shape, size_cap=cells) == reference
+    with pytest.raises(ValueError, match=f"diagram has {cells} cells, above the size cap {cells - 1}"):
+        count_linear_extensions(shape, size_cap=cells - 1)
 
 
 @pytest.mark.parametrize("expr, profile", [
     ("partition:11,11,10,10,10,4,3,1", (183265040436987708842646401942544000, 36822)),
     ("skew:12,12,11,10,5,2,1/3,3,2", (628787340090105117811718400, 17674)),
     ("truncated:10,10,9,9,8,6,2\\2", (31014919131542467234497384000, 8576)),
-    ("battery:part:11,11,9,4,4,2,a=4,k=8", (16324202273500604439131175, 10395)),
+    ("battery:part:11,11,9,4,4,2,a=4,k=8", (16324202273500604439131175, 5343)),
 ], ids=["partition", "skew", "truncated", "battery"])
 def test_dp_profile_pinned_on_the_largest_shape_of_each_kind(expr, profile):
     # the largest shape of each DP kind the dp-verify benchmark workload counts
@@ -419,7 +481,7 @@ def larger_span_shapes(draw):
 @example(_capped(TruncatedShape(SkewShape((3, 3)), (3, 1)).row_spans(), 40))  # an empty first row
 @example(_capped(SkewShape((5, 5), (5, 5)).row_spans(), 40))  # no cells at all
 def test_dp_matches_the_two_test_reference(spans):
-    assert _span_profile(spans) == span_profile_by_two_tests(spans), spans
+    assert _full_walk(spans) == span_profile_by_two_tests(spans), spans
 
 
 def test_conjugate_spans_known_layouts():
@@ -449,4 +511,33 @@ def _spans_of(expr):
 @example(_spans_of("battery:part:5,4,3,a=2,k=2"))
 @example(_spans_of("battery:part:11,11,9,4,4,2,a=4,k=8"))
 def test_conjugate_layout_has_the_same_tableaux_and_ideals(spans):
-    assert _span_profile(conjugate_spans(spans)) == _span_profile(spans), spans
+    assert _full_walk(conjugate_spans(spans)) == _full_walk(spans), spans
+
+
+@st.composite
+def partition_batteries(draw):
+    """Batteries over any partition with a <= 6, at most 40 cells with the
+    stacked ones, and at most 200,000 digit combinations in their a-row
+    layout (a bound on the DP's states there)."""
+    lam = sorted((draw(st.integers(1, 9)) for _ in range(draw(st.integers(0, 6)))), reverse=True)
+    a = draw(st.integers(0, 6)) if lam else 0
+    shape = BatteryShape(lam, a, draw(st.integers(1, lam[0])) if lam else 1)
+    assume(shape.size <= 40)
+    assume(prod(e - s + 1 for s, e in shape.row_spans()) <= 200_000)
+    return shape
+
+
+@settings(max_examples=100, deadline=None)
+@given(partition_batteries())
+@example(BatteryShape((), 0, 1))  # an empty base
+@example(BatteryShape((7,), 5, 3))  # a one-row base
+@example(BatteryShape((5, 3, 3, 1), 4, 1))  # k = 1: every ideal but the empty one holds (1, 1)
+@example(BatteryShape((5, 3, 3, 1), 4, 5))  # k = lambda_1
+@example(BatteryShape((6, 4, 4, 2, 1), 0, 3))  # no battery cells: a straight shape
+@example(BatteryShape((6, 5, 5, 4), 6, 2))
+def test_the_weighted_walk_matches_the_a_row_layouts(shape):
+    # the DP carries the battery as one weight; the stacked layout and its
+    # conjugate lay out all a cells as rows and walk them
+    spans = shape.row_spans()
+    count = linear_extension_profile(shape)[0]
+    assert count == count_line_convex(spans) == count_line_convex(conjugate_spans(spans)), shape
