@@ -263,11 +263,18 @@ def _note(line: str) -> None:
 def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[int | None, int]:
     """Count through METHODS: (count, EXIT_OK), or (None, status) after a report on stderr.
 
-    An OverflowError, an argument past a machine-size primitive such as
-    ``math.comb``, makes the method inapplicable (exit 3). Any other arithmetic
+    A base (a battery's λ, else the shape) of N cells with N * N.bit_length()
+    past ``sys.maxsize`` has no N! to build, so every method is refused on it
+    before counting (exit 3). So is a method that raises OverflowError, an
+    argument past a machine-size primitive such as ``math.comb``. Any other arithmetic
     fault, a non-integer value or a vanished denominator factor, means the route's
     parameters disagree with the shape, the same fault a verify mismatch shows.
     """
+    cells = sum(shape.lam) if isinstance(shape, BatteryShape) else _shape_size(shape)
+    if cells * cells.bit_length() > sys.maxsize:
+        _note(f"error: method {name!r} cannot count a shape this large: its base has {cells} cells, "
+              f"and {cells}! is too large to build")
+        return None, EXIT_METHOD
     try:
         return METHODS[name](shape, size_cap), EXIT_OK
     except OverflowError as exc:

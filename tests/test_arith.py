@@ -210,6 +210,40 @@ def test_p_minus_1_splits_off_a_prime_rho_cannot_reach(monkeypatch):
     assert refused.value.composites == ((p * P32, 1),)
 
 
+def test_the_p_minus_1_exponent_is_the_product_of_the_prime_powers():
+    # the largest power of each prime at most the bound, one by one
+    powers = []
+    for p in PRIMES_BELOW_10_6:
+        if p > arith._PM1_BOUND:
+            break
+        q = p
+        while q * p <= arith._PM1_BOUND:
+            q *= p
+        powers.append(q)
+    exponent, charge = arith._pm1_exponent()
+    assert exponent == prod(powers)
+    assert charge == sum(q.bit_length() + q.bit_count() - 2 for q in powers) == 254_652
+    # one pow by the product is the per-power loop's value
+    n, a = P19 * P32, 2
+    for q in powers:
+        a = pow(a, q, n)
+    assert pow(2, exponent, n) == a
+
+
+def test_p_minus_1_takes_one_pow_a_run_and_one_sieve_a_process(monkeypatch):
+    p = 132 * prod((100003, 100019, 100043, 100049, 100057, 100069, 100103)) + 1
+    sieves, pows = [], []
+    # module globals shadow the builtins the p-1 code calls
+    monkeypatch.setattr(arith, "bytearray", lambda *args: sieves.append(args) or bytearray(*args), raising=False)
+    monkeypatch.setattr(arith, "pow", lambda *args: pows.append(args) or pow(*args), raising=False)
+    arith._pm1_exponent.cache_clear()
+    for run in (1, 2):
+        budget = arith._Budget()
+        assert arith._pollard_pm1(p * P32, budget) == p
+        assert budget.spent == 254_652 * -(-(p * P32).bit_length() // 64)
+        assert (len(sieves), len(pows)) == (1, run)
+
+
 def test_factorize_proves_each_prime_once(monkeypatch):
     # 2 and 1009 come off by trial division, 10007, 10009 and 10037 by rho,
     # the 38-digit p by p-1, and P32 is what p-1 leaves; rho splits 10009 off

@@ -435,14 +435,27 @@ def test_a_truncated_shape_of_10_to_the_20_cells_exits_3_within_5_s():
 @pytest.mark.parametrize("args, route", [
     (["partition:99999999999999999999"], "hlf"),
     (["battery:rect:99999999999999999999x2,a=1,k=2", "--method", "hyper"], "hyper"),
-], ids=["hlf", "hyper"])
+    (["partition:9223372036854775807"], "hlf"),
+    (["battery:rect:9223372036854775807x1,a=1,k=2"], "closed"),
+    (["battery:rect:9223372036854775807x1,a=1,k=2", "--method", "general"], "general"),
+    (["battery:rect:9223372036854775807x1,a=1,k=2", "--method", "hyper"], "hyper"),
+], ids=["hlf", "hyper", "hlf-maxsize", "closed-maxsize", "general-maxsize", "hyper-maxsize"])
 def test_a_straight_shape_past_machine_size_exits_3_within_5_s(args, route):
-    # the hook length formula takes n! before it builds the hooks, so
-    # math.factorial refuses n past sys.maxsize before any cell is walked
+    # a base of N cells with N * N.bit_length() past sys.maxsize has no N!
+    # to build, so it is refused before any route runs: at N = sys.maxsize
+    # math.factorial would not refuse it, and each route would run on
     done = _count_in_a_fresh_process(*args)
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr.startswith(f"error: method {route!r} cannot count a shape this large: ")
+    assert done.stderr.count("\n") == 1
+
+
+def test_a_battery_of_machine_size_a_over_a_small_base_is_counted():
+    # a enters only through rising factorials, so the base-size refusal
+    # reads the base's cells alone
+    done = _count_in_a_fresh_process("battery:rect:2x2,a=9223372036854775807,k=2")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "42535295865117307946756883984253190144\n", "")
 
 
 def test_a_nest_too_deep_for_the_recursion_limit_exits_3_within_5_s():

@@ -5,7 +5,7 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
-from battery_syt import cli
+from battery_syt import cli, oracle
 from battery_syt.counting import count_general
 from battery_syt.oracle import (
     _capped,
@@ -390,6 +390,30 @@ def test_a_straight_rectangle_is_walked_the_same_in_either_orientation(m, n, sta
     tall = linear_extension_profile(BatteryShape((m,) * n, 0, 1))
     assert tall == linear_extension_profile(BatteryShape((n,) * m, 0, 1))
     assert tall == (syt_count_straight((m,) * n), states)
+
+
+def _flipped_open_bit(up_radix, gate_here, gate_below, row, table=oracle._open_bit_table):
+    """Row 1's table with row 1's open bit flipped at joint digit 30 (rows 0,
+    1 and 2 holding 1, 1 and 0 cells of four): without the cut check the
+    4x3 a=2 k=2 walk counts 4226 tableaux, not 2184."""
+    bits = table(up_radix, gate_here, gate_below, row)
+    if row == 1:
+        bits[30] ^= 1 << row
+    return bits
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("_turned_complement", lambda state, m, n: state),
+    ("_open_bit_table", _flipped_open_bit),
+], ids=["identity-complement", "flipped-open-bit"])
+def test_a_faulty_rectangle_walk_fails_its_cut_check(name, mutant, monkeypatch, capsys):
+    # the cut level's f(K) f(σ(R∖K)) no longer sums to the rectangle's count:
+    # an inconsistent count (exit 4), not a wrong one on stdout
+    monkeypatch.setattr(oracle, name, mutant)
+    assert cli.run(["count", "battery:rect:4x3,a=2,k=2", "--method", "dp"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: inconsistent count from dp: the cut level of the 4x3 rectangle ")
 
 
 def _no_stacked_rows(self):
