@@ -4,8 +4,9 @@ Three routes to the same number, kept deliberately independent so they can
 check each other:
 
 * ``count_hyper``: the rectangle tableau count times an exact terminating
-  nested hypergeometric sum, for every column 1 <= k <= m; one rule generates
-  the k-1 levels of column k;
+  nested hypergeometric sum, for every column 1 <= k <= m; one function of
+  the outer indices gives the integer parameters of each of column k's k-1
+  levels where the series walk sums that level;
 * ``count_general``: the pivot decomposition, summed in closed form. Every
   tableau splits at the pivot cell into a small top-left subtableau (its
   bullet profile has at most r = k-1 columns), a rotated complement
@@ -80,27 +81,19 @@ def _check_rect_args(m: int, n: int, a: int, k: int):
         raise ValueError(f"battery length must be non-negative, got a={a}")
 
 
-def _levels(m: int, n: int, a: int, k: int) -> tuple:
-    """Nested-sum parameters for the battery above column k, one level per column left of it.
+def _series_params(m: int, n: int, a: int):
+    """Nested-sum parameters for a battery over an m-by-n rectangle, one level per
+    column left of the battery's, as a function of the outer indices x_0..x_{i-1}.
+    With S = sum(x) and p_j = -(i-1-j) - x_j, level i has the numerators a+S,
+    m-i, -n-i and each p_j twice, and the denominators -mn+S, 1 and each p_j-1
+    twice. Column 2 has the single level 3F2(a, m, -n; -mn, 1; 1)."""
 
-    Level i sums over x_i; it is a (numerators, denominators) pair of
-    parameters (const, coeffs), affine in the outer indices x_0..x_{i-1}, with
-    the coefficient on x_j at position j. Column 1 has no levels; column 2 has
-    the single level 3F2(a, m, -n; 1, -mn; 1).
-    """
-    levels = []
-    outer = []  # (j, x_j's coefficient tuple) for each outer level j < i, built once and shared
-    for i in range(k - 1):
-        sum_x = (1,) * i
-        levels.append((
-            ((a, sum_x), (m - i, ()), (-n - i, ()))
-            + tuple((-(i - 1 - j), x_j) for j, x_j in outer for _ in range(2)),
-            ((-m * n, sum_x),)
-            + tuple((-(i - j), x_j) for j, x_j in outer for _ in range(2))
-            + ((1, ()),),
-        ))
-        outer.append((i, (0,) * i + (-1,)))
-    return tuple(levels)
+    def params(outer):
+        i, s = len(outer), sum(outer)
+        p = [j + 1 - i - x for j, x in enumerate(outer) for _ in range(2)]
+        return [a + s, m - i, -n - i] + p, [-m * n + s, 1] + [b - 1 for b in p]
+
+    return params
 
 
 # stack frames left to the callers of count_hyper when it checks a nest's depth
@@ -109,15 +102,15 @@ _CALLER_FRAMES = 100
 
 def count_hyper(m: int, n: int, a: int, k: int) -> int:
     """Count for the battery above column 1 <= k <= m of an m-by-n rectangle:
-    the rectangle count times the (k-1)-level nested sum of ``_levels``.
+    the rectangle count times the (k-1)-level nested sum of ``_series_params``.
 
     The series walk takes a stack frame per level, so a nest too deep for the
-    recursion limit, less ``_CALLER_FRAMES``, raises OverflowError before
-    ``_levels`` builds its O(k^3) coefficients."""
+    recursion limit, less ``_CALLER_FRAMES``, raises OverflowError before the
+    walk starts."""
     _check_rect_args(m, n, a, k)
     if k + _CALLER_FRAMES > sys.getrecursionlimit():
         raise OverflowError(f"a {k - 1}-level nested sum is deeper than the recursion limit allows")
-    num, den = eval_multi_pfq(_levels(m, n, a, k))
+    num, den = eval_multi_pfq(_series_params(m, n, a), k - 1)
     return _exact(rect_syt_count(m, n) * num, den, f"[({m}^{n}), {a}, {k}]")
 
 

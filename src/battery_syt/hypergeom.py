@@ -3,20 +3,18 @@ generalization.
 
 All series here terminate because some numerator parameter is a non-positive
 integer. Every series is taken at argument 1, as all of the paper's are. A
-level is a pair (numerators, denominators) of parameters, and a parameter is
-a pair (const, coeffs) read as const + sum(coeffs[j] * outer[j]) over the
-outer summation indices; coefficients past len(coeffs) are zero, so a
-constant c is (c, ()). A value is an exact (numerator, denominator) pair of
-integers in lowest terms with a positive denominator. One rule bounds every
-level: it stops at ``termination_index`` of its numerators, and an inner
-level also at its outer index, as if minus that index were one more
-numerator. The series walk is integer Horner: each level's sum is folded
-from the tail as one integer fraction, reduced once per level value, with
-each step ratio computed where it is used.
+nested sum is given by a function of the outer summation indices: at the
+indices ``outer`` of the levels above, it returns level ``len(outer)``'s
+integer (numerators, denominators) lists. A value is an exact (numerator,
+denominator) pair of integers in lowest terms with a positive denominator.
+One rule bounds every level: it stops at ``termination_index`` of its
+numerators, and an inner level also at its outer index, as if minus that
+index were one more numerator. The series walk is integer Horner: each
+level's sum is folded from the tail as one integer fraction, reduced once
+per level value, with each step ratio computed where it is used.
 """
 
 from math import gcd
-from operator import mul
 
 from . import _EXPORTS
 
@@ -44,11 +42,11 @@ def termination_index(numerators) -> int:
 def eval_pfq(numerators, denominators) -> tuple[int, int]:
     """Exact value of the terminating series sum_j prod(a_i)_j / prod(b_i)_j / j!
     over integer parameters: the one-level nested sum."""
-    level = ([(int(a), ()) for a in numerators], [(int(b), ()) for b in denominators])
-    return eval_multi_pfq((level,))
+    level = [int(a) for a in numerators], [int(b) for b in denominators]
+    return eval_multi_pfq(lambda outer: level, 1)
 
 
-def _level_sum(levels, outer: tuple[int, ...]) -> tuple[int, int]:
+def _level_sum(params, depth: int, outer: tuple[int, ...]) -> tuple[int, int]:
     """Numerator and denominator of level ``len(outer)``'s sum at the outer indices
     ``outer``; 1 below the last level, and at an outer index 0, where this level
     and every one below it stop at their first term.
@@ -59,13 +57,11 @@ def _level_sum(levels, outer: tuple[int, ...]) -> tuple[int, int]:
     ratios t_{j+1}/t_j = num_j/den_j = prod(a+j) / ((j+1)*prod(b+j)),
     P/Q <- p_j/q_j + num_j/den_j * P/Q, all in integers, reduced once at the end.
     """
-    if len(outer) == len(levels) or outer[-1:] == (0,):
+    if len(outer) == depth or outer[-1:] == (0,):
         return 1, 1
-    numerators, denominators = levels[len(outer)]
-    nums = [sum(map(mul, coeffs, outer), const) for const, coeffs in numerators]
-    dens = [sum(map(mul, coeffs, outer), const) for const, coeffs in denominators]
+    nums, dens = params(outer)
     bound = termination_index(nums + [-x for x in outer[-1:]])
-    P, Q = _level_sum(levels, outer + (bound,))
+    P, Q = _level_sum(params, depth, outer + (bound,))
     for j in range(bound - 1, -1, -1):
         num, den = 1, j + 1
         for a in nums:
@@ -77,20 +73,21 @@ def _level_sum(levels, outer: tuple[int, ...]) -> tuple[int, int]:
             raise ZeroDenominatorFactorError(
                 f"denominator factor {zero} vanished at step {j} of {bound}"
             )
-        p, q = _level_sum(levels, outer + (j,))
+        p, q = _level_sum(params, depth, outer + (j,))
         P, Q = p * den * Q + num * P * q, q * den * Q
     g = gcd(P, Q)
     return P // g, Q // g
 
 
-def eval_multi_pfq(levels) -> tuple[int, int]:
-    """Exact value of the leveled sum over indices m_0 >= m_1 >= ... with per-level
-    Pochhammer quotients, as a (numerator, denominator) pair in lowest terms
-    with a positive denominator.
+def eval_multi_pfq(params, depth: int) -> tuple[int, int]:
+    """Exact value of the ``depth``-level sum over indices m_0 >= m_1 >= ... with
+    per-level Pochhammer quotients, as a (numerator, denominator) pair in
+    lowest terms with a positive denominator.
 
-    Each level contributes prod(a)_{m_i} / prod(b)_{m_i} / m_i! where the
-    level's parameters are affine in the outer indices m_0..m_{i-1}. Level 0
+    Level i contributes prod(a)_{m_i} / prod(b)_{m_i} / m_i!, where
+    ``params(outer)`` gives its integer parameters as lists (numerators,
+    denominators) at the outer indices outer = (m_0, ..., m_{i-1}). Level 0
     must terminate through a non-positive numerator.
     """
-    P, Q = _level_sum(levels, ())
+    P, Q = _level_sum(params, depth, ())
     return (P, Q) if Q > 0 else (-P, -Q)

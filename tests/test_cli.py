@@ -459,16 +459,17 @@ def test_a_battery_of_machine_size_a_over_a_small_base_is_counted():
 
 
 def test_a_nest_too_deep_for_the_recursion_limit_exits_3_within_5_s():
-    # the series walk takes a frame per level; the nest is refused before its
-    # O(k^3) coefficients are built
+    # the series walk takes a frame per level; the nest is refused before the
+    # walk starts, and the deepest nest it admits is counted
     done = _count_in_a_fresh_process("battery:rect:1000x1,a=1,k=1000", "--method", "hyper")
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
         "error: method 'hyper' cannot count a shape this large: "
         "a 999-level nested sum is deeper than the recursion limit allows\n"
     )
-    done = _count_in_a_fresh_process("battery:rect:150x1,a=1,k=150", "--method", "hyper")
-    assert (done.returncode, done.stdout, done.stderr) == (0, "150\n", "")
+    for k in (150, 900):
+        done = _count_in_a_fresh_process(f"battery:rect:{k}x1,a=1,k={k}", "--method", "hyper")
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{k}\n", "")
 
 
 @pytest.mark.parametrize("expr, count", [

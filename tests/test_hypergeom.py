@@ -5,6 +5,7 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from battery_syt.counting import _series_params
 from battery_syt.hypergeom import (
     NonTerminatingSeriesError,
     ZeroDenominatorFactorError,
@@ -180,16 +181,13 @@ def _constants(values):
     return tuple((v, ()) for v in values)
 
 
-def test_affine_param():
-    # a parameter (const, coeffs) is const + sum(coeffs[j] * outer[j]); the
-    # coefficients past len(coeffs) are zero, so (5, ()) is (5, (0, 0))
-    def nest(param):
-        return ((_constants((-2,)), ()), (_constants((-2,)), ()), ((param,), _constants((1,))))
+def _eval_levels(levels):
+    """``eval_multi_pfq`` on levels of (const, coeffs) parameters, each read as
+    const + sum(coeffs[j] * outer[j]) at the outer indices."""
+    def params(outer):
+        return [[c + sum(q * x for q, x in zip(coeffs, outer)) for c, coeffs in side] for side in levels[len(outer)]]
 
-    assert eval_multi_pfq(nest((5, ()))) == eval_multi_pfq(nest((5, (0, 0))))
-    assert eval_multi_pfq(nest((-1, (-1,)))) == eval_multi_pfq(nest((-1, (-1, 0))))
-    for param in ((-1, (-1,)), (5, ()), (0, (1, 1)), (2, (0, -1)), (-3, (1,))):
-        assert as_fraction(eval_multi_pfq(nest(param))) == _nested_sum_reference(nest(param)), param
+    return eval_multi_pfq(params, len(levels))
 
 
 def test_multi_pfq_single_level_equals_pfq():
@@ -199,7 +197,7 @@ def test_multi_pfq_single_level_equals_pfq():
         ((0, 9), (3,)),
     ]
     for nums, dens in cases:
-        assert eval_multi_pfq(((_constants(nums), _constants(dens)),)) == eval_pfq(nums, dens)
+        assert _eval_levels(((_constants(nums), _constants(dens)),)) == eval_pfq(nums, dens)
 
 
 def test_multi_pfq_zero_numerator_gives_one():
@@ -207,13 +205,13 @@ def test_multi_pfq_zero_numerator_gives_one():
         (_constants((0, 3)), _constants((-5,))),
         (((1, (1,)),), _constants((1,))),
     )
-    assert eval_multi_pfq(levels) == (1, 1)
+    assert _eval_levels(levels) == (1, 1)
 
 
 def test_multi_pfq_rejects_non_terminating_level_zero():
     levels = ((_constants((2,)), _constants((1,))),)
     with pytest.raises(NonTerminatingSeriesError):
-        eval_multi_pfq(levels)
+        _eval_levels(levels)
 
 
 def _two_levels(m, n, a):
@@ -248,7 +246,9 @@ def test_multi_pfq_two_levels_equals_hand_rolled_double_sum():
     for m in range(3, 6):
         for n in range(1, 4):
             for a in range(0, 4):
-                assert as_fraction(eval_multi_pfq(_two_levels(m, n, a))) == double_sum(m, n, a)
+                assert as_fraction(_eval_levels(_two_levels(m, n, a))) == double_sum(m, n, a)
+                # the same two levels as the battery above column 3 builds them
+                assert as_fraction(eval_multi_pfq(_series_params(m, n, a), 2)) == double_sum(m, n, a)
 
 
 def _nested_sum_reference(levels):
@@ -325,8 +325,14 @@ def _outcome(evaluate, levels):
 # negative inner level under it
 @example(((_constants((-1, 1)), _constants((-2,))),))
 @example(((_constants((-2,)), ()), (((-1, ()), (3, (1,))), ((-2, (0,)),))))
+# a third level whose one numerator reads none, one or both outer indices
+@example(((_constants((-2,)), ()), (_constants((-2,)), ()), (((-1, (-1,)),), _constants((1,)))))
+@example(((_constants((-2,)), ()), (_constants((-2,)), ()), (((5, ()),), _constants((1,)))))
+@example(((_constants((-2,)), ()), (_constants((-2,)), ()), (((0, (1, 1)),), _constants((1,)))))
+@example(((_constants((-2,)), ()), (_constants((-2,)), ()), (((2, (0, -1)),), _constants((1,)))))
+@example(((_constants((-2,)), ()), (_constants((-2,)), ()), (((-3, (1,)),), _constants((1,)))))
 def test_multi_pfq_matches_term_by_term_reference(levels):
     # each value is an integer pair in lowest terms with a positive
     # denominator (as_fraction checks) and equals the reference's Fraction
-    exact = _outcome(lambda levels: as_fraction(eval_multi_pfq(levels)), levels)
+    exact = _outcome(lambda levels: as_fraction(_eval_levels(levels)), levels)
     assert exact == _outcome(_nested_sum_reference, levels)
