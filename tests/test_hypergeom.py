@@ -190,6 +190,18 @@ def _eval_levels(levels):
     return eval_multi_pfq(params, len(levels))
 
 
+def test_affine_param():
+    # a parameter (const, coeffs) is const + sum(coeffs[j] * outer[j]); the
+    # coefficients past len(coeffs) are zero, so (5, ()) is (5, (0, 0))
+    def nest(param):
+        return ((_constants((-2,)), ()), (_constants((-2,)), ()), ((param,), _constants((1,))))
+
+    assert _eval_levels(nest((5, ()))) == _eval_levels(nest((5, (0, 0))))
+    assert _eval_levels(nest((-1, (-1,)))) == _eval_levels(nest((-1, (-1, 0))))
+    for param in ((-1, (-1,)), (5, ()), (0, (1, 1)), (2, (0, -1)), (-3, (1,))):
+        assert as_fraction(_eval_levels(nest(param))) == _nested_sum_reference(nest(param)), param
+
+
 def test_multi_pfq_single_level_equals_pfq():
     cases = [
         ((-3, 2, 5), (1, -7)),
@@ -325,12 +337,6 @@ def _outcome(evaluate, levels):
 # negative inner level under it
 @example(((_constants((-1, 1)), _constants((-2,))),))
 @example(((_constants((-2,)), ()), (((-1, ()), (3, (1,))), ((-2, (0,)),))))
-# a third level whose one numerator reads none, one or both outer indices
-@example(((_constants((-2,)), ()), (_constants((-2,)), ()), (((-1, (-1,)),), _constants((1,)))))
-@example(((_constants((-2,)), ()), (_constants((-2,)), ()), (((5, ()),), _constants((1,)))))
-@example(((_constants((-2,)), ()), (_constants((-2,)), ()), (((0, (1, 1)),), _constants((1,)))))
-@example(((_constants((-2,)), ()), (_constants((-2,)), ()), (((2, (0, -1)),), _constants((1,)))))
-@example(((_constants((-2,)), ()), (_constants((-2,)), ()), (((-3, (1,)),), _constants((1,)))))
 def test_multi_pfq_matches_term_by_term_reference(levels):
     # each value is an integer pair in lowest terms with a positive
     # denominator (as_fraction checks) and equals the reference's Fraction
