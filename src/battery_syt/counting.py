@@ -6,7 +6,7 @@ check each other:
 * ``count_hyper``: the rectangle tableau count times an exact terminating
   nested hypergeometric sum, for every column 1 <= k <= m; one function of
   the outer indices gives the integer parameters of each of column k's k-1
-  levels where the series walk sums that level;
+  levels where the series walk sums that level, at any depth;
 * ``count_general``: the pivot decomposition, summed in closed form. Every
   tableau splits at the pivot cell into a small top-left subtableau (its
   bullet profile has at most r = k-1 columns), a rotated complement
@@ -34,7 +34,6 @@ load it. Binomials and rising factorials are ``math.comb`` and ``math.perm``,
 so no route loads the factoring module.
 """
 
-import sys
 from itertools import accumulate, repeat
 from math import comb as binomial  # every binomial here; a binding that span tracing rebinds
 from math import factorial, perm, prod
@@ -96,20 +95,11 @@ def _series_params(m: int, n: int, a: int):
     return params
 
 
-# stack frames left to the callers of count_hyper when it checks a nest's depth
-_CALLER_FRAMES = 100
-
-
 def count_hyper(m: int, n: int, a: int, k: int) -> int:
     """Count for the battery above column 1 <= k <= m of an m-by-n rectangle:
-    the rectangle count times the (k-1)-level nested sum of ``_series_params``.
-
-    The series walk takes a stack frame per level, so a nest too deep for the
-    recursion limit, less ``_CALLER_FRAMES``, raises OverflowError before the
-    walk starts."""
+    the rectangle count times the (k-1)-level nested sum of ``_series_params``,
+    at any k: the walk takes no stack frame per level."""
     _check_rect_args(m, n, a, k)
-    if k + _CALLER_FRAMES > sys.getrecursionlimit():
-        raise OverflowError(f"a {k - 1}-level nested sum is deeper than the recursion limit allows")
     num, den = eval_multi_pfq(_series_params(m, n, a), k - 1)
     return _exact(rect_syt_count(m, n) * num, den, f"[({m}^{n}), {a}, {k}]")
 

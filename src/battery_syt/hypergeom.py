@@ -11,7 +11,9 @@ One rule bounds every level: it stops at ``termination_index`` of its
 numerators, and an inner level also at its outer index, as if minus that
 index were one more numerator. The series walk is integer Horner: each
 level's sum is folded from the tail as one integer fraction, reduced once
-per level value, with each step ratio computed where it is used.
+per level value, with each step ratio computed where it is used. The open
+levels are kept in a list, not on the interpreter stack, so a nest of any
+depth is walked whatever the recursion limit.
 """
 
 from math import gcd
@@ -46,39 +48,6 @@ def eval_pfq(numerators, denominators) -> tuple[int, int]:
     return eval_multi_pfq(lambda outer: level, 1)
 
 
-def _level_sum(params, depth: int, outer: tuple[int, ...]) -> tuple[int, int]:
-    """Numerator and denominator of level ``len(outer)``'s sum at the outer indices
-    ``outer``; 1 below the last level, and at an outer index 0, where this level
-    and every one below it stop at their first term.
-
-    Bounded by the one rule above, the walk meets no vanishing numerator factor
-    a+j, so every term it reaches is nonzero and a vanishing denominator factor
-    there is an error. Horner from the tail: with inner values p_j/q_j and step
-    ratios t_{j+1}/t_j = num_j/den_j = prod(a+j) / ((j+1)*prod(b+j)),
-    P/Q <- p_j/q_j + num_j/den_j * P/Q, all in integers, reduced once at the end.
-    """
-    if len(outer) == depth or outer[-1:] == (0,):
-        return 1, 1
-    nums, dens = params(outer)
-    bound = termination_index(nums + [-x for x in outer[-1:]])
-    P, Q = _level_sum(params, depth, outer + (bound,))
-    for j in range(bound - 1, -1, -1):
-        num, den = 1, j + 1
-        for a in nums:
-            num *= a + j
-        for b in dens:
-            den *= b + j
-        if den == 0:
-            zero = next(b for b in dens if b + j == 0)
-            raise ZeroDenominatorFactorError(
-                f"denominator factor {zero} vanished at step {j} of {bound}"
-            )
-        p, q = _level_sum(params, depth, outer + (j,))
-        P, Q = p * den * Q + num * P * q, q * den * Q
-    g = gcd(P, Q)
-    return P // g, Q // g
-
-
 def eval_multi_pfq(params, depth: int) -> tuple[int, int]:
     """Exact value of the ``depth``-level sum over indices m_0 >= m_1 >= ... with
     per-level Pochhammer quotients, as a (numerator, denominator) pair in
@@ -88,6 +57,41 @@ def eval_multi_pfq(params, depth: int) -> tuple[int, int]:
     ``params(outer)`` gives its integer parameters as lists (numerators,
     denominators) at the outer indices outer = (m_0, ..., m_{i-1}). Level 0
     must terminate through a non-positive numerator.
+
+    Each open level is [numerators, denominators, P, Q], P/Q its sum so far,
+    with its current index in ``outer``. A level opens at its bound; below the
+    last level, or an index 0, the value is 1. The walk meets no vanishing
+    numerator factor a+j, so a vanishing denominator factor is an error. With
+    inner values p_j/q_j and step ratios num_j/den_j = prod(a+j) / ((j+1)*prod(b+j)),
+    P/Q <- p_j/q_j + num_j/den_j * P/Q, the ratio applied on the way to j.
     """
-    P, Q = _level_sum(params, depth, ())
-    return (P, Q) if Q > 0 else (-P, -Q)
+    levels, outer = [], []
+    while True:
+        while len(outer) < depth and outer[-1:] != [0]:
+            nums, dens = params(tuple(outer))
+            levels.append([nums, dens, 0, 1])
+            outer.append(termination_index(nums + [-x for x in outer[-1:]]))
+        p, q = 1, 1
+        while levels:
+            nums, dens, P, Q = level = levels[-1]
+            P, Q = p * Q + P * q, q * Q
+            j = outer[-1] - 1
+            if j >= 0:
+                break
+            g = gcd(P, Q)
+            p, q = P // g, Q // g
+            levels.pop()
+            outer.pop()
+        else:
+            return (p, q) if q > 0 else (-p, -q)
+        num, den = 1, j + 1
+        for a in nums:
+            num *= a + j
+        for b in dens:
+            den *= b + j
+        if den == 0:
+            zero = next(b for b in dens if b + j == 0)
+            bound = termination_index(nums + [-x for x in outer[-2:-1]])
+            raise ZeroDenominatorFactorError(f"denominator factor {zero} vanished at step {j} of {bound}")
+        level[2:] = num * P, den * Q
+        outer[-1] = j

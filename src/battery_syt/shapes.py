@@ -60,10 +60,13 @@ def syt_count_straight(p: Partition) -> int:
     if not p:
         return 1
     # n! first: past machine size it raises OverflowError at once, before the
-    # hooks walk every cell; n! is divisible by the hook product, so floor
-    # division is exact
+    # hooks walk every cell; n! is divisible by the hook product, so a
+    # remainder can only mean wrong hooks
     total = factorial(sum(p))
-    return total // prod(hook_lengths(p))
+    count, rem = divmod(total, prod(hook_lengths(p)))
+    if rem:
+        raise ArithmeticError(f"the hook product does not divide {sum(p)}!")
+    return count
 
 
 def rotated_complement(m: int, n: int, mu: Partition) -> Partition:

@@ -106,6 +106,23 @@ def test_nested_counts_match_general():
                     _check_routes_agree(m, n, a, k)
 
 
+def test_count_hyper_counts_a_deep_nest_under_a_low_recursion_limit():
+    # the series walk takes no stack frame per level: 899 levels under a limit of 200
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert count_hyper(900, 1, 1, 900) == 900
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_count_hyper_counts_a_deep_nest_from_deep_in_the_stack():
+    def called_from(frames):
+        return count_hyper(900, 1, 1, 900) if frames == 0 else called_from(frames - 1)
+
+    assert called_from(300) == 900
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
     st.integers(k, k + 3), st.integers(1, 4), st.integers(0, 4), st.just(k))))

@@ -220,6 +220,14 @@ def test_multi_pfq_zero_numerator_gives_one():
     assert _eval_levels(levels) == (1, 1)
 
 
+def test_multi_pfq_walks_a_nest_of_any_depth():
+    # each level is 1 - (its inner value at index 1), so d levels sum to 1
+    # when d is even and to 0 when it is odd; the open levels are a list, so
+    # 5000 of them are walked at the default recursion limit
+    assert eval_multi_pfq(lambda outer: ([-1], []), 5000) == (1, 1)
+    assert eval_multi_pfq(lambda outer: ([-1], []), 5001) == (0, 1)
+
+
 def test_multi_pfq_rejects_non_terminating_level_zero():
     levels = ((_constants((2,)), _constants((1,))),)
     with pytest.raises(NonTerminatingSeriesError):

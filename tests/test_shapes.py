@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from battery_syt import cli, shapes
 from battery_syt.shapes import (
     BatteryShape,
     SkewShape,
@@ -75,6 +76,21 @@ def test_syt_count_known_values():
 def test_syt_count_invariant_under_conjugation():
     for p in all_partitions_up_to(12):
         assert syt_count_straight(p) == syt_count_straight(conjugate(p))
+
+
+@pytest.mark.parametrize("argv, route", [
+    (["partition:3,2,1"], "hlf"),
+    (["battery:rect:3x2,a=1,k=2", "--method", "hyper"], "hyper"),
+], ids=["hlf", "hyper"])
+def test_a_wrong_hook_fails_the_hook_length_division(argv, route, monkeypatch, capsys):
+    # one hook scaled by 7, a prime above the 6 cells, so the hook product
+    # cannot divide 6!: an inconsistent count (exit 4), not a wrong one on stdout
+    right = shapes.hook_lengths
+    monkeypatch.setattr(shapes, "hook_lengths", lambda p: (7 * right(p)[0],) + right(p)[1:])
+    assert cli.run(["count", *argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: inconsistent count from {route}: the hook product does not divide 6!\n"
 
 
 def test_rotated_complement_known_values():
