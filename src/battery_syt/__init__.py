@@ -75,6 +75,15 @@ def _lazy(module: str, name: str):
     return call
 
 
+def _integral(value) -> int:
+    """``value`` as an int; ValueError when it is not a whole number (3.5), so a
+    shape field or series parameter is never truncated. ``-2.0`` reads as -2."""
+    whole = int(value)
+    if whole != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return whole
+
+
 class Record:
     """Immutable value whose fields are its class's ``__slots__``, in order: the
     base of every record type in the package (factorizations and shapes).

@@ -267,8 +267,9 @@ def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[int | None, int
     past ``sys.maxsize`` has no N! to build, so every method is refused on it
     before counting (exit 3). So is a method that raises OverflowError, an
     argument past a machine-size primitive such as ``math.comb``. Any other arithmetic
-    fault, a non-integer value or a vanished denominator factor, means the route's
-    parameters disagree with the shape, the same fault a verify mismatch shows.
+    fault, a non-integer value, a vanished denominator factor or a count below 1
+    (every shape has a tableau), means the route's parameters disagree with the
+    shape, the same fault a verify mismatch shows.
     """
     cells = sum(shape.lam) if isinstance(shape, BatteryShape) else _shape_size(shape)
     if cells * cells.bit_length() > sys.maxsize:
@@ -276,7 +277,10 @@ def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[int | None, int
               f"and {cells}! is too large to build")
         return None, EXIT_METHOD
     try:
-        return METHODS[name](shape, size_cap), EXIT_OK
+        count = METHODS[name](shape, size_cap)
+        if count < 1:
+            raise ArithmeticError(f"a count of {count}, below 1")
+        return count, EXIT_OK
     except OverflowError as exc:
         _note(f"error: method {name!r} cannot count a shape this large: {exc}")
         return None, EXIT_METHOD
@@ -445,7 +449,7 @@ def _run(argv) -> int:
     from .arith import FactorizationBudgetError
 
     try:
-        factorization = factorize(count) if count >= 1 else None
+        factorization = factorize(count)
     except FactorizationBudgetError as exc:
         _note(f"error: {exc}")
         return EXIT_METHOD
@@ -456,7 +460,7 @@ def _run(argv) -> int:
         "shape": expr,
         "method": method,
         "count": str(count),
-        "factorization": None if factorization is None else [[p, e] for p, e in factorization.factors],
+        "factorization": [[p, e] for p, e in factorization.factors],
         "verified_methods": [] if partner is None else [method, partner],
         "elapsed_ms": (time.perf_counter() - started) * 1000.0,
     }

@@ -18,7 +18,7 @@ depth is walked whatever the recursion limit.
 
 from math import gcd
 
-from . import _EXPORTS
+from . import _EXPORTS, _integral
 
 __all__ = list(_EXPORTS["hypergeom"])
 
@@ -43,8 +43,8 @@ def termination_index(numerators) -> int:
 
 def eval_pfq(numerators, denominators) -> tuple[int, int]:
     """Exact value of the terminating series sum_j prod(a_i)_j / prod(b_i)_j / j!
-    over integer parameters: the one-level nested sum."""
-    level = [int(a) for a in numerators], [int(b) for b in denominators]
+    over integer parameters, each a whole number: the one-level nested sum."""
+    level = list(map(_integral, numerators)), list(map(_integral, denominators))
     return eval_multi_pfq(lambda outer: level, 1)
 
 

@@ -54,7 +54,7 @@ the gate and open-bit tables and the mixed-radix places are all different.
 
 from math import comb, prod
 
-from . import _EXPORTS
+from . import _EXPORTS, _integral
 from .shapes import (
     DEFAULT_SIZE_CAP, BatteryShape, SkewShape, TruncatedShape, _check_line_convex, _column_runs, dp_cells,
     syt_count_straight,
@@ -66,14 +66,6 @@ __all__ = list(_EXPORTS["oracle"])
 def _refuse_above(cells: int, size_cap: int) -> None:
     if cells > size_cap:
         raise ValueError(f"diagram has {cells} cells, above the size cap {size_cap}")
-
-
-def _capped(spans, size_cap: int) -> tuple[tuple[int, int], ...]:
-    """The spans as int pairs, an empty row as a zero-length span; refuses a
-    diagram above the size cap."""
-    spans = tuple((int(s), max(int(s), int(e))) for s, e in spans)
-    _refuse_above(sum(e - s for s, e in spans), size_cap)
-    return spans
 
 
 def _gate_table(spans) -> list[list[int]]:
@@ -117,7 +109,7 @@ def _open_bit_table(up_radix: int, gate_here, gate_below, row: int) -> list[int]
 
 
 def _levels(spans):
-    """Each level of the ideal walk of capped spans, from the empty ideal up:
+    """Each level of the ideal walk of spans, from the empty ideal up:
     ``{state: [ways, mask]}`` of the ideals with j cells, yielded once every
     move into it is summed. The next level is built from the ways the level
     holds when the caller asks for it, so a caller may add to them first.
@@ -167,7 +159,7 @@ def _levels(spans):
 
 
 def _profile(spans, a: int = 0, k: int = 1) -> tuple[int, int]:
-    """(tableau count, ideal states visited) of capped spans with a battery of
+    """(tableau count, ideal states visited) of spans with a battery of
     a cells above their column k, by the module docstring's identity: at each
     level t <= last, each ideal below ``open_top`` (fewer than k cells in row
     0) adds C(a-1+t, t) f(K), kept below bit ``shift``, to g(K) above it. A
@@ -225,15 +217,15 @@ def linear_extension_profile(shape: SpanShape, size_cap: int = DEFAULT_SIZE_CAP)
     """Exact tableau count of any shape with ``row_spans()`` (battery, skew or
     truncated) and the number of ideal states visited.
 
-    A battery over any base, a straight shape included as a = 0, walks its
-    base's ideals with its a cells as one weight, to the middle only on a
-    rectangle (``_profile``); the size cap counts its base's cells plus one
-    (``dp_cells``), checked before any span is built.
+    Every shape is refused above the size cap by ``dp_cells`` before a span is
+    read. A battery, a straight shape included as a = 0, walks its base's
+    ideals with its a cells as one weight (``_profile``); any other shape walks
+    its own ``row_spans()``.
     """
+    _refuse_above(dp_cells(shape), size_cap)
     if isinstance(shape, BatteryShape):
-        _refuse_above(dp_cells(shape), size_cap)
         return _profile(tuple((0, row) for row in shape.lam), shape.a, shape.k)
-    return _profile(_capped(shape.row_spans(), size_cap))
+    return _profile(shape.row_spans())
 
 
 def count_linear_extensions(shape: SpanShape, size_cap: int = DEFAULT_SIZE_CAP) -> int:
@@ -244,11 +236,12 @@ def count_linear_extensions(shape: SpanShape, size_cap: int = DEFAULT_SIZE_CAP) 
 def count_line_convex(spans, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     """Tableau count for any line-convex diagram given per-row column spans.
 
-    Works for skew and truncated shapes as well as battery shapes. Raises
-    ValueError for spans above the size cap or with a column that is not
-    contiguous.
+    Works for skew, truncated and battery shapes; a row ending at or before its
+    start is empty. Raises ValueError for an end that is not a whole number, for
+    spans above the size cap or with a column that is not contiguous.
     """
-    spans = _capped(spans, size_cap)
+    spans = tuple((s, max(s, e)) for s, e in (map(_integral, span) for span in spans))
+    _refuse_above(sum(e - s for s, e in spans), size_cap)
     _check_line_convex(spans)
     return _profile(spans)[0]
 

@@ -11,7 +11,7 @@ walks a shape cell by cell, and the cells it counts against that limit
 
 from math import factorial, prod
 
-from . import _EXPORTS, Record
+from . import _EXPORTS, Record, _integral
 
 __all__ = list(_EXPORTS["shapes"])
 
@@ -22,8 +22,9 @@ Partition = tuple[int, ...]
 
 
 def as_partition(parts: "Iterable[int]") -> Partition:
-    """Canonicalize to a tuple: trailing zeros dropped, weakly decreasing, positive."""
-    rows = tuple(int(x) for x in parts)
+    """Canonicalize to a tuple: trailing zeros dropped, weakly decreasing, positive;
+    a row length that is not a whole number is refused."""
+    rows = tuple(map(_integral, parts))
     while rows and rows[-1] == 0:
         rows = rows[:-1]
     for i, x in enumerate(rows):
@@ -155,7 +156,8 @@ class BatteryShape(Record):
     __slots__ = ("lam", "a", "k")
 
     def __init__(self, lam: Partition, a: int, k: int) -> None:
-        self._set(as_partition(lam), a, k)
+        self._set(as_partition(lam), _integral(a), _integral(k))
+        a, k = self.a, self.k
         if a < 0:
             raise ValueError(f"battery column length must be non-negative, got {a}")
         if k < 1:

@@ -7,16 +7,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import accumulate, repeat
 from math import comb, factorial, gcd, prod
-from operator import mul
 from pathlib import Path
 
 import battery_syt
 from battery_syt import Record
-from battery_syt.counting import _check_rect_args, _exact, _hankel_det, _weights
 from battery_syt.hypergeom import eval_pfq
-from battery_syt.oracle import _gate_table
 from battery_syt.shapes import conjugate, rotated_complement, syt_count_straight
 
 
@@ -139,10 +135,25 @@ def reduce_3f2(a: int, b: int, c: int, e: int) -> Fraction:
 
 
 # Explicit enumeration, the reference the order-ideal DP is tested against: it
-# builds every tableau of a small battery by following the DP's gate table, and
-# an independent checker tests each filling against the definition.
+# builds every tableau of a small battery by the definition of an order ideal,
+# and an independent checker tests each filling against the definition of a
+# tableau.
 
 ENUMERATION_CAP = 12
+
+
+def may_grow(spans, i, above, here):
+    """Whether row i of ``spans``, with ``here`` cells filled and ``above`` cells
+    of row i-1 (read only when i > 0), may take its next cell: the cell exists,
+    and the cell above it, where the diagram has one, is filled."""
+    start, stop = spans[i]
+    col = start + here
+    if col >= stop:
+        return False
+    if i == 0:
+        return True
+    up_start, up_stop = spans[i - 1]
+    return not up_start <= col < up_stop or col < up_start + above
 
 
 class BatteryTableau(Record):
@@ -160,7 +171,6 @@ def enumerate_syt(shape, cap=ENUMERATION_CAP):
     if cells > cap:
         raise ValueError(f"enumeration is limited to {cap} cells, shape has {cells}")
     spans = shape.row_spans()
-    gate = _gate_table(spans)
     grid = [[0] * (stop - start) for start, stop in spans]
     filled = [0] * len(spans)
     found = []
@@ -171,7 +181,7 @@ def enumerate_syt(shape, cap=ENUMERATION_CAP):
             found.append(BatteryTableau(battery, tuple(tuple(row) for row in grid[shape.a:])))
             return
         # the open rows are taken before the loop body changes `filled`
-        for i in [i for i, g in enumerate(gate) if (filled[i - 1] if i else 0) >= g[filled[i]]]:
+        for i in [i for i in range(len(spans)) if may_grow(spans, i, filled[i - 1], filled[i])]:
             grid[i][filled[i]] = value
             filled[i] += 1
             place(value + 1)
@@ -272,89 +282,111 @@ def general_by_profiles(m, n, a, k):
     return total
 
 
+def exact_quotient(num, den):
+    """num / den, which must be an integer."""
+    quotient = Fraction(num, den)
+    assert quotient.denominator == 1, (num, den)
+    return quotient.numerator
+
+
+def det_by_cross_multiplying(matrix):
+    """Determinant of an integer matrix by integer elimination.
+
+    Each row below the pivot becomes pivot * row - lead * top, which
+    multiplies the determinant by the pivot, and is then divided by the gcd of
+    its entries; the product of the pivots, times those gcds over the pivot
+    factors, is the determinant. A zero pivot is swapped for a row below it.
+    """
+    rows = [list(row) for row in matrix]
+    num = den = 1
+    while rows:
+        p = next((i for i, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            return 0
+        if p:
+            rows[0], rows[p] = rows[p], rows[0]
+            num = -num
+        (pivot, *top), *rest = rows
+        num *= pivot
+        rows = []
+        for lead, *row in rest:
+            row = [pivot * x - lead * y for x, y in zip(row, top)]
+            content = gcd(*row) or 1
+            num *= content
+            den *= pivot
+            rows.append([x // content for x in row])
+    return exact_quotient(num, den)
+
+
 def general_all_points(m, n, a, k):
     """Reference for ``count_general``: the same Hankel determinant, interpolated
     as the whole polynomial E of degree rn from rn+1 values, without dividing
-    out its known factor (1+y)^A, and folded over all mn cells.
+    out its known factor (1+y)^A, and folded over all mn cells. The weights,
+    the determinant and every division are its own: the moments of
+    W(x) = (x+1)_{m-k+1} C(N, x), N = n+k-2, and integer elimination by
+    cross-multiplying rows.
     """
-    _check_rect_args(m, n, a, k)
-    context = f"[({m}^{n}), {a}, {k}]"
+    if not (1 <= k <= m and n >= 1 and a >= 0):
+        raise ValueError(f"no battery [({m}^{n}), {a}, {k}]")
     r = k - 1
     big = n + r - 1
     deg = r * n
     shift = r * (r - 1) // 2
-    table = [_weights(m, n, k)]
-    for _ in range(2 * r - 2):
-        table.append(list(map(mul, range(big + 1), table[-1])))
+    weights = [rising(x + 1, m - k + 1) * comb(big, x) for x in range(big + 1)]
     values = []
     for y in range(1, deg + 2):
-        powers = list(accumulate(repeat(y, big), mul, initial=1))
-        moments = [sum(map(mul, row, powers)) for row in table]
-        values.append(_exact(_hankel_det(moments, r, context), y**shift, context))
+        terms = [w * y**x for x, w in enumerate(weights)]
+        moments = [sum(x**p * t for x, t in enumerate(terms)) for p in range(2 * r - 1)]
+        hankel = [[moments[i + j] for j in range(r)] for i in range(r)]
+        values.append(exact_quotient(det_by_cross_multiplying(hankel), y**shift))
     newton = []
     scale = 1
     for j in range(deg + 1):
-        newton.append(_exact(values[0], scale, context))
+        newton.append(exact_quotient(values[0], scale))
         values = [hi - lo for lo, hi in zip(values, values[1:])]
         scale *= j + 1
     coeffs = [newton[deg]]
     for j in range(deg - 1, -1, -1):
         coeffs = [hi - (j + 1) * lo for hi, lo in zip([newton[j]] + coeffs, coeffs + [0])]
-    # sum_s e_s (a)_s (mn-s)! / (mn-deg)!
-    cells = m * n
-    total = 0
-    rising = 1
-    for s, e in enumerate(coeffs):
-        total = total * (cells - s + 1) + e * rising
-        rising *= a + s
-    num = total * factorial(cells - deg) * prod(factorial(d) for d in range(1, m - k + 1))
+    total = sum(e * rising(a, s) * factorial(m * n - s) for s, e in enumerate(coeffs))
+    num = total * prod(factorial(d) for d in range(1, m - k + 1))
     den = prod(factorial(f) for f in range(n + k - 1, n + m)) * factorial(big) ** r
-    return _exact(num, den, context)
+    return exact_quotient(num, den)
 
 
 def span_profile_by_two_tests(spans):
     """Reference for the full walk of ``oracle._levels``: the same walk over
-    the same ideals, re-testing rows i and i+1 against the gate table after
-    each step instead of reading their bits from a table per row.
+    the same ideals, re-testing rows i and i+1 by ``may_grow`` after each step
+    instead of reading their bits from a table per row.
 
-    Returns (tableau count, ideal states visited) of capped spans.
+    Returns (tableau count, ideal states visited) of the spans.
     """
     rows = len(spans)
-    gate = _gate_table(spans)
+    # an ideal is one integer in mixed radix, row i's filled count its digit
     weight = [1] * (rows + 1)
     for i in range(rows - 1, -1, -1):
         weight[i] = weight[i + 1] * (spans[i][1] - spans[i][0] + 1)
-    place = weight[1:]
-    # per row: the weight of the row above (1 for row 0, so it reads 0 filled
-    # above), its own weight and place, and its gate row; a phantom row after
-    # the last one is never open
-    rule = [(weight[i - 1] if i else 1, weight[i], place[i], gate[i]) for i in range(rows)]
-    rule.append((1, 1, 1, [1]))
-    keep = [~(3 << i) for i in range(rows)]
-    mask = sum(1 << i for i, g in enumerate(gate) if g[0] == 0)
-    rows_of = {}
-    level = {0: [1, mask]}
+
+    def filled(state, i):
+        return state % weight[i] // weight[i + 1] if 0 <= i < rows else 0
+
+    def open_bit(state, i):  # no row past the last is ever open
+        return (i < rows and may_grow(spans, i, filled(state, i - 1), filled(state, i))) << i
+
+    level = {0: [1, sum(open_bit(0, i) for i in range(rows))]}
     states = 1
     for _ in range(sum(e - s for s, e in spans)):
         nxt = {}
         for state, (ways, mask) in level.items():
-            open_rows = rows_of.get(mask)
-            if open_rows is None:
-                open_rows = rows_of[mask] = tuple(i for i in range(rows) if mask >> i & 1)
-            for i in open_rows:
-                grown = state + place[i]
+            for i in range(rows):
+                if not mask >> i & 1:
+                    continue
+                grown = state + weight[i + 1]
                 entry = nxt.get(grown)
                 if entry is not None:
                     entry[0] += ways
                     continue
-                grown_mask = mask & keep[i]
-                w_up, w, p, g = rule[i]
-                if grown % w_up // w >= g[grown % w // p]:
-                    grown_mask |= 1 << i
-                w_up, w, p, g = rule[i + 1]
-                if grown % w_up // w >= g[grown % w // p]:
-                    grown_mask |= 2 << i
-                nxt[grown] = [ways, grown_mask]
+                nxt[grown] = [ways, mask & ~(3 << i) | open_bit(grown, i) | open_bit(grown, i + 1)]
         level = nxt
         states += len(level)
     return sum(ways for ways, _ in level.values()), states

@@ -341,6 +341,17 @@ def test_arithmetic_fault_in_a_count_exits_4(capsys, monkeypatch, fault):
         assert "error: inconsistent count from hyper: injected" in captured.err
 
 
+@pytest.mark.parametrize("output", ["decimal", "factored", "json"])
+@pytest.mark.parametrize("count", [0, -3])
+def test_a_count_below_one_is_an_inconsistent_count(capsys, monkeypatch, output, count):
+    # every shape has a tableau, so a route that returns fewer is at fault
+    monkeypatch.setitem(cli.METHODS, "dp", lambda shape, size_cap: count)
+    assert cli.run(["count", "skew:3,2/1", "--output", output]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: inconsistent count from dp: a count of {count}, below 1\n"
+
+
 @pytest.mark.parametrize("expr, route", [
     ("battery:rect:99999999999999999999x1,a=1,k=1", "general"),
     ("battery:rect:99999999999999999999x2,a=1,k=2", "closed"),

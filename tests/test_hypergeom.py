@@ -36,6 +36,13 @@ def test_eval_pfq_known_values():
     assert eval_pfq([-2.0, 3], [4]) == eval_pfq((-2, 3), (4,)) == (1, 10)
 
 
+def test_eval_pfq_refuses_a_parameter_that_is_not_whole():
+    # 2F1(-2, 1/2; 1; 1) = 3/8; read as 2F1(-2, 0; 1; 1) it would be 1
+    for nums, dens in (((-2, 0.5), (1,)), ((-2, 3), (1.5,))):
+        with pytest.raises(ValueError, match="expected an integer"):
+            eval_pfq(nums, dens)
+
+
 def test_eval_pfq_rejects_non_terminating():
     with pytest.raises(NonTerminatingSeriesError):
         eval_pfq((1, 2), (3,))

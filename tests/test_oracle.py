@@ -8,14 +8,13 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 from battery_syt import cli, oracle
 from battery_syt.counting import count_general
 from battery_syt.oracle import (
-    _capped,
     _levels,
     conjugate_spans,
     count_line_convex,
     count_linear_extensions,
     linear_extension_profile,
 )
-from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape, syt_count_straight
+from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape, dp_cells, syt_count_straight
 from conftest import (
     BatteryTableau,
     all_partitions_up_to,
@@ -125,6 +124,25 @@ def test_profile_counts_skew_and_truncated_states():
 def test_line_convex_empty():
     assert count_line_convex(()) == 1
     assert count_line_convex(((0, 0),)) == 1
+
+
+def test_line_convex_refuses_an_end_that_is_not_whole():
+    # read with int(), (0, 2.7) would be the two-cell row (0, 2) and the count 2
+    with pytest.raises(ValueError, match="expected an integer, got 2.7"):
+        count_line_convex([(0, 2.7), (0, 1)])
+    assert count_line_convex([(0.0, 2.0), (0, 1)]) == 2
+
+
+@pytest.mark.parametrize("shape", [
+    SkewShape((6, 6), (1,)),
+    TruncatedShape(SkewShape((6, 6)), (1,)),
+    BatteryShape((6, 5), 9, 2),
+])
+def test_every_shape_is_refused_by_dp_cells_before_a_span_is_read(shape, monkeypatch):
+    cells = dp_cells(shape)
+    monkeypatch.setattr(type(shape), "row_spans", lambda self: pytest.fail("row spans read"))
+    with pytest.raises(ValueError, match=f"diagram has {cells} cells, above the size cap {cells - 1}"):
+        linear_extension_profile(shape, size_cap=cells - 1)
 
 
 def test_line_convex_refuses_a_column_with_a_gap():
@@ -378,7 +396,7 @@ def rectangle_batteries(draw):
 @example(BatteryShape((6,) * 5, 0, 3))  # no battery cells: g is f
 @example(BatteryShape((5,) * 11, 2, 4))  # the cut, 34 cells, past the middle, 28
 def test_rectangle_walk_matches_the_full_walk(shape):
-    spans = _capped(shape.row_spans(), 120)
+    spans = shape.row_spans()
     count, states = linear_extension_profile(shape)
     assert count == count_line_convex(spans) == span_profile_by_two_tests(spans)[0], shape
     assert states <= _full_walk(spans)[1], shape
@@ -494,16 +512,16 @@ def larger_span_shapes(draw):
     except ValueError:
         reject()  # a cut longer than its row, or columns no longer contiguous
     assume(shape.size <= 40)
-    spans = _capped(shape.row_spans(), 40)
+    spans = shape.row_spans()
     assume(prod(e - s + 1 for s, e in spans) <= 200_000)
     return spans
 
 
 @settings(max_examples=150, deadline=None)
 @given(larger_span_shapes())
-@example(_capped(SkewShape((4, 3, 2), (3, 3)).row_spans(), 40))  # an empty middle row
-@example(_capped(TruncatedShape(SkewShape((3, 3)), (3, 1)).row_spans(), 40))  # an empty first row
-@example(_capped(SkewShape((5, 5), (5, 5)).row_spans(), 40))  # no cells at all
+@example(SkewShape((4, 3, 2), (3, 3)).row_spans())  # an empty middle row
+@example(TruncatedShape(SkewShape((3, 3)), (3, 1)).row_spans())  # an empty first row
+@example(SkewShape((5, 5), (5, 5)).row_spans())  # no cells at all
 def test_dp_matches_the_two_test_reference(spans):
     assert _full_walk(spans) == span_profile_by_two_tests(spans), spans
 
@@ -518,7 +536,7 @@ def test_conjugate_spans_known_layouts():
 
 
 def _spans_of(expr):
-    return _capped(cli._with_spans(cli.parse_shape_expr(expr)).row_spans(), 120)
+    return cli._with_spans(cli.parse_shape_expr(expr)).row_spans()
 
 
 @settings(max_examples=150, deadline=None)

@@ -37,6 +37,23 @@ def test_as_partition_canonicalizes():
         as_partition([3, 0, 1])
 
 
+def test_a_row_length_that_is_not_whole_is_refused_not_truncated():
+    assert as_partition([3.0, 2]) == (3, 2)
+    with pytest.raises(ValueError, match="expected an integer, got 3.5"):
+        as_partition([3.5, 2])
+    with pytest.raises(ValueError, match="expected an integer, got 3.5"):
+        BatteryShape((3.5, 2), 1, 2)
+
+
+@pytest.mark.parametrize("a, k", [(1.5, 2), (1, 2.5)])
+def test_a_battery_length_or_column_that_is_not_whole_is_refused(a, k):
+    # a fractional a would reach math.comb inside the count; it is refused here
+    with pytest.raises(ValueError, match="expected an integer"):
+        BatteryShape((3, 2), a, k)
+    assert BatteryShape((3, 2), 1.0, 2.0) == BatteryShape((3, 2), 1, 2)
+    assert type(BatteryShape((3, 2), 1.0, 2.0).a) is int
+
+
 def test_conjugate_known_values():
     assert conjugate((3, 2, 1)) == (3, 2, 1)
     assert conjugate((5, 3, 1)) == (3, 2, 2, 1, 1)
