@@ -39,8 +39,9 @@ from math import comb as binomial  # every binomial here; a binding that span tr
 from math import factorial, perm, prod
 from operator import mul
 
-from . import _EXPORTS, _lazy
+from . import _EXPORTS, _integral, _lazy
 from .shapes import (
+    BatteryShape,
     rotated_complement,  # noqa: F401  (kept as a module binding that span tracing rebinds)
     syt_count_straight,
 )
@@ -68,16 +69,15 @@ def rect_syt_count(m: int, n: int) -> int:
     return syt_count_straight((m,) * n)
 
 
-def _check_rect_args(m: int, n: int, a: int, k: int):
-    """The battery rule: a column 1 <= k <= m of an m-by-n rectangle, n >= 1, a >= 0."""
-    if k < 1:
-        raise ValueError(f"column index must be at least 1, got k={k}")
-    if m < k:
-        raise ValueError(f"column {k} battery needs base width m >= {k}, got m={m}")
-    if n < 1:
-        raise ValueError(f"need at least one row, got n={n}")
-    if a < 0:
-        raise ValueError(f"battery length must be non-negative, got a={a}")
+def _rect_battery(m: int, n: int, a: int, k: int) -> tuple[int, int, int, int]:
+    """(m, n, a, k) as the integers of the battery [(m^n), a, k], refused as
+    ``BatteryShape`` refuses it: over a rectangle the first row carries the
+    whole rule, so the battery over that row is built alone."""
+    n = _integral(n)
+    if m < 1 or n < 1:
+        raise ValueError(f"a rectangle needs sides of at least 1, got {m}x{n}")
+    shape = BatteryShape((m,), a, k)
+    return shape.lam[0], n, shape.a, shape.k
 
 
 def _series_params(m: int, n: int, a: int):
@@ -99,7 +99,7 @@ def count_hyper(m: int, n: int, a: int, k: int) -> int:
     """Count for the battery above column 1 <= k <= m of an m-by-n rectangle:
     the rectangle count times the (k-1)-level nested sum of ``_series_params``,
     at any k: the walk takes no stack frame per level."""
-    _check_rect_args(m, n, a, k)
+    m, n, a, k = _rect_battery(m, n, a, k)
     num, den = eval_multi_pfq(_series_params(m, n, a), k - 1)
     return _exact(rect_syt_count(m, n) * num, den, f"[({m}^{n}), {a}, {k}]")
 
@@ -176,7 +176,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     equal to E up to a constant factor, so the same (1+y)^A divides it, the
     same points interpolate it and the count divides by (m+n-1)!^n alone.
     """
-    _check_rect_args(m, n, a, k)
+    m, n, a, k = _rect_battery(m, n, a, k)
     context = f"[({m}^{n}), {a}, {k}]"
     r = k - 1
     big = n + r - 1
@@ -337,18 +337,16 @@ def closed_form(case_id: str, **params: int) -> int:
     fixed, names = _case_coords(case_id)
     if set(params) != set(names):
         raise ValueError(f"case {case_id} takes parameters {names}, got {tuple(params)}")
-    coords = {**fixed, **params}
-    m, n = coords["m"], coords["n"]
-    _check_rect_args(m, n, coords["a"], coords["k"])
-    num, den = ratio(*(params[name] for name in names))
-    return _exact(rect_syt_count(m, n) * num, den, f"closed form {case_id}{params}")
+    coords = dict(zip("mnak", _rect_battery(**fixed, **params)))
+    num, den = ratio(*(coords[name] for name in names))
+    return _exact(rect_syt_count(coords["m"], coords["n"]) * num, den, f"closed form {case_id}{params}")
 
 
 def match_closed_form(m: int, n: int, a: int, k: int) -> tuple[str, dict[str, int]] | None:
     """First catalog case whose fixed coordinates are those of the battery [(m^n), a, k], if any:
     the battery's column with its a, then its m, then its n."""
     try:
-        _check_rect_args(m, n, a, k)
+        m, n, a, k = _rect_battery(m, n, a, k)
     except ValueError:
         return None
     coords = {"m": m, "n": n, "a": a}

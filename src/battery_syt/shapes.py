@@ -57,7 +57,9 @@ def hook_lengths(p: Partition) -> tuple[int, ...]:
 
 
 def syt_count_straight(p: Partition) -> int:
-    """Number of standard Young tableaux of a straight shape (hook length formula)."""
+    """Number of standard Young tableaux of a straight shape (hook length formula);
+    ``p`` is read through ``as_partition``."""
+    p = as_partition(p)
     if not p:
         return 1
     # n! first: past machine size it raises OverflowError at once, before the
@@ -74,9 +76,9 @@ def rotated_complement(m: int, n: int, mu: Partition) -> Partition:
     """Complement of mu inside the m-by-n rectangle, read after a 180 degree turn.
 
     The result has parts (m - mu_n, ..., m - mu_1) with zero parts dropped and
-    size m*n - |mu|.
+    size m*n - |mu|; m and n must be whole numbers.
     """
-    mu = as_partition(mu)
+    m, n, mu = _integral(m), _integral(n), as_partition(mu)
     if len(mu) > n or (mu and mu[0] > m):
         raise ValueError(f"{mu} does not fit inside a {m}x{n} rectangle")
     padded = mu + (0,) * (n - len(mu))

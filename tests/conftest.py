@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import comb, factorial, gcd, prod
 from pathlib import Path
 
+import pytest
+
 import battery_syt
 from battery_syt import Record
 from battery_syt.hypergeom import eval_pfq
@@ -422,3 +424,16 @@ def run_fresh(code):
         check=True,
     ).stdout.splitlines()
     return out[:-1], set(ast.literal_eval(out[-1]))
+
+
+@pytest.fixture
+def int_str_limit():
+    """A setter of CPython's int/str digit limit (0 lifts it) for one test; the
+    limit in force before is restored after it. On a Python without the limit
+    the setter does nothing."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield lambda limit: None
+        return
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)

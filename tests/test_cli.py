@@ -671,19 +671,8 @@ def test_skew_and_truncated_counts(capsys):
     assert capsys.readouterr().out.strip() == "530"
 
 
-@pytest.fixture
-def default_int_str_limit():
-    """Run with CPython's default int/str digit limit, where this Python has one."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(saved)
-
-
-def test_run_restores_the_int_str_digit_limit(capsys, default_int_str_limit):
+def test_run_restores_the_int_str_digit_limit(capsys, int_str_limit):
+    int_str_limit(4300)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     before = limit()
     for argv in (["count", "partition:2,1"], ["count", "partition:3,5"], ["count", "--bogus"]):
@@ -691,7 +680,8 @@ def test_run_restores_the_int_str_digit_limit(capsys, default_int_str_limit):
         assert limit() == before, argv
 
 
-def test_counts_past_the_int_str_digit_limit(capsys, default_int_str_limit):
+def test_counts_past_the_int_str_digit_limit(capsys, int_str_limit):
+    int_str_limit(4300)
     expr = "partition:" + ",".join(["56"] * 56 + ["9"])  # 4301 digits, one past the limit
     assert cli.run(["count", expr]) == 0
     decimal = capsys.readouterr().out.strip()

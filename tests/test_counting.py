@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -287,9 +288,7 @@ def test_match_closed_form():
 
 def _first_in_catalog_order(m, n, a, k):
     """The first case, scanning the catalog in key order, whose fixed coordinates are the battery's."""
-    try:
-        counting._check_rect_args(m, n, a, k)
-    except ValueError:
+    if not (1 <= k <= m and n >= 1 and a >= 0):  # the battery rule over a rectangle, stated here
         return None
     coords = {"m": m, "n": n, "a": a, "k": k}
     for case_id in CLOSED_FORM_CASES:
@@ -309,6 +308,52 @@ def test_match_closed_form_is_the_first_match_in_catalog_order():
                     assert match == _first_in_catalog_order(m, n, a, k), (m, n, a, k)
                     matches += match is not None
     assert matches == 246
+
+
+def _refusal(m, n, a, k):
+    """Why the battery [(m^n), a, k] is refused, or None when it is one: a side
+    below 1, or else BatteryShape's message, which it gives for the first row
+    when it refuses the whole rectangle."""
+    if m < 1 or n < 1:
+        return "a rectangle needs sides of at least 1"
+    try:
+        BatteryShape((m,) * n, a, k)
+    except ValueError:
+        try:
+            BatteryShape((m,), a, k)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def test_the_rectangle_counters_refuse_what_battery_shape_refuses():
+    refusals = 0
+    for m in range(-1, 7):
+        for n in range(-1, 7):
+            for a in range(-1, 5):
+                for k in range(-1, 8):
+                    refusal = _refusal(m, n, a, k)
+                    refusals += refusal is not None
+                    for count in (count_hyper, count_general):
+                        if refusal is None:
+                            count(m, n, a, k)
+                        else:
+                            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
+                                count(m, n, a, k)
+                    coords = {"m": m, "n": n, "a": a, "k": k}
+                    listed = any(all(coords[name] == value for name, value in _case_coords(case_id)[0].items())
+                                 for case_id in CLOSED_FORM_CASES)
+                    match = match_closed_form(m, n, a, k)
+                    assert (match is None) == (refusal is not None or not listed), coords
+    assert 0 < refusals < 8 * 8 * 6 * 9
+
+
+def test_a_whole_float_counts_as_its_integer():
+    assert count_general(3.0, 2, 1, 2) == 12
+    assert closed_form("k2-a1", m=3.0, n=2) == 12
+    assert match_closed_form(3, 2, 1.0, 2) == ("k2-a1", {"m": 3, "n": 2})
+    with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+        count_hyper(3, 2, 1.5, 2)
 
 
 def test_catalog_keys_read_back_and_list_a_then_m_then_n():
@@ -373,22 +418,11 @@ def _cheapest_pool_entry(band):
     return min(entries, key=lambda e: e["cost_s"])
 
 
-@pytest.fixture
-def no_int_str_limit():
-    """Lift CPython's int/str digit limit for counts past 4,300 digits, where it has one."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(saved)
-
-
 @pytest.mark.parametrize("band", ["k4", "k5", "k6", "k2-3-defect", *HIGH_COLUMNS])
-def test_pinned_large_counts(band, no_int_str_limit):
+def test_pinned_large_counts(band, int_str_limit):
     # each pinned count was agreed by two routes: hyper and general, or for
     # columns 7..10 general and dp
+    int_str_limit(0)
     entry = _cheapest_pool_entry(band)
     shape = parse_shape_expr(entry["args"][0])
     coords = (shape.lam[0], len(shape.lam), shape.a, shape.k)

@@ -5,6 +5,7 @@ that verifies a straight shape."""
 
 import ast
 import hashlib
+import re
 import sys
 from pathlib import Path
 
@@ -21,18 +22,6 @@ from conftest import all_partitions_up_to, run_fresh
 def partitions(max_rows, max_width):
     return st.lists(st.integers(1, max_width), min_size=1, max_size=max_rows).map(
         lambda rows: tuple(sorted(rows, reverse=True)))
-
-
-@pytest.fixture
-def unlimited_int_str():
-    """Lift CPython's int/str digit limit, where this Python has one."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(saved)
 
 
 def test_small_counts():
@@ -68,13 +57,29 @@ def test_frobenius_equals_hlf_up_to_sixty_rows_and_columns(p):
     ((200,) * 200, "417b29d49070c3fa90f8edd7515d319ccdd874cca1dc8e3129d5386fd96855a8"),
     (tuple(range(400, 0, -1)), "bc80a28e685239f568a176a690fa233b73c5f4987f42fb80f6540ebfd70a37ca"),
 ], ids=["rect200x200", "staircase400"])
-def test_pinned_large_counts(shape, digest, unlimited_int_str):
+def test_pinned_large_counts(shape, digest, int_str_limit):
+    int_str_limit(0)
     assert hashlib.sha256(f"{syt_count_frobenius(shape)}\n".encode()).hexdigest() == digest
 
 
 def test_one_long_column():
     # 100,000 rows: the pair histogram holds about 5·10^9 pairs in one product
     assert syt_count_frobenius((1,) * 100_000) == 1
+
+
+@pytest.mark.parametrize("p, message", [
+    ((1, 3), "row lengths must be weakly decreasing, got 1 before 3"),
+    ((3, 0, 1), "row lengths must be weakly decreasing, got 0 before 1"),
+    ((3, -1), "row lengths must be positive, got -1 at row 2"),
+    ((3, 0), "row lengths must be positive, got 0 at row 2"),
+    ((2, 2.5), "expected an integer, got 2.5"),
+])
+def test_a_malformed_partition_is_refused_where_it_enters(p, message):
+    # not an OverflowError, which the CLI would report as a shape too large,
+    # nor an IndexError from the tables
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        syt_count_frobenius(p)
+    assert syt_count_frobenius((2, 2.0)) == syt_count_frobenius([2, 2]) == 2
 
 
 def test_a_size_past_machine_size_overflows_before_any_table():

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -90,6 +91,20 @@ def test_syt_count_known_values():
     assert syt_count_straight((5, 5)) == 42
 
 
+@pytest.mark.parametrize("p, message", [
+    ((1, 3), "row lengths must be weakly decreasing, got 1 before 3"),
+    ((3, 0, 1), "row lengths must be positive, got 0 at row 2"),
+    ((3, -1), "row lengths must be positive, got -1 at row 2"),
+    ((2, 2.5), "expected an integer, got 2.5"),
+])
+def test_syt_count_refuses_a_malformed_partition_where_it_enters(p, message):
+    # not an IndexError, ZeroDivisionError or TypeError from the hooks, nor a
+    # hook product that fails to divide
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        syt_count_straight(p)
+    assert syt_count_straight((2, 2.0)) == syt_count_straight((2, 2)) == 2
+
+
 def test_syt_count_invariant_under_conjugation():
     for p in all_partitions_up_to(12):
         assert syt_count_straight(p) == syt_count_straight(conjugate(p))
@@ -118,6 +133,14 @@ def test_rotated_complement_known_values():
         rotated_complement(3, 2, (4,))
     with pytest.raises(ValueError):
         rotated_complement(3, 2, (2, 2, 2))
+
+
+def test_rotated_complement_refuses_a_side_that_is_not_whole():
+    with pytest.raises(ValueError, match="expected an integer, got 3.5"):
+        rotated_complement(3.5, 2, (1,))
+    with pytest.raises(ValueError, match="expected an integer, got 2.5"):
+        rotated_complement(3, 2.5, (1,))
+    assert rotated_complement(3.0, 2.0, (1,)) == (3, 2)
 
 
 def test_rotated_complement_is_involution():
