@@ -72,12 +72,16 @@ def rect_syt_count(m: int, n: int) -> int:
 def _rect_battery(m: int, n: int, a: int, k: int) -> tuple[int, int, int, int]:
     """(m, n, a, k) as the integers of the battery [(m^n), a, k], refused as
     ``BatteryShape`` refuses it: over a rectangle the first row carries the
-    whole rule, so the battery over that row is built alone."""
-    n = _integral(n)
+    whole rule, so the battery over that row is built alone, and a refusal
+    names the rectangle by its sides, never by its n rows."""
+    m, n = _integral(m), _integral(n)
     if m < 1 or n < 1:
         raise ValueError(f"a rectangle needs sides of at least 1, got {m}x{n}")
-    shape = BatteryShape((m,), a, k)
-    return shape.lam[0], n, shape.a, shape.k
+    try:
+        shape = BatteryShape((m,), a, k)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace(f"base {(m,)}", f"rectangle {m}x{n}")) from None
+    return m, n, shape.a, shape.k
 
 
 def _series_params(m: int, n: int, a: int):

@@ -1,9 +1,10 @@
 """Shared combinatorial helpers for the test suite, the paper's hypergeometric
 identities, explicit tableau enumeration and the all-points Hankel count as
-references, and a fresh-interpreter probe."""
+references, a fresh-interpreter probe, and a mask for the JSON report's timing."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -424,6 +425,11 @@ def run_fresh(code):
         check=True,
     ).stdout.splitlines()
     return out[:-1], set(ast.literal_eval(out[-1]))
+
+
+def masked(out):
+    """``out`` with the JSON report's timing, which differs between calls, zeroed."""
+    return re.sub(r'"elapsed_ms": [^,}]+', '"elapsed_ms": 0', out)
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +12,13 @@ from battery_syt import cli, counting
 from battery_syt.counting import NonIntegerCountError
 from battery_syt.hypergeom import ZeroDenominatorFactorError
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape
-from conftest import run_fresh
+from conftest import masked, run_fresh
 
 GOLDEN_FACTORED = (
     "2^5*3^2*5^2*11*13*17^2*19^3*23^2*29*31*37^2*41*3361178017*2839893182041"
 )
+# the paper's second flagship, [(7^11), 1, 4]
+TALL_FACTORED = "2^7*3^2*5^2*7*13*17^3*19^3*23^2*29^2*31^2*37^2*41*43*59*61*67*71*73*2792843"
 
 
 def test_parse_partition():
@@ -391,11 +392,6 @@ def _count_in_a_fresh_process(*args, timeout=5):
     )
 
 
-def _masked(out: str) -> str:
-    """``out`` with the JSON report's timing, which differs between calls, zeroed."""
-    return re.sub(r'"elapsed_ms": [^,}]+', '"elapsed_ms": 0', out)
-
-
 @pytest.mark.parametrize("args, status", [
     (["battery:rect:11x7,a=1,k=6"], 0),
     (["battery:rect:11x7,a=1,k=6", "--output", "factored"], 0),
@@ -414,7 +410,7 @@ def test_a_fresh_process_writes_what_run_writes(args, status, capsys):
     captured = capsys.readouterr()
     assert captured.out or captured.err
     assert done.returncode == status
-    assert _masked(done.stdout) == _masked(captured.out)
+    assert masked(done.stdout) == masked(captured.out)
     assert done.stderr == captured.err
     if "--verify" in args:
         assert done.stderr == "verified: general == dp\n"
@@ -583,6 +579,7 @@ def test_verify_unavailable_exits_3(capsys, monkeypatch):
     ("battery:part:5,4,3,a=2,k=2", "9744"),
     # the DP carries the battery as one weight, the conjugate layout walks its four rows
     ("battery:part:11,11,9,4,4,2,a=4,k=8", "16324202273500604439131175"),
+    ("truncated:12,11,7,6,3\\1", "4450329193716172800"),
 ])
 def test_a_shape_only_the_dp_counts_is_verified_on_its_conjugate_layout(expr, count, capsys):
     assert cli.run(["count", expr, "--verify"]) == 0
@@ -596,6 +593,71 @@ def test_general_verified_by_hyper_above_the_dp_cap(capsys):
     assert "verified: general == hyper" in captured.err
     assert captured.out.strip() == (
         "106084817684399890735406624326724286026347717660455570184145434852773744000"
+    )
+
+
+@pytest.mark.parametrize("args, status, out, err", [
+    (["battery:rect:11x7,a=1,k=6", "--verify", "--output", "factored"], 0, GOLDEN_FACTORED,
+     "verified: general == dp"),
+    (["battery:rect:7x11,a=1,k=4", "--output", "factored"], 0, TALL_FACTORED, ""),
+    # both flagships through the series engine, which auto never picks for them
+    (["battery:rect:11x7,a=1,k=6", "--method", "hyper", "--output", "factored"], 0, GOLDEN_FACTORED, ""),
+    (["battery:rect:7x11,a=1,k=4", "--method", "hyper", "--output", "factored"], 0, TALL_FACTORED, ""),
+    # trial division finds no prime in [2048, 4096) and stops there; rho finds
+    # 6379, 946607 and 365184187, and is_prime is exact on the 24-digit prime
+    (["battery:rect:14x14,a=3,k=6", "--output", "factored"], 0,
+     "2^9*3^8*5^5*7^3*11^2*13^2*19*23^2*29^5*31^5*37^4*41^3*43^3*47^3*53^2*59^3*61^3*67*71*73*79*83"
+     "*89^2*97^2*101*103*107*109*113*179*181*191*193*197*199*6379*946607*365184187"
+     "*273010644927674847952537", ""),
+    # the largest dp-verify battery: under the size cap the DP checks general
+    (["battery:rect:11x8,a=3,k=6", "--verify"], 0,
+     "29032714351326166831529458339421513690767590218938080000", "verified: general == dp"),
+    # a battery whose ideals leave (1, k) out up to 33 cells, so the DP's walk
+    # is cut at 34 cells, past the middle of 55
+    (["battery:rect:5x11,a=2,k=4", "--verify"], 0, "16684742006894798692007836320",
+     "verified: general == dp"),
+    # with n < k-1 general reads each bullet profile by its n row lengths: 40
+    # determinants of size 2 rather than of size 39
+    (["battery:rect:40x2,a=1,k=40", "--verify"], 0, "202278371832757962680400", "verified: general == dp"),
+    # over the size cap the row side is checked by hyper, which walks C(91, 2) leaves
+    (["battery:rect:100x2,a=3,k=90", "--verify"], 0,
+     "780152366692621275433274974939322532621662921773794659212145060", "verified: general == hyper"),
+    # auto counts these by the closed-form catalog, looking the battery's
+    # column up with its n (k5-n2) and with its m (k2-m3); the DP is the partner
+    (["battery:rect:6x2,a=4,k=5", "--verify", "--output", "json"], 0,
+     '{"shape": "battery:rect:6x2,a=4,k=5", "method": "closed", "count": "38220", '
+     '"factorization": [[2, 2], [3, 1], [5, 1], [7, 2], [13, 1]], "verified_methods": ["closed", "dp"], '
+     '"elapsed_ms": 0}', "verified: closed == dp"),
+    (["battery:rect:3x7,a=9,k=2", "--verify"], 0, "228043530", "verified: closed == dp"),
+    # general forms its column-side constant as one product of F!/d! factors
+    (["battery:rect:2000x1,a=1,k=1"], 0, "1", ""),
+    # the largest partition the dp-verify workload checks, and a column of
+    # 100,000 rows far above the size cap: Frobenius's formula verifies both
+    (["partition:11,11,10,10,10,4,3,1", "--verify"], 0, "183265040436987708842646401942544000",
+     "verified: hlf == frobenius"),
+    (["rect:1x100000", "--verify"], 0, "1", "verified: hlf == frobenius"),
+    # a rectangle side past any tuple length is a parse error, not a traceback
+    (["rect:1x9223372036854775808"], 2, "",
+     "error: cannot parse 'rect:1x9223372036854775808': at position 5: "
+     "rectangle has too many rows, got 1x9223372036854775808"),
+], ids=["wide-verify-factored", "tall-factored", "wide-hyper", "tall-hyper", "24-digit-prime", "11x8-verify",
+        "5x11-verify", "40x2-verify", "100x2-verify", "closed-by-n-json", "closed-by-m", "2000x1",
+        "partition-verify", "column-verify", "side-past-any-length"])
+def test_a_pinned_call_prints_its_count_and_its_verified_pair(args, status, out, err, capsys):
+    assert cli.run(["count", *args]) == status
+    captured = capsys.readouterr()
+    assert masked(captured.out) == (out + "\n" if out else "")
+    assert captured.err == (err + "\n" if err else "")
+
+
+def test_auto_counts_the_375_digit_battery_over_20x20_at_column_20(capsys):
+    # general divides the known factor (1+y)^361 out of the battery's Hankel
+    # polynomial, so the count takes 20 determinants instead of 381
+    assert cli.run(["count", "battery:rect:20x20,a=3,k=20"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.strip().encode()).hexdigest() == (
+        "223b66b249ddbb794731224d076905746d43205cf046957d1eb489cfcd228c4b"
     )
 
 

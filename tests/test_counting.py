@@ -312,17 +312,14 @@ def test_match_closed_form_is_the_first_match_in_catalog_order():
 
 def _refusal(m, n, a, k):
     """Why the battery [(m^n), a, k] is refused, or None when it is one: a side
-    below 1, or else BatteryShape's message, which it gives for the first row
-    when it refuses the whole rectangle."""
+    below 1, or else BatteryShape's message for the whole rectangle, with the
+    rectangle named by its sides rather than by its n rows."""
     if m < 1 or n < 1:
         return "a rectangle needs sides of at least 1"
     try:
         BatteryShape((m,) * n, a, k)
-    except ValueError:
-        try:
-            BatteryShape((m,), a, k)
-        except ValueError as exc:
-            return str(exc)
+    except ValueError as exc:
+        return str(exc).replace(f"base {(m,) * n}", f"rectangle {m}x{n}")
     return None
 
 
@@ -334,6 +331,9 @@ def test_the_rectangle_counters_refuse_what_battery_shape_refuses():
                 for k in range(-1, 8):
                     refusal = _refusal(m, n, a, k)
                     refusals += refusal is not None
+                    if a >= 0 and n >= 1 and k > m >= 1:
+                        # the one refusal that names the shape names it by its sides
+                        assert refusal == f"rectangle {m}x{n} has no column {k} (widest row is {m})"
                     for count in (count_hyper, count_general):
                         if refusal is None:
                             count(m, n, a, k)

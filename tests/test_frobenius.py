@@ -71,7 +71,8 @@ def test_one_long_column():
     ((1, 3), "row lengths must be weakly decreasing, got 1 before 3"),
     ((3, 0, 1), "row lengths must be weakly decreasing, got 0 before 1"),
     ((3, -1), "row lengths must be positive, got -1 at row 2"),
-    ((3, 0), "row lengths must be positive, got 0 at row 2"),
+    # a trailing zero row is dropped, and the negative row before it is refused
+    ((3, -1, 0), "row lengths must be positive, got -1 at row 2"),
     ((2, 2.5), "expected an integer, got 2.5"),
 ])
 def test_a_malformed_partition_is_refused_where_it_enters(p, message):
@@ -80,6 +81,17 @@ def test_a_malformed_partition_is_refused_where_it_enters(p, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         syt_count_frobenius(p)
     assert syt_count_frobenius((2, 2.0)) == syt_count_frobenius([2, 2]) == 2
+
+
+def test_both_straight_routes_drop_trailing_zero_rows_and_refuse_the_same_rows():
+    # as shapes.as_partition reads a partition: a zero row at the end is no
+    # row, and a zero or negative row before a positive one is refused
+    for p, count in (((3, 0), 1), ((2, 1, 0, 0), 2), ((0,), 1)):
+        assert syt_count_straight(p) == syt_count_frobenius(p) == count, p
+    for p in ((3, 0, 1), (3, -1)):
+        for route in (syt_count_straight, syt_count_frobenius):
+            with pytest.raises(ValueError, match="^row lengths must be"):
+                route(p)
 
 
 def test_a_size_past_machine_size_overflows_before_any_table():
