@@ -31,6 +31,7 @@ from .shapes import (
     Partition,
     SkewShape,
     TruncatedShape,
+    _rect_battery,
     as_partition,
     dp_cells,
     syt_count_straight,
@@ -92,7 +93,8 @@ def _parse_partition(text: str, offset: int) -> Partition:
     return _constructed(as_partition, offset, _parse_int_list(text, offset))
 
 
-def _parse_rect(text: str, offset: int) -> Partition:
+def _parse_rect(text: str, offset: int, a: int = 0, k: int = 1, battery_offset: int = 0) -> Partition:
+    """The rows of MxN, built once ``_rect_battery`` admits its sides and the battery (a, k) over it."""
     width, sep, height = text.partition("x")
     if not sep:
         raise ShapeParseError("expected MxN", offset)
@@ -100,8 +102,8 @@ def _parse_rect(text: str, offset: int) -> Partition:
         m, n = int(width), int(height)
     except ValueError:
         raise ShapeParseError(f"expected MxN with integer sides, got {text!r}", offset) from None
-    if m < 1 or n < 1:
-        raise ShapeParseError(f"rectangle sides must be positive, got {m}x{n}", offset)
+    _constructed(_rect_battery, offset, m, n, 0, 1)
+    _constructed(_rect_battery, battery_offset, m, n, a, k)
     try:
         return (m,) * n
     except (OverflowError, MemoryError):  # n cannot be a tuple length
@@ -137,7 +139,7 @@ def _parse_battery(text: str, offset: int) -> BatteryShape:
     if repeated:
         raise repeated
     if base_text.startswith("rect:"):
-        lam = _parse_rect(base_text[5:], offset + 5)
+        lam = _parse_rect(base_text[5:], offset + 5, named["a"], named["k"], offset)
     elif base_text.startswith("part:"):
         lam = _parse_partition(base_text[5:], offset + 5)
     else:

@@ -30,18 +30,19 @@ nested sum's numerator by its denominator, as ``closed_form`` does with a
 case's ratio. A non-integer intermediate or an inexact division aborts
 loudly, since it can only mean a wrong parameter table. The series engine
 (``hypergeom``) is imported on the first hyper count; the other routes never
-load it. Binomials and rising factorials are ``math.comb`` and ``math.perm``,
-so no route loads the factoring module.
+load it. Binomials are ``math.comb``, or a row of them built by exact steps
+(``_binomials``), and rising factorials ``math.perm``, so no route loads the
+factoring module.
 """
 
 from itertools import accumulate, repeat
-from math import comb as binomial  # every binomial here; a binding that span tracing rebinds
+from math import comb as binomial  # the closed forms' binomials; a binding that span tracing rebinds
 from math import factorial, perm, prod
 from operator import mul
 
-from . import _EXPORTS, _integral, _lazy
+from . import _EXPORTS, _lazy
 from .shapes import (
-    BatteryShape,
+    _rect_battery,
     rotated_complement,  # noqa: F401  (kept as a module binding that span tracing rebinds)
     syt_count_straight,
 )
@@ -67,21 +68,6 @@ def _exact(num: int, den: int, context: str) -> int:
 def rect_syt_count(m: int, n: int) -> int:
     """Number of standard Young tableaux of the m-by-n rectangle."""
     return syt_count_straight((m,) * n)
-
-
-def _rect_battery(m: int, n: int, a: int, k: int) -> tuple[int, int, int, int]:
-    """(m, n, a, k) as the integers of the battery [(m^n), a, k], refused as
-    ``BatteryShape`` refuses it: over a rectangle the first row carries the
-    whole rule, so the battery over that row is built alone, and a refusal
-    names the rectangle by its sides, never by its n rows."""
-    m, n = _integral(m), _integral(n)
-    if m < 1 or n < 1:
-        raise ValueError(f"a rectangle needs sides of at least 1, got {m}x{n}")
-    try:
-        shape = BatteryShape((m,), a, k)
-    except ValueError as exc:
-        raise ValueError(str(exc).replace(f"base {(m,)}", f"rectangle {m}x{n}")) from None
-    return m, n, shape.a, shape.k
 
 
 def _series_params(m: int, n: int, a: int):
@@ -114,12 +100,22 @@ COUNT_BY_COLUMN: "dict[int, Callable[[int, int, int], int]]" = {
 }
 
 
+def _binomials(top: int, count: int) -> list[int]:
+    """C(top, x) for x = 0..count-1, each from the one before by the exact step
+    C(top, x+1) = C(top, x) (top-x) / (x+1): one small multiplication and
+    division each, where a ``binomial`` call per x redoes the row's work."""
+    row = [1]
+    for x in range(count - 1):
+        row.append(row[-1] * (top - x) // (x + 1))
+    return row
+
+
 def _weights(m: int, n: int, k: int) -> list[int]:
     """W(x) = (x+1)_{m-k+1} * C(N, x) at each point x = 0..N, N = n+k-2, that a
     profile's shifted column height can take; W / N! is the per-point factor of
     the two hook length formulas (see ``count_general``)."""
     big = n + k - 2
-    return [perm(x + m - k + 1, m - k + 1) * binomial(big, x) for x in range(big + 1)]
+    return [perm(x + m - k + 1, m - k + 1) * c for x, c in enumerate(_binomials(big, big + 1))]
 
 
 def _hankel_det(moments: list[int], r: int, context: str) -> int:
@@ -188,7 +184,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     deg = r * n - known
     if n < r:  # the row side: n points a profile, weight C(m+n-1, x)
         side = n
-        weights = [binomial(m + n - 1, x) for x in range(big + 1)]
+        weights = _binomials(m + n - 1, big + 1)
         den = factorial(m + n - 1) ** n
     else:  # the column side: r points a profile, weight W(x)
         side = r

@@ -4,9 +4,10 @@ A partition is a plain tuple of weakly decreasing positive row lengths.
 Skew, truncated, and battery shapes are small immutable records (``Record``;
 never tuples, so a tuple is always a straight partition) that canonicalize and
 validate their fields in ``__init__``; a record cannot change afterwards, so
-every shape that exists is valid. The cell limit of the order-ideal DP, which
-walks a shape cell by cell, and the cells it counts against that limit
-(``dp_cells``) live here too, so the CLI reads them without importing the DP.
+every shape that exists is valid. The order-ideal DP's cell limit and the cells
+it counts against it (``dp_cells``) live here too, as does the rectangle rule
+the counters and the CLI share (``_rect_battery``), so the CLI reads them all
+without importing the DP or a counter.
 """
 
 from math import factorial, prod
@@ -25,8 +26,11 @@ def as_partition(parts: "Iterable[int]") -> Partition:
     """Canonicalize to a tuple: trailing zeros dropped, weakly decreasing, positive;
     a row length that is not a whole number is refused."""
     rows = tuple(map(_integral, parts))
-    while rows and rows[-1] == 0:
-        rows = rows[:-1]
+    # one slice after an index walk: a slice per zero is quadratic in their number
+    end = len(rows)
+    while end and rows[end - 1] == 0:
+        end -= 1
+    rows = rows[:end]
     for i, x in enumerate(rows):
         if x <= 0:
             raise ValueError(f"row lengths must be positive, got {x} at row {i + 1}")
@@ -180,6 +184,21 @@ class BatteryShape(Record):
     def row_spans(self) -> tuple[tuple[int, int], ...]:
         """A stacked cells, then the base rows: the layout ``conjugate_spans`` reads; the DP weighs the battery."""
         return ((self.k - 1, self.k),) * self.a + tuple((0, row) for row in self.lam)
+
+
+def _rect_battery(m: int, n: int, a: int, k: int) -> tuple[int, int, int, int]:
+    """(m, n, a, k) as the integers of the battery [(m^n), a, k], refused as
+    ``BatteryShape`` refuses it: over a rectangle the first row carries the
+    whole rule, so the battery over that row is built alone, and a refusal
+    names the rectangle by its sides, never by its n rows."""
+    m, n = _integral(m), _integral(n)
+    if m < 1 or n < 1:
+        raise ValueError(f"a rectangle needs sides of at least 1, got {m}x{n}")
+    try:
+        shape = BatteryShape((m,), a, k)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace(f"base {(m,)}", f"rectangle {m}x{n}")) from None
+    return m, n, shape.a, shape.k
 
 
 def dp_cells(shape) -> int:

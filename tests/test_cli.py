@@ -80,6 +80,37 @@ def test_parse_errors_carry_position_and_reason():
         assert (err.value.position, str(err.value)) == (position, f"at position {position}: {message}")
 
 
+def test_the_cli_and_the_rectangle_counters_refuse_a_rectangle_battery_alike():
+    refusals = 0
+    for m in range(-1, 5):
+        for n in range(-1, 5):
+            for a in range(-1, 3):
+                for k in range(-1, 6):
+                    try:
+                        counting.count_general(m, n, a, k)
+                        library = None
+                    except ValueError as exc:
+                        library = str(exc)
+                    try:
+                        cli.parse_shape_expr(f"battery:rect:{m}x{n},a={a},k={k}")
+                        parsed = None
+                    except cli.ShapeParseError as exc:
+                        parsed = str(exc).removeprefix(f"at position {exc.position}: ")
+                    assert parsed == library, (m, n, a, k)
+                    refusals += library is not None
+    assert 0 < refusals < 6 * 6 * 4 * 7
+
+
+def test_a_refused_tall_rectangle_battery_is_named_by_its_sides_on_one_short_line(capsys):
+    # the refusal is worded before the rectangle's 100,000 rows are built
+    assert cli.run(["count", "battery:rect:2x100000,a=1,k=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines(keepends=True)
+    assert len(lines) == 1 and len(lines[0].encode()) < 200
+    assert "rectangle 2x100000" in lines[0]
+
+
 def test_documented_invocation_golden_factored(capsys):
     status = cli.run(["count", "battery:rect:11x7,a=1,k=6", "--output", "factored"])
     assert status == 0

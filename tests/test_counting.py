@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,14 @@ def test_the_rectangle_counters_refuse_what_battery_shape_refuses():
                     match = match_closed_form(m, n, a, k)
                     assert (match is None) == (refusal is not None or not listed), coords
     assert 0 < refusals < 8 * 8 * 6 * 9
+
+
+def test_a_tall_rectangle_battery_is_counted_within_3_s():
+    # each weight row is built binomial by binomial from the one before: a
+    # math.comb call per point costs time cubic in n
+    start = time.perf_counter()
+    assert count_general(2, 8000, 3, 2) == closed_form("k2-a3", m=2, n=8000)
+    assert time.perf_counter() - start < 3
 
 
 def test_a_whole_float_counts_as_its_integer():

@@ -1,4 +1,5 @@
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -36,6 +37,13 @@ def test_as_partition_canonicalizes():
         as_partition([3, -1])
     with pytest.raises(ValueError):
         as_partition([3, 0, 1])
+
+
+def test_trailing_zero_rows_are_dropped_in_linear_time():
+    # one slice after an index walk: a slice per zero is quadratic in their number
+    start = time.perf_counter()
+    assert as_partition((1,) + (0,) * 100_000) == (1,)
+    assert time.perf_counter() - start < 1
 
 
 def test_a_row_length_that_is_not_whole_is_refused_not_truncated():
