@@ -1,0 +1,198 @@
+"""The target bench: in-process times of each counting route, with every count
+checked against a pinned digest.
+
+    python bench/targets.py [--out FILE] [--parent REV] [--check] [--case NAME]...
+
+Each case runs in a child interpreter that imports the package from a tree's
+``src``. By default that is this checkout's. With ``--parent REV`` it is also
+that of ``git archive REV``, unpacked in a temporary directory; the two trees
+take turns case by case, and each goes first on every other case.
+
+A case builds its input untimed (a count to factor, say), then times one call:
+best of 3, or once when the first run takes over 5 s. Each count's sha256 is
+checked against the one pinned in ``CASES``; a mismatch exits 1. ``--check``
+runs each count once and times nothing.
+
+The report is JSON, on stdout or in ``--out`` (``BENCH_<pr>.json``): the
+commit, the Python version, the host, and for each case its route, its min and
+median seconds and, where the route reports them, the DP's states. With
+``--parent`` each case has both trees' figures and the ratio of their minima.
+Compare only files written on one machine.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from functools import partial
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+REPEATS = 3
+ONCE_OVER_S = 5.0
+
+
+def _closed(b, m, n, a, k):
+    case_id, params = b.match_closed_form(m, n, a, k)
+    return b.closed_form(case_id, **params)
+
+
+def _skew_conjugate(b, outer, inner):
+    return partial(b.count_line_convex, b.conjugate_spans(b.SkewShape(outer, inner).row_spans()))
+
+
+# name -> (route, build, sha256). build(package) sets the case up untimed and
+# returns the call to time, whose result is a count, a factorization, or, for
+# the DP, (count, states). The digest is that of str() of the count or the
+# factorization. One case a route, then the slow targets of ROADMAP items 21
+# (general's moments), 1 (general at large k) and 12 (hook products).
+CASES = {
+    "closed 100x100,a=1,k=2": (
+        "closed", lambda b: partial(_closed, b, 100, 100, 1, 2),
+        "9071b6a7e228dabbc01b04a9f7184e3b6f776b8600360aeca274abd5139078ba"),
+    "general 20x20,a=3,k=11": (
+        "general", lambda b: partial(b.count_general, 20, 20, 3, 11),
+        "c452b136036842f6fa11530972e7d40c3f0c639d846465f678eed40a91634397"),
+    "hyper 16x16,a=3,k=6": (
+        "hyper", lambda b: partial(b.count_hyper, 16, 16, 3, 6),
+        "257e848239ac21d629fb6daa61f38fcdb8bcdc72105e6e0da4f3dea35da7fafa"),
+    "dp battery:rect:11x8,a=3,k=6": (
+        "dp", lambda b: partial(b.linear_extension_profile, b.BatteryShape((11,) * 8, 3, 6)),
+        "a057dcd42b7f49b97de02ec1af80442309bf186401156a99fcb7ebf82d7ebf5b"),
+    "conjugate skew:12,12,11,10/1": (
+        "conjugate", lambda b: _skew_conjugate(b, (12, 12, 11, 10), (1,)),
+        "c65a887cdd7862576e8ce32fea8356ecdb81a3a3cce42bb5cd2fd4acf2b7b04e"),
+    "hlf rect:200x200": (
+        "hlf", lambda b: partial(b.syt_count_straight, (200,) * 200),
+        "4d55c53d3fd156d3100d9077567776ea051b4fff226032a0366c4448c28126ea"),
+    "frobenius rect:400x400": (
+        "frobenius", lambda b: partial(b.syt_count_frobenius, (400,) * 400),
+        "907b2ba9f107d5f5406d917e3040ff5efb6784b0a2ae829e4081af66532d8f2f"),
+    "factorize 14x14,a=3,k=6": (
+        "factorize", lambda b: partial(b.factorize, b.count_general(14, 14, 3, 6)),
+        "d0198b3b11dca410369f9503a847bd62b6cdd8f4c662a8a8ed6cb5565fa0ab6a"),
+    "general 3x20000,a=1,k=3": (
+        "general", lambda b: partial(b.count_general, 3, 20000, 1, 3),
+        "b8ab09e00ef5f069a59f4ee53eaf4ad3effeea5fa1f10a5fbbc1181cf4a2432c"),
+    "general 30x30,a=5,k=25": (
+        "general", lambda b: partial(b.count_general, 30, 30, 5, 25),
+        "4141ba8866f98e91410a89244eb871510a5b7386e106471d0b506430a2b3405f"),
+    "hlf rect:400x400": (
+        "hlf", lambda b: partial(b.syt_count_straight, (400,) * 400),
+        "907b2ba9f107d5f5406d917e3040ff5efb6784b0a2ae829e4081af66532d8f2f"),
+    "str rect:400x400": (
+        "str", lambda b: partial(str, b.syt_count_frobenius((400,) * 400)),
+        "907b2ba9f107d5f5406d917e3040ff5efb6784b0a2ae829e4081af66532d8f2f"),
+}
+
+
+def _worker(name: str, timed: bool) -> dict:
+    """Run one case on the package this interpreter imports."""
+    import battery_syt
+
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    call = CASES[name][1](battery_syt)
+    times = []
+    while True:
+        started = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - started)
+        if not timed or len(times) == REPEATS or times[0] > ONCE_OVER_S:
+            break
+    count, states = result if isinstance(result, tuple) else (result, None)
+    report = {"sha256": hashlib.sha256(str(count).encode()).hexdigest()}
+    if states is not None:
+        report["dp_states"] = states
+    if timed:
+        report.update(min_s=min(times), median_s=statistics.median(times), runs=len(times))
+    return report
+
+
+def _run_case(src: Path, name: str, timed: bool) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, __file__, "--worker", name] + (["--check"] if not timed else [])
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"case {name!r} failed in {src}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def _git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def _unpack(rev: str, into: Path) -> str:
+    """``git archive rev`` unpacked in ``into``; returns the full commit id."""
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    archive = into / "tree.tar"
+    with open(archive, "wb") as out:
+        subprocess.run(["git", "archive", commit], cwd=ROOT, stdout=out, check=True)
+    # the data filter, where this Python has it, keeps every member inside the tree
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(archive) as tar:
+        tar.extractall(into / "tree", **safe)
+    return commit
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="write the report here (BENCH_<pr>.json); default stdout")
+    parser.add_argument("--parent", metavar="REV", help="also run the cases on this git revision")
+    parser.add_argument("--check", action="store_true", help="run each count once and check it; no timing")
+    parser.add_argument("--case", action="append", choices=CASES, help="run only this case (repeatable)")
+    parser.add_argument("--worker", choices=CASES, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(_worker(args.worker, timed=not args.check)))
+        return 0
+
+    names = args.case or list(CASES)
+    trees = {"change": ROOT / "src"}
+    report = {
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "python": sys.version,
+        "host": f"{platform.platform()}, {os.cpu_count()} CPUs",
+        "cases": {},
+    }
+    with tempfile.TemporaryDirectory() as scratch:
+        if args.parent:
+            report["parent"] = _unpack(args.parent, Path(scratch))
+            trees["parent"] = Path(scratch) / "tree" / "src"
+        mismatched = []
+        for i, name in enumerate(names):
+            route, _, pinned = CASES[name]
+            order = list(trees) if i % 2 == 0 else list(reversed(trees))
+            runs = {side: _run_case(trees[side], name, timed=not args.check) for side in order}
+            case = {"route": route}
+            for side in trees:  # the working tree's figures first
+                result = runs[side]
+                digest = result.pop("sha256")
+                if digest != pinned:
+                    mismatched.append(f"{name} ({side}) has {digest}")
+                case[side] = result
+            if args.parent and not args.check:
+                case["min_ratio"] = case["change"]["min_s"] / case["parent"]["min_s"]
+            report["cases"][name] = case
+            print(f"{name}: {json.dumps(case)}", file=sys.stderr, flush=True)
+    text = json.dumps(report, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    if mismatched:
+        print("count differs from its pinned sha256:", *mismatched, sep="\n  ", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

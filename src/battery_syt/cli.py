@@ -213,32 +213,60 @@ METHODS = {
     ),
 }
 
-# name -> (needs, applies): what shapes the method counts, and a cheap static
-# test for that. needs is formatted with size_cap and the cells the DP walks
-# (``dp_cells``) for the not-applicable message; applies never evaluates a
-# count, so auto and --verify can pick methods without running them
-_ON_RECT = ("a battery over a rectangle", lambda shape, size_cap: _rect(shape) is not None)
-_STRAIGHT = ("a straight partition", lambda shape, size_cap: isinstance(shape, tuple))
-# the oracle's own refusal reads the same dp_cells
-_UNDER_CAP = (
-    "at most {size_cap} cells (--size-cap), the shape has {size} to walk",
-    lambda shape, size_cap: dp_cells(shape) <= size_cap,
-)
+def _on_rect(shape: Shape, size_cap: int) -> str | None:
+    return None if _rect(shape) else "a battery over a rectangle"
+
+
+def _straight(shape: Shape, size_cap: int) -> str | None:
+    return None if isinstance(shape, tuple) else "a straight partition"
+
+
+def _at_most(cells: int, size_cap: int, walked: str = "") -> str | None:
+    return None if cells <= size_cap else f"at most {size_cap} cells (--size-cap), the shape has {cells}{walked}"
+
+
+# hyper's walk takes about 1 µs a leaf-level, so this cap is 20-30 s of walking
+HYPER_LEAF_LEVELS = 2 * 10**7
+# the most leaf-levels hyper's rule measures out, so it stays cheap on any shape
+_LEAF_LEVELS_SHOWN = 10**30
+
+
+def _leaf_levels(n: int, k: int) -> int:
+    """C(n+k-1, k-1)·(k-1): the leaves of hyper's (k-1)-level nested sum over
+    an n-row rectangle, times their depth. Built a binomial step at a time,
+    none of which lowers it, and left at the first value past _LEAF_LEVELS_SHOWN."""
+    levels, top = k - 1, n + k - 1
+    for j in range(min(n, k - 1)):
+        if levels > _LEAF_LEVELS_SHOWN:
+            break
+        levels = levels * (top - j) // (j + 1)
+    return levels
+
+
+def _hyper_rule(shape: Shape, size_cap: int) -> str | None:
+    if not _rect(shape):
+        return _on_rect(shape, size_cap)
+    levels = _leaf_levels(len(shape.lam), shape.k)
+    if levels <= HYPER_LEAF_LEVELS:
+        return None
+    shown = levels if levels <= _LEAF_LEVELS_SHOWN else "more than 10^30"
+    return f"at most {HYPER_LEAF_LEVELS} leaf-levels of its nested sum, the shape has {shown}"
+
+
+# name -> its rule of (shape, size_cap): None when the method counts the shape,
+# else the text printed after "it needs", which the rule measures itself. A rule
+# never counts, so auto and --verify pick methods without running them
 REGISTRY = {
-    "hyper": _ON_RECT,
-    "general": _ON_RECT,
-    "closed": (
-        "a battery over a rectangle covered by a closed-form case",
-        lambda shape, size_cap: _rect(shape) is not None and match_closed_form(*_rect(shape)) is not None,
-    ),
-    "dp": _UNDER_CAP,
-    "hlf": _STRAIGHT,
-    "frobenius": _STRAIGHT,
+    "hyper": _hyper_rule,
+    "general": _on_rect,
+    "closed": lambda shape, size_cap: None if _rect(shape) and match_closed_form(*_rect(shape)) else (
+        "a battery over a rectangle covered by a closed-form case"),
+    # the oracle's own refusal reads the same dp_cells
+    "dp": lambda shape, size_cap: _at_most(dp_cells(shape), size_cap, " to walk"),
+    "hlf": _straight,
+    "frobenius": _straight,
     # the conjugate layout walks a battery's stacked cells, which the DP weighs
-    "conjugate": (
-        "at most {size_cap} cells (--size-cap)",
-        lambda shape, size_cap: _shape_size(shape) <= size_cap,
-    ),
+    "conjugate": lambda shape, size_cap: _at_most(_shape_size(shape), size_cap),
 }
 
 # auto runs the first applicable method, falling back to dp for its size-cap
@@ -292,10 +320,7 @@ def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[int | None, int
 
 
 def _first_applicable(shape: Shape, order, size_cap: int, skip: str | None = None) -> str | None:
-    return next(
-        (name for name in order if name != skip and REGISTRY[name][1](shape, size_cap)),
-        None,
-    )
+    return next((name for name in order if name != skip and REGISTRY[name](shape, size_cap) is None), None)
 
 
 # option -> its choices, int for a non-negative integer, or None for a flag
@@ -418,9 +443,8 @@ def _run(argv) -> int:
     method = args["method"]
     if method == "auto":
         method = _first_applicable(shape, AUTO_ORDER, size_cap) or "dp"
-    needs, applies = REGISTRY[method]
-    if not applies(shape, size_cap):
-        needs = needs.format(size_cap=size_cap, size=dp_cells(shape))
+    needs = REGISTRY[method](shape, size_cap)
+    if needs is not None:
         _note(f"error: method {method!r} not applicable: it needs {needs}")
         return EXIT_METHOD
     partner = None
@@ -428,7 +452,9 @@ def _run(argv) -> int:
         # refuse before counting, so a shape with no partner costs no primary count
         partner = _first_applicable(shape, PARTNER_ORDER, size_cap, skip=method)
         if partner is None:
-            _note(f"error: no second method available to verify {expr!r}")
+            why = "; ".join(f"{name} needs {REGISTRY[name](shape, size_cap)}"
+                            for name in PARTNER_ORDER if name != method)
+            _note(f"error: no second method available to verify {expr!r}: {why}")
             return EXIT_METHOD
     started = time.perf_counter()
     count, status = _run_method(method, shape, size_cap)

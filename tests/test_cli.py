@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -489,6 +490,34 @@ def test_a_straight_shape_past_machine_size_exits_3_within_5_s(args, route):
     assert done.stderr.count("\n") == 1
 
 
+def test_a_rectangle_battery_past_hyper_s_cap_has_no_partner_and_exits_3_within_5_s():
+    # hyper would walk C(44, 14) leaves 14 levels deep, days of work; every
+    # partner is refused before any count, each with its reason
+    done = _count_in_a_fresh_process("battery:rect:30x30,a=5,k=15", "--verify")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: no second method available to verify 'battery:rect:30x30,a=5,k=15': "
+        "frobenius needs a straight partition; "
+        "dp needs at most 120 cells (--size-cap), the shape has 901 to walk; "
+        "hyper needs at most 20000000 leaf-levels of its nested sum, the shape has 1609381319392; "
+        "conjugate needs at most 120 cells (--size-cap), the shape has 905\n"
+    )
+
+
+@pytest.mark.parametrize("expr, shown", [
+    ("battery:rect:30x30,a=5,k=15", "1609381319392"),
+    ("battery:rect:2000000x1000,a=1,k=1000000", "more than 10^30"),
+    ("battery:rect:100000000000000000000x2,a=1,k=99999999999999999999", "more than 10^30"),
+], ids=["30x30", "wide", "machine-size"])
+def test_hyper_past_its_cap_exits_3_at_once_with_its_estimate(expr, shown):
+    done = _count_in_a_fresh_process(expr, "--method", "hyper")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: method 'hyper' not applicable: it needs at most 20000000 leaf-levels of its nested sum, "
+        f"the shape has {shown}\n"
+    )
+
+
 def test_a_battery_of_machine_size_a_over_a_small_base_is_counted():
     # a enters only through rising factorials, so the base-size refusal
     # reads the base's cells alone
@@ -800,8 +829,8 @@ def small_batteries(draw):
 def test_applicable_methods_agree(shape):
     counts = {
         name: cli.METHODS[name](shape, cli.DEFAULT_SIZE_CAP)
-        for name, (needs, applies) in cli.REGISTRY.items()
-        if applies(shape, cli.DEFAULT_SIZE_CAP)
+        for name, rule in cli.REGISTRY.items()
+        if rule(shape, cli.DEFAULT_SIZE_CAP) is None
     }
     assert "dp" in counts
     assert len(set(counts.values())) == 1, (shape, counts)
@@ -813,16 +842,54 @@ def test_method_exits_3_exactly_when_inapplicable(shape, method, size_cap):
     base = ",".join(map(str, shape.lam))
     expr = f"battery:part:{base},a={shape.a},k={shape.k}"
     status = cli.run(["count", expr, "--method", method, "--size-cap", str(size_cap)])
-    needs, applies = cli.REGISTRY[method]
-    assert status == (0 if applies(shape, size_cap) else 3)
+    assert status == (0 if cli.REGISTRY[method](shape, size_cap) is None else 3)
 
 
 def test_every_method_has_one_count_and_one_rule():
     assert cli.METHODS.keys() == cli.REGISTRY.keys()
     named = set(cli.AUTO_ORDER) | set(cli.PARTNER_ORDER) | set(cli._OPTIONS["--method"]) - {"auto"}
     assert named <= cli.METHODS.keys()
-    for needs, applies in cli.REGISTRY.values():
-        assert isinstance(needs, str) and callable(applies)
+    shapes = [cli.parse_shape_expr(expr) for expr in ("partition:3,2,1", "battery:rect:3x2,a=1,k=2", "skew:3,2/1")]
+    for rule in cli.REGISTRY.values():
+        assert callable(rule)
+        for shape in shapes:
+            for size_cap in (0, cli.DEFAULT_SIZE_CAP):
+                needs = rule(shape, size_cap)
+                assert needs is None or (isinstance(needs, str) and needs)
+
+
+# a shape each --method choice's rule refuses
+REFUSED_BY = [
+    ("hyper", "skew:3,2/1"),
+    ("hyper", "battery:rect:30x30,a=5,k=15"),
+    ("general", "partition:3,2,1"),
+    ("closed", "battery:rect:5x4,a=4,k=4"),
+    ("dp", "skew:20,20,20,20,20,20,20/3"),
+]
+
+
+@pytest.mark.parametrize("method, expr", REFUSED_BY)
+def test_an_inapplicable_method_prints_its_rule_s_text(method, expr, capsys):
+    needs = cli.REGISTRY[method](cli.parse_shape_expr(expr), cli.DEFAULT_SIZE_CAP)
+    assert needs
+    assert cli.run(["count", expr, "--method", method]) == 3
+    assert capsys.readouterr() == ("", f"error: method {method!r} not applicable: it needs {needs}\n")
+
+
+def test_every_method_choice_has_a_refused_shape():
+    assert {method for method, _ in REFUSED_BY} == set(cli._OPTIONS["--method"]) - {"auto"}
+
+
+def test_hyper_s_rule_measures_its_walk_exactly_up_to_the_shown_bound():
+    for n in range(1, 40):
+        for k in range(1, 80):
+            levels = comb(n + k - 1, k - 1) * (k - 1)
+            if levels <= cli._LEAF_LEVELS_SHOWN:
+                assert cli._leaf_levels(n, k) == levels, (n, k)
+            else:
+                assert cli._leaf_levels(n, k) > cli._LEAF_LEVELS_SHOWN, (n, k)
+    # the largest --method hyper shape the suite counts is under the cap
+    assert cli.REGISTRY["hyper"](cli.parse_shape_expr("battery:rect:300x2,a=1,k=300"), 0) is None
 
 
 def _joined(values):
