@@ -14,10 +14,12 @@ checked against the one pinned in ``CASES``; a mismatch exits 1. ``--check``
 runs each count once and times nothing.
 
 The report is JSON, on stdout or in ``--out`` (``BENCH_<pr>.json``): the
-commit, the Python version, the host, and for each case its route, its min and
-median seconds and, where the route reports them, the DP's states. With
-``--parent`` each case has both trees' figures and the ratio of their minima.
-Compare only files written on one machine.
+commit and whether the work tree differs from it (both null outside a git
+checkout, where ``--parent`` is refused), the Python version, the host, and
+for each case its route, its min and median seconds and, where the route
+reports them, the DP's states. With ``--parent`` each case has both trees'
+figures and the ratio of their minima. Compare only files written on one
+machine.
 """
 
 import argparse
@@ -97,8 +99,7 @@ def _worker(name: str, timed: bool) -> dict:
     """Run one case on the package this interpreter imports."""
     import battery_syt
 
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(0)
     call = CASES[name][1](battery_syt)
     times = []
     while True:
@@ -156,9 +157,12 @@ def main(argv=None) -> int:
 
     names = args.case or list(CASES)
     trees = {"change": ROOT / "src"}
+    repository = (ROOT / ".git").exists()  # a benchmark checkout is usually not a repository
+    if args.parent and not repository:
+        raise SystemExit(f"error: --parent needs a git checkout, and {ROOT} is not one")
     report = {
-        "commit": _git("rev-parse", "HEAD"),
-        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "commit": _git("rev-parse", "HEAD") if repository else None,
+        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")) if repository else None,
         "python": sys.version,
         "host": f"{platform.platform()}, {os.cpu_count()} CPUs",
         "cases": {},

@@ -34,6 +34,7 @@ from .shapes import (
     _rect_battery,
     as_partition,
     dp_cells,
+    dp_refusal,
     syt_count_straight,
 )
 
@@ -221,10 +222,6 @@ def _straight(shape: Shape, size_cap: int) -> str | None:
     return None if isinstance(shape, tuple) else "a straight partition"
 
 
-def _at_most(cells: int, size_cap: int, walked: str = "") -> str | None:
-    return None if cells <= size_cap else f"at most {size_cap} cells (--size-cap), the shape has {cells}{walked}"
-
-
 # hyper's walk takes about 1 µs a leaf-level, so this cap is 20-30 s of walking
 HYPER_LEAF_LEVELS = 2 * 10**7
 # the most leaf-levels hyper's rule measures out, so it stays cheap on any shape
@@ -261,23 +258,16 @@ REGISTRY = {
     "general": _on_rect,
     "closed": lambda shape, size_cap: None if _rect(shape) and match_closed_form(*_rect(shape)) else (
         "a battery over a rectangle covered by a closed-form case"),
-    # the oracle's own refusal reads the same dp_cells
-    "dp": lambda shape, size_cap: _at_most(dp_cells(shape), size_cap, " to walk"),
+    "dp": lambda shape, size_cap: dp_refusal(dp_cells(shape), size_cap),
     "hlf": _straight,
     "frobenius": _straight,
     # the conjugate layout walks a battery's stacked cells, which the DP weighs
-    "conjugate": lambda shape, size_cap: _at_most(_shape_size(shape), size_cap),
+    "conjugate": lambda shape, size_cap: dp_refusal(_shape_size(shape), size_cap),
 }
 
 # auto runs the first applicable method, falling back to dp for its size-cap
-# refusal; --verify checks against the first applicable other method. A
-# straight shape is checked by Frobenius's formula at any size; it shares only
-# the parser with the hook length formula (no hook, conjugate or factorial
-# division). A rectangle battery counted by general is checked by dp up to the
-# size cap and by hyper above it; closed is never a partner, as hyper and
-# general apply wherever it does. A shape only the DP counts is checked by the
-# DP on the conjugate layout of its spans, which re-checks the spans, the
-# tables, the mixed-radix layout and, for a battery, the recurrence
+# refusal; --verify checks against the first applicable other method, and
+# tests/test_independence.py pins what each pair may share
 AUTO_ORDER = ("closed", "general", "hlf", "dp")
 PARTNER_ORDER = ("frobenius", "dp", "hyper", "general", "conjugate")
 
@@ -411,8 +401,6 @@ def _parse_args(argv) -> dict | None:
 
 def run(argv) -> int:
     """Execute the CLI for the given argument list and return the exit status."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(argv)
     # exact counts may run past CPython's default 4300-digit limit on int/str
     # conversion; lift it for this run only, since callers share the process
     saved = sys.get_int_max_str_digits()

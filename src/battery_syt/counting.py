@@ -188,7 +188,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
         den = factorial(m + n - 1) ** n
     else:  # the column side: r points a profile, weight W(x)
         side = r
-        weights = _weights(m, n, k)
+        weights = _weights(m, n, k) if r else []  # k = 1: an empty determinant, 1, reads no moment
         den = factorial(n + k - 1) * prod(perm(d + n + k - 1, n + k - 1) for d in range(1, m - k + 1))
         den *= factorial(big) ** r
     shift = side * (side - 1) // 2

@@ -57,15 +57,10 @@ from math import comb, prod
 from . import _EXPORTS, _integral
 from .shapes import (
     DEFAULT_SIZE_CAP, BatteryShape, SkewShape, TruncatedShape, _check_line_convex, _column_runs, dp_cells,
-    syt_count_straight,
+    dp_refusal, syt_count_straight,
 )
 
 __all__ = list(_EXPORTS["oracle"])
-
-
-def _refuse_above(cells: int, size_cap: int) -> None:
-    if cells > size_cap:
-        raise ValueError(f"diagram has {cells} cells, above the size cap {size_cap}")
 
 
 def _gate_table(spans) -> list[list[int]]:
@@ -217,12 +212,13 @@ def linear_extension_profile(shape: SpanShape, size_cap: int = DEFAULT_SIZE_CAP)
     """Exact tableau count of any shape with ``row_spans()`` (battery, skew or
     truncated) and the number of ideal states visited.
 
-    Every shape is refused above the size cap by ``dp_cells`` before a span is
-    read. A battery, a straight shape included as a = 0, walks its base's
+    Every shape is refused by ``dp_refusal`` of its ``dp_cells`` before a span
+    is read. A battery, a straight shape included as a = 0, walks its base's
     ideals with its a cells as one weight (``_profile``); any other shape walks
     its own ``row_spans()``.
     """
-    _refuse_above(dp_cells(shape), size_cap)
+    if (refusal := dp_refusal(dp_cells(shape), size_cap)) is not None:
+        raise ValueError(refusal)
     if isinstance(shape, BatteryShape):
         return _profile(tuple((0, row) for row in shape.lam), shape.a, shape.k)
     return _profile(shape.row_spans())
@@ -241,7 +237,8 @@ def count_line_convex(spans, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     spans above the size cap or with a column that is not contiguous.
     """
     spans = tuple((s, max(s, e)) for s, e in (map(_integral, span) for span in spans))
-    _refuse_above(sum(e - s for s, e in spans), size_cap)
+    if (refusal := dp_refusal(sum(e - s for s, e in spans), size_cap)) is not None:
+        raise ValueError(refusal)
     _check_line_convex(spans)
     return _profile(spans)[0]
 

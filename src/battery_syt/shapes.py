@@ -4,10 +4,11 @@ A partition is a plain tuple of weakly decreasing positive row lengths.
 Skew, truncated, and battery shapes are small immutable records (``Record``;
 never tuples, so a tuple is always a straight partition) that canonicalize and
 validate their fields in ``__init__``; a record cannot change afterwards, so
-every shape that exists is valid. The order-ideal DP's cell limit and the cells
-it counts against it (``dp_cells``) live here too, as does the rectangle rule
-the counters and the CLI share (``_rect_battery``), so the CLI reads them all
-without importing the DP or a counter.
+every shape that exists is valid. The order-ideal DP's cell limit, the cells
+it counts against it (``dp_cells``) and its refusal above it (``dp_refusal``)
+live here too, as does the rectangle rule the counters and the CLI share
+(``_rect_battery``), so the CLI reads them all without importing the DP or a
+counter.
 """
 
 from math import factorial, prod
@@ -214,3 +215,11 @@ def dp_cells(shape) -> int:
     if isinstance(shape, BatteryShape):
         return sum(shape.lam) + min(shape.a, 1)
     return shape.size
+
+
+def dp_refusal(cells: int, size_cap: int) -> str | None:
+    """None when the order-ideal DP walks ``cells`` cells under ``size_cap``;
+    else what it needs, the one refusal of the CLI's ``dp`` and ``conjugate``
+    rules and the oracle's ValueError. A caller passes the cells its layout
+    walks: ``dp_cells`` of a shape, or all of a conjugate layout's cells."""
+    return None if cells <= size_cap else f"at most {size_cap} cells (--size-cap), the shape has {cells} to walk"

@@ -435,11 +435,7 @@ def masked(out):
 @pytest.fixture
 def int_str_limit():
     """A setter of CPython's int/str digit limit (0 lifts it) for one test; the
-    limit in force before is restored after it. On a Python without the limit
-    the setter does nothing."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield lambda limit: None
-        return
+    limit in force before is restored after it."""
     saved = sys.get_int_max_str_digits()
     yield sys.set_int_max_str_digits
     sys.set_int_max_str_digits(saved)

@@ -357,6 +357,14 @@ def test_a_tall_rectangle_battery_is_counted_within_3_s():
     assert time.perf_counter() - start < 3
 
 
+def test_a_battery_at_column_1_builds_no_weights_within_2_5_s():
+    # at k = 1 the determinant is empty: 100,000 big weights summed once would
+    # take seconds for a count of 1 (a single column, filled top to bottom)
+    start = time.perf_counter()
+    assert count_general(1, 100000, 2, 1) == 1
+    assert time.perf_counter() - start < 2.5
+
+
 def test_a_whole_float_counts_as_its_integer():
     assert count_general(3.0, 2, 1, 2) == 12
     assert closed_form("k2-a1", m=3.0, n=2) == 12

@@ -141,7 +141,7 @@ def test_line_convex_refuses_an_end_that_is_not_whole():
 def test_every_shape_is_refused_by_dp_cells_before_a_span_is_read(shape, monkeypatch):
     cells = dp_cells(shape)
     monkeypatch.setattr(type(shape), "row_spans", lambda self: pytest.fail("row spans read"))
-    with pytest.raises(ValueError, match=f"diagram has {cells} cells, above the size cap {cells - 1}"):
+    with pytest.raises(ValueError, match=rf"at most {cells - 1} cells \(--size-cap\), the shape has {cells} to walk"):
         linear_extension_profile(shape, size_cap=cells - 1)
 
 
@@ -476,7 +476,7 @@ def test_the_size_cap_counts_a_rectangle_base_and_one_cell(lam, a, k, monkeypatc
     else:
         reference = _pivot_split(lam, a, k)
     assert count_linear_extensions(shape, size_cap=cells) == reference
-    with pytest.raises(ValueError, match=f"diagram has {cells} cells, above the size cap {cells - 1}"):
+    with pytest.raises(ValueError, match=rf"at most {cells - 1} cells \(--size-cap\), the shape has {cells} to walk"):
         count_linear_extensions(shape, size_cap=cells - 1)
 
 
