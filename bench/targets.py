@@ -16,10 +16,10 @@ runs each count once and times nothing.
 The report is JSON, on stdout or in ``--out`` (``BENCH_<pr>.json``): the
 commit and whether the work tree differs from it (both null outside a git
 checkout, where ``--parent`` is refused), the Python version, the host, and
-for each case its route, its min and median seconds and, where the route
-reports them, the DP's states. With ``--parent`` each case has both trees'
-figures and the ratio of their minima. Compare only files written on one
-machine.
+for each case its route, its min and median seconds and, for the DP's case,
+its states from one more, untimed run. With ``--parent`` each case has both
+trees' figures and the ratio of their minima. Compare only files written on
+one machine.
 """
 
 import argparse
@@ -41,66 +41,54 @@ REPEATS = 3
 ONCE_OVER_S = 5.0
 
 
-def _closed(b, m, n, a, k):
-    case_id, params = b.match_closed_form(m, n, a, k)
-    return b.closed_form(case_id, **params)
-
-
-def _skew_conjugate(b, outer, inner):
-    return partial(b.count_line_convex, b.conjugate_spans(b.SkewShape(outer, inner).row_spans()))
-
-
-# name -> (route, build, sha256). build(package) sets the case up untimed and
-# returns the call to time, whose result is a count, a factorization, or, for
-# the DP, (count, states). The digest is that of str() of the count or the
-# factorization. One case a route, then the slow targets of ROADMAP items 21
+# name -> (route, shape expression, sha256). A route's case times
+# cli.METHODS[route] on the parsed shape at the default size cap, the call
+# `battery-syt count` makes; factorize and str time that call on a count built
+# untimed by the route COUNTED_BY names. The digest is that of str() of the
+# result. One case a route, then the slow targets of ROADMAP items 21
 # (general's moments), 1 (general at large k) and 12 (hook products).
 CASES = {
-    "closed 100x100,a=1,k=2": (
-        "closed", lambda b: partial(_closed, b, 100, 100, 1, 2),
+    "closed 100x100,a=1,k=2": ("closed", "battery:rect:100x100,a=1,k=2",
         "9071b6a7e228dabbc01b04a9f7184e3b6f776b8600360aeca274abd5139078ba"),
-    "general 20x20,a=3,k=11": (
-        "general", lambda b: partial(b.count_general, 20, 20, 3, 11),
+    "general 20x20,a=3,k=11": ("general", "battery:rect:20x20,a=3,k=11",
         "c452b136036842f6fa11530972e7d40c3f0c639d846465f678eed40a91634397"),
-    "hyper 16x16,a=3,k=6": (
-        "hyper", lambda b: partial(b.count_hyper, 16, 16, 3, 6),
+    "hyper 16x16,a=3,k=6": ("hyper", "battery:rect:16x16,a=3,k=6",
         "257e848239ac21d629fb6daa61f38fcdb8bcdc72105e6e0da4f3dea35da7fafa"),
-    "dp battery:rect:11x8,a=3,k=6": (
-        "dp", lambda b: partial(b.linear_extension_profile, b.BatteryShape((11,) * 8, 3, 6)),
+    "dp battery:rect:11x8,a=3,k=6": ("dp", "battery:rect:11x8,a=3,k=6",
         "a057dcd42b7f49b97de02ec1af80442309bf186401156a99fcb7ebf82d7ebf5b"),
-    "conjugate skew:12,12,11,10/1": (
-        "conjugate", lambda b: _skew_conjugate(b, (12, 12, 11, 10), (1,)),
+    "conjugate skew:12,12,11,10/1": ("conjugate", "skew:12,12,11,10/1",
         "c65a887cdd7862576e8ce32fea8356ecdb81a3a3cce42bb5cd2fd4acf2b7b04e"),
-    "hlf rect:200x200": (
-        "hlf", lambda b: partial(b.syt_count_straight, (200,) * 200),
+    "hlf rect:200x200": ("hlf", "rect:200x200",
         "4d55c53d3fd156d3100d9077567776ea051b4fff226032a0366c4448c28126ea"),
-    "frobenius rect:400x400": (
-        "frobenius", lambda b: partial(b.syt_count_frobenius, (400,) * 400),
+    "frobenius rect:400x400": ("frobenius", "rect:400x400",
         "907b2ba9f107d5f5406d917e3040ff5efb6784b0a2ae829e4081af66532d8f2f"),
-    "factorize 14x14,a=3,k=6": (
-        "factorize", lambda b: partial(b.factorize, b.count_general(14, 14, 3, 6)),
+    "factorize 14x14,a=3,k=6": ("factorize", "battery:rect:14x14,a=3,k=6",
         "d0198b3b11dca410369f9503a847bd62b6cdd8f4c662a8a8ed6cb5565fa0ab6a"),
-    "general 3x20000,a=1,k=3": (
-        "general", lambda b: partial(b.count_general, 3, 20000, 1, 3),
+    "general 3x20000,a=1,k=3": ("general", "battery:rect:3x20000,a=1,k=3",
         "b8ab09e00ef5f069a59f4ee53eaf4ad3effeea5fa1f10a5fbbc1181cf4a2432c"),
-    "general 30x30,a=5,k=25": (
-        "general", lambda b: partial(b.count_general, 30, 30, 5, 25),
+    "general 30x30,a=5,k=25": ("general", "battery:rect:30x30,a=5,k=25",
         "4141ba8866f98e91410a89244eb871510a5b7386e106471d0b506430a2b3405f"),
-    "hlf rect:400x400": (
-        "hlf", lambda b: partial(b.syt_count_straight, (400,) * 400),
+    "hlf rect:400x400": ("hlf", "rect:400x400",
         "907b2ba9f107d5f5406d917e3040ff5efb6784b0a2ae829e4081af66532d8f2f"),
-    "str rect:400x400": (
-        "str", lambda b: partial(str, b.syt_count_frobenius((400,) * 400)),
+    "str rect:400x400": ("str", "rect:400x400",
         "907b2ba9f107d5f5406d917e3040ff5efb6784b0a2ae829e4081af66532d8f2f"),
 }
+COUNTED_BY = {"factorize": "general", "str": "frobenius"}
 
 
 def _worker(name: str, timed: bool) -> dict:
     """Run one case on the package this interpreter imports."""
-    import battery_syt
+    # every route's module, so no timed call pays the import a lazy binding makes
+    from battery_syt import arith, cli, counting, frobenius, oracle  # noqa: F401
 
     sys.set_int_max_str_digits(0)
-    call = CASES[name][1](battery_syt)
+    route, expr, _ = CASES[name]
+    shape = cli.parse_shape_expr(expr)
+    if route in COUNTED_BY:
+        count = cli.METHODS[COUNTED_BY[route]](shape, cli.DEFAULT_SIZE_CAP)
+        call = partial({"factorize": arith.factorize, "str": str}[route], count)
+    else:
+        call = partial(cli.METHODS[route], shape, cli.DEFAULT_SIZE_CAP)
     times = []
     while True:
         started = time.perf_counter()
@@ -108,10 +96,9 @@ def _worker(name: str, timed: bool) -> dict:
         times.append(time.perf_counter() - started)
         if not timed or len(times) == REPEATS or times[0] > ONCE_OVER_S:
             break
-    count, states = result if isinstance(result, tuple) else (result, None)
-    report = {"sha256": hashlib.sha256(str(count).encode()).hexdigest()}
-    if states is not None:
-        report["dp_states"] = states
+    report = {"sha256": hashlib.sha256(str(result).encode()).hexdigest()}
+    if route == "dp":
+        report["dp_states"] = oracle.linear_extension_profile(shape, cli.DEFAULT_SIZE_CAP)[1]
     if timed:
         report.update(min_s=min(times), median_s=statistics.median(times), runs=len(times))
     return report
@@ -132,7 +119,10 @@ def _git(*args: str, cwd: Path = ROOT) -> str:
 
 def _unpack(rev: str, into: Path) -> str:
     """``git archive rev`` unpacked in ``into``; returns the full commit id."""
-    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    try:
+        commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    except subprocess.CalledProcessError:
+        raise SystemExit(f"error: --parent {rev} names no commit of {ROOT}") from None
     archive = into / "tree.tar"
     with open(archive, "wb") as out:
         subprocess.run(["git", "archive", commit], cwd=ROOT, stdout=out, check=True)

@@ -21,7 +21,7 @@ with the primes it proved and the cofactors it could not take apart.
 from functools import cache
 from math import gcd, isqrt, log10, log2, prod
 
-from . import _EXPORTS, Record
+from . import _EXPORTS, Record, _integral
 
 __all__ = list(_EXPORTS["arith"])
 
@@ -64,8 +64,10 @@ def is_prime(n: int) -> bool:
     """Primality test: exact below 3.3 * 10**24, Baillie-PSW from there on.
 
     Miller-Rabin with the primes 2..41 as bases decides every n below
-    ``_PSI13``; larger n must also pass a strong Lucas test.
+    ``_PSI13``; larger n must also pass a strong Lucas test. ``n`` is read
+    through ``_integral``.
     """
+    n = _integral(n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -359,8 +361,9 @@ def factorize(n: int) -> Factorization:
 
     Raises ``FactorizationBudgetError`` when the work past trial division
     (rho, p-1 and the primality tests of cofactors from ``_PSI13`` on) would
-    exceed ``_BUDGET``.
+    exceed ``_BUDGET``. ``n`` is read through ``_integral``.
     """
+    n = _integral(n)
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     counts: dict[int, int] = {}

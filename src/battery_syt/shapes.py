@@ -41,7 +41,9 @@ def as_partition(parts: "Iterable[int]") -> Partition:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Column heights of the diagram, i.e. the transposed partition."""
+    """Column heights of the diagram, i.e. the transposed partition; ``p`` is
+    read through ``as_partition``."""
+    p = as_partition(p)
     if not p:
         return ()
     return tuple(sum(1 for row in p if row > j) for j in range(p[0]))
@@ -51,8 +53,9 @@ def hook_lengths(p: Partition) -> tuple[int, ...]:
     """Hook length of every cell, row by row.
 
     The hook of cell (i, j) counts the cells strictly to its right, strictly
-    below it, and the cell itself.
+    below it, and the cell itself; ``p`` is read through ``as_partition``.
     """
+    p = as_partition(p)
     cols = conjugate(p)
     return tuple(
         (p[i] - (j + 1)) + (cols[j] - (i + 1)) + 1

@@ -76,6 +76,16 @@ def test_factorize_rejects_zero():
         factorize(0)
 
 
+@pytest.mark.parametrize("read", [factorize, is_prime])
+def test_factorize_and_is_prime_read_a_whole_number_and_refuse_a_fraction(read):
+    # factorize(12.5) printed 12.5, a primality claim, and is_prime(7.5) was a TypeError from pow
+    for value in (3.5, 7.5, 12.5):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {value}$"):
+            read(value)
+    assert read(7.0) == read(7)
+    assert str(factorize(7.0)) == "7"
+
+
 def test_factorize_splits_two_large_primes():
     p, q = 3361178017, 2839893182041
     assert factorize(p * q).factors == ((p, 1), (q, 1))

@@ -99,18 +99,31 @@ def test_syt_count_known_values():
     assert syt_count_straight((5, 5)) == 42
 
 
-@pytest.mark.parametrize("p, message", [
+MALFORMED = [
     ((1, 3), "row lengths must be weakly decreasing, got 1 before 3"),
     ((3, 0, 1), "row lengths must be positive, got 0 at row 2"),
     ((3, -1), "row lengths must be positive, got -1 at row 2"),
     ((2, 2.5), "expected an integer, got 2.5"),
-])
+]
+
+
+@pytest.mark.parametrize("p, message", MALFORMED)
 def test_syt_count_refuses_a_malformed_partition_where_it_enters(p, message):
     # not an IndexError, ZeroDivisionError or TypeError from the hooks, nor a
     # hook product that fails to divide
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         syt_count_straight(p)
     assert syt_count_straight((2, 2.0)) == syt_count_straight((2, 2)) == 2
+
+
+@pytest.mark.parametrize("read", [conjugate, hook_lengths])
+@pytest.mark.parametrize("p, message", MALFORMED)
+def test_conjugate_and_hook_lengths_read_their_partition_as_syt_count_does(read, p, message):
+    # conjugate((1, 3)) gave (2,) and hook_lengths((1, 3)) raised IndexError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(p)
+    assert read((2, 2.0)) == read((2, 2))
+    assert {type(x) for x in read((2, 2.0))} == {int}
 
 
 def test_syt_count_invariant_under_conjugation():
