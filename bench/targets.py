@@ -5,21 +5,25 @@ checked against a pinned digest.
 
 Each case runs in a child interpreter that imports the package from a tree's
 ``src``. By default that is this checkout's. With ``--parent REV`` it is also
-that of ``git archive REV``, unpacked in a temporary directory; the two trees
-take turns case by case, and each goes first on every other case.
+that of ``git archive REV``, unpacked in a temporary directory.
 
 A case builds its input untimed (a count to factor, say), then times one call:
-best of 3, or once when the first run takes over 5 s. Each count's sha256 is
+best of 3, or once when the first run takes over 5 s. That is one round, one
+child per tree. A case whose first round took under 1 s on every tree runs 5
+rounds, since one process's minimum of a sub-second call moves with the
+process; the tree that goes first alternates by round. Each count's sha256 is
 checked against the one pinned in ``CASES``; a mismatch exits 1. ``--check``
 runs each count once and times nothing.
 
 The report is JSON, on stdout or in ``--out`` (``BENCH_<pr>.json``): the
 commit and whether the work tree differs from it (both null outside a git
 checkout, where ``--parent`` is refused), the Python version, the host, and
-for each case its route, its min and median seconds and, for the DP's case,
-its states from one more, untimed run. With ``--parent`` each case has both
-trees' figures and the ratio of their minima. Compare only files written on
-one machine.
+for each case its route and, per tree, each round's minimum (``rounds_s``),
+their least (``min_s``) and their median, and for the DP's case its states
+from one more, untimed run. With ``--parent`` each case also has the ratio of
+the two trees' minima in each round (``ratios``), their median (``ratio``)
+and the ratio of the trees' least (``min_ratio``). Compare only files written
+on one machine.
 """
 
 import argparse
@@ -39,6 +43,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 3
 ONCE_OVER_S = 5.0
+ROUNDS = 5
+ROUNDS_UNDER_S = 1.0
 
 
 # name -> (route, shape expression, sha256). A route's case times
@@ -100,7 +106,7 @@ def _worker(name: str, timed: bool) -> dict:
     if route == "dp":
         report["dp_states"] = oracle.linear_extension_profile(shape, cli.DEFAULT_SIZE_CAP)[1]
     if timed:
-        report.update(min_s=min(times), median_s=statistics.median(times), runs=len(times))
+        report["min_s"] = min(times)
     return report
 
 
@@ -164,17 +170,26 @@ def main(argv=None) -> int:
         mismatched = []
         for i, name in enumerate(names):
             route, _, pinned = CASES[name]
-            order = list(trees) if i % 2 == 0 else list(reversed(trees))
-            runs = {side: _run_case(trees[side], name, timed=not args.check) for side in order}
+            rounds = []  # per round: each tree's worker report
+            while True:
+                order = list(trees) if (i + len(rounds)) % 2 == 0 else list(reversed(trees))
+                rounds.append({side: _run_case(trees[side], name, timed=not args.check) for side in order})
+                if args.check or len(rounds) == ROUNDS or any(
+                        run["min_s"] >= ROUNDS_UNDER_S for run in rounds[0].values()):
+                    break
             case = {"route": route}
             for side in trees:  # the working tree's figures first
-                result = runs[side]
-                digest = result.pop("sha256")
-                if digest != pinned:
-                    mismatched.append(f"{name} ({side}) has {digest}")
-                case[side] = result
+                runs = [each[side] for each in rounds]
+                digests = {run.pop("sha256") for run in runs}
+                mismatched += [f"{name} ({side}) has {digest}" for digest in sorted(digests - {pinned})]
+                case[side] = result = runs[0]
+                if not args.check:
+                    minima = [run["min_s"] for run in runs]
+                    result.update(rounds_s=minima, min_s=min(minima), median_s=statistics.median(minima))
             if args.parent and not args.check:
-                case["min_ratio"] = case["change"]["min_s"] / case["parent"]["min_s"]
+                ratios = [c / p for c, p in zip(case["change"]["rounds_s"], case["parent"]["rounds_s"])]
+                case.update(ratios=ratios, ratio=statistics.median(ratios),
+                            min_ratio=case["change"]["min_s"] / case["parent"]["min_s"])
             report["cases"][name] = case
             print(f"{name}: {json.dumps(case)}", file=sys.stderr, flush=True)
     text = json.dumps(report, indent=1) + "\n"

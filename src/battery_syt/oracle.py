@@ -56,8 +56,8 @@ from math import comb, prod
 
 from . import _EXPORTS, _integral
 from .shapes import (
-    DEFAULT_SIZE_CAP, BatteryShape, SkewShape, TruncatedShape, _check_line_convex, _column_runs, dp_cells,
-    dp_refusal, syt_count_straight,
+    DEFAULT_SIZE_CAP, BatteryShape, SkewShape, TruncatedShape, _check_line_convex, _column_runs, _hlf, dp_cells,
+    dp_refusal,
 )
 
 __all__ = list(_EXPORTS["oracle"])
@@ -189,7 +189,7 @@ def _profile(spans, a: int = 0, k: int = 1) -> tuple[int, int]:
         completing = other.get(state, 0)
         count += (ways >> shift) * completing
         check += (ways & low) * completing
-    expected = syt_count_straight((m,) * n)
+    expected = _hlf((m,) * n)
     if check != expected:
         raise ArithmeticError(f"the cut level of the {m}x{n} rectangle pairs to {check} tableaux, not {expected}")
     return count, states

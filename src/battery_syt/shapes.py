@@ -9,6 +9,10 @@ it counts against it (``dp_cells``) and its refusal above it (``dp_refusal``)
 live here too, as does the rectangle rule the counters and the CLI share
 (``_rect_battery``), so the CLI reads them all without importing the DP or a
 counter.
+
+Each public function reads its partition once, through ``as_partition``; the
+private bodies ``_columns``, ``_hooks`` and ``_hlf`` take it as read, as does
+the DP's middle-cut check, which calls ``_hlf`` on a rectangle it built.
 """
 
 from math import factorial, prod
@@ -43,10 +47,16 @@ def as_partition(parts: "Iterable[int]") -> Partition:
 def conjugate(p: Partition) -> Partition:
     """Column heights of the diagram, i.e. the transposed partition; ``p`` is
     read through ``as_partition``."""
-    p = as_partition(p)
-    if not p:
-        return ()
-    return tuple(sum(1 for row in p if row > j) for j in range(p[0]))
+    return _columns(as_partition(p))
+
+
+def _columns(p: Partition) -> Partition:
+    """``conjugate`` of a checked partition, in one walk from its shortest row
+    up: the columns row i reaches and no shorter row does have i + 1 cells."""
+    cols = []
+    for i in reversed(range(len(p))):
+        cols += [i + 1] * (p[i] - len(cols))
+    return tuple(cols)
 
 
 def hook_lengths(p: Partition) -> tuple[int, ...]:
@@ -55,8 +65,11 @@ def hook_lengths(p: Partition) -> tuple[int, ...]:
     The hook of cell (i, j) counts the cells strictly to its right, strictly
     below it, and the cell itself; ``p`` is read through ``as_partition``.
     """
-    p = as_partition(p)
-    cols = conjugate(p)
+    return _hooks(as_partition(p))
+
+
+def _hooks(p: Partition) -> tuple[int, ...]:
+    cols = _columns(p)
     return tuple(
         (p[i] - (j + 1)) + (cols[j] - (i + 1)) + 1
         for i in range(len(p))
@@ -67,14 +80,17 @@ def hook_lengths(p: Partition) -> tuple[int, ...]:
 def syt_count_straight(p: Partition) -> int:
     """Number of standard Young tableaux of a straight shape (hook length formula);
     ``p`` is read through ``as_partition``."""
-    p = as_partition(p)
+    return _hlf(as_partition(p))
+
+
+def _hlf(p: Partition) -> int:
     if not p:
         return 1
     # n! first: past machine size it raises OverflowError at once, before the
     # hooks walk every cell; n! is divisible by the hook product, so a
     # remainder can only mean wrong hooks
     total = factorial(sum(p))
-    count, rem = divmod(total, prod(hook_lengths(p)))
+    count, rem = divmod(total, prod(_hooks(p)))
     if rem:
         raise ArithmeticError(f"the hook product does not divide {sum(p)}!")
     return count

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from battery_syt import cli, counting
 from battery_syt.counting import NonIntegerCountError
+from battery_syt.frobenius import syt_count_frobenius
 from battery_syt.hypergeom import ZeroDenominatorFactorError
 from battery_syt.shapes import BatteryShape, SkewShape, TruncatedShape
 from conftest import masked, run_fresh
@@ -488,6 +489,16 @@ def test_a_straight_shape_past_machine_size_exits_3_within_5_s(args, route):
     assert done.stdout == ""
     assert done.stderr.startswith(f"error: method {route!r} cannot count a shape this large: ")
     assert done.stderr.count("\n") == 1
+
+
+def test_a_hook_shape_of_20000_rows_exits_0_within_5_s(int_str_limit):
+    # its column heights take one walk up the 20,000 rows; scanning every
+    # row for each column would take 20,000 x 20,000 steps
+    p = (20_000,) + (1,) * 19_999
+    done = _count_in_a_fresh_process("partition:" + ",".join(map(str, p)))
+    int_str_limit(0)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"{syt_count_frobenius(p)}\n"
 
 
 def test_a_rectangle_battery_past_hyper_s_cap_has_no_partner_and_exits_3_within_5_s():

@@ -29,11 +29,10 @@ SHAPES = {
 }
 
 # (primary, partner) -> the functions both may call, as module.co_name with the
-# package's own module named battery_syt. ``call`` is ``_lazy``'s wrapper, and
-# as_partition and _integral check a base the parser has already built.
+# package's own module named battery_syt. ``call`` is ``_lazy``'s wrapper.
 ALLOWED = {
     ("hlf", "frobenius"): set(),
-    ("general", "dp"): {"battery_syt.call", "battery_syt._integral", "shapes.as_partition"},
+    ("general", "dp"): {"battery_syt.call"},
     # both read (m, n, a, k) by one rectangle rule, which builds a one-row
     # battery, and both divide by counting's exact division
     ("general", "hyper"): {
@@ -42,10 +41,7 @@ ALLOWED = {
     },
     # the DP checks its middle cut against the rectangle's hook length count,
     # which the catalog evaluates too; a wrong hook count makes the DP raise
-    ("closed", "dp"): {
-        "battery_syt.call", "battery_syt._integral", "shapes.as_partition", "shapes.conjugate",
-        "shapes.hook_lengths", "shapes.syt_count_straight",
-    },
+    ("closed", "dp"): {"battery_syt.call", "shapes._columns", "shapes._hooks", "shapes._hlf"},
     # the known debt (ROADMAP item 17): the same walk and cap on the conjugate
     # layout, and a skew or truncated shape's own row spans
     ("dp", "conjugate"): {

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from battery_syt import cli, shapes
+from battery_syt import cli, oracle, shapes
 from battery_syt.shapes import (
     BatteryShape,
     SkewShape,
@@ -78,6 +78,8 @@ def test_conjugate_is_involution_exhaustive():
 def test_conjugate_is_involution_random(p):
     assert conjugate(conjugate(p)) == p
     assert sum(conjugate(p)) == sum(p)
+    # column j holds one cell of each row longer than j
+    assert conjugate(p) == tuple(sum(1 for row in p if row > j) for j in range(p[0] if p else 0))
 
 
 def test_hook_lengths_known_values():
@@ -126,6 +128,29 @@ def test_conjugate_and_hook_lengths_read_their_partition_as_syt_count_does(read,
     assert {type(x) for x in read((2, 2.0))} == {int}
 
 
+@pytest.fixture
+def partition_reads(monkeypatch):
+    """The partitions ``shapes.as_partition`` reads while a test runs."""
+    reads, right = [], shapes.as_partition
+    monkeypatch.setattr(shapes, "as_partition", lambda p: reads.append(p) or right(p))
+    return reads
+
+
+@pytest.mark.parametrize("door", [conjugate, hook_lengths, syt_count_straight])
+def test_each_straight_shape_door_reads_its_partition_once(door, partition_reads):
+    door((3, 2, 1))
+    assert partition_reads == [(3, 2, 1)]
+
+
+def test_the_dp_cut_check_reads_no_partition(partition_reads):
+    # the cut check counts a rectangle the DP built from spans it has checked;
+    # only the reads of building the battery come before it
+    shape = BatteryShape((4, 4, 4), 1, 2)
+    partition_reads.clear()
+    assert oracle.linear_extension_profile(shape)[0] == 1176  # count_general(4, 3, 1, 2)
+    assert partition_reads == []
+
+
 def test_syt_count_invariant_under_conjugation():
     for p in all_partitions_up_to(12):
         assert syt_count_straight(p) == syt_count_straight(conjugate(p))
@@ -138,8 +163,8 @@ def test_syt_count_invariant_under_conjugation():
 def test_a_wrong_hook_fails_the_hook_length_division(argv, route, monkeypatch, capsys):
     # one hook scaled by 7, a prime above the 6 cells, so the hook product
     # cannot divide 6!: an inconsistent count (exit 4), not a wrong one on stdout
-    right = shapes.hook_lengths
-    monkeypatch.setattr(shapes, "hook_lengths", lambda p: (7 * right(p)[0],) + right(p)[1:])
+    right = shapes._hooks
+    monkeypatch.setattr(shapes, "_hooks", lambda p: (7 * right(p)[0],) + right(p)[1:])
     assert cli.run(["count", *argv]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
