@@ -56,7 +56,7 @@ from math import comb, prod
 
 from . import _EXPORTS, _integral
 from .shapes import (
-    DEFAULT_SIZE_CAP, BatteryShape, SkewShape, TruncatedShape, _check_line_convex, _column_runs, _hlf, dp_cells,
+    DEFAULT_SIZE_CAP, BatteryShape, SkewShape, TruncatedShape, _column_runs, _hlf, dp_cells,
     dp_refusal,
 )
 
@@ -239,7 +239,7 @@ def count_line_convex(spans, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     spans = tuple((s, max(s, e)) for s, e in (map(_integral, span) for span in spans))
     if (refusal := dp_refusal(sum(e - s for s, e in spans), size_cap)) is not None:
         raise ValueError(refusal)
-    _check_line_convex(spans)
+    _column_runs(spans)
     return _profile(spans)[0]
 
 
@@ -251,10 +251,9 @@ def conjugate_spans(spans) -> tuple[tuple[int, int], ...]:
     A column without cells is dropped. No row crosses it, so the rows covering
     the columns on its two sides are disjoint and no cell on one side sits
     above a cell on the other. The tableaux and the order ideals are those of
-    the spans themselves.
+    the spans themselves. Raises ValueError for a column that is not contiguous.
     """
     rows = []
-    for left, right, covering in _column_runs(spans):
-        if covering:
-            rows += [(covering[0], covering[-1] + 1)] * (right - left)
+    for left, right, top, bottom in _column_runs(spans):
+        rows += [(top, bottom)] * (right - left)
     return tuple(rows)

@@ -133,18 +133,35 @@ class SkewShape(Record):
 
 
 def _column_runs(spans):
-    """(left, right, rows) of each run of columns between consecutive ends of
-    non-empty spans: its columns lie in the same rows, so one stands for all."""
-    ends = sorted({x for s, e in spans if e > s for x in (s, e)})
-    for left, right in zip(ends, ends[1:]):
-        yield left, right, [i for i, (s, e) in enumerate(spans) if s <= left < e]
+    """(left, right, top, bottom) of each run of columns between consecutive
+    ends of non-empty spans that has cells: rows top..bottom-1, and no others,
+    cover it. Raises ValueError for the first column whose rows have a gap.
 
-
-def _check_line_convex(spans):
-    """Every column of the row-contiguous cell set must also be contiguous."""
-    for left, _, rows in _column_runs(spans):
-        if rows and rows[-1] - rows[0] + 1 != len(rows):
-            raise ValueError(f"column {left + 1} is not contiguous: occupied rows {[r + 1 for r in rows]}")
+    Walking down the rows, a column's cover switches on at each row that
+    covers it where the row above does not, so its rows are contiguous when
+    that happens once, at row top. One sweep over the sorted span ends sums
+    per run the switches, their rows and the covering rows, each from steps
+    up and down at the columns where they begin and end.
+    """
+    steps, above = [], (0, 0)  # (column, switches, their rows, covering rows)
+    for i, (s, e) in enumerate(spans):
+        if e > s:
+            steps += [(s, 0, 0, 1), (e, 0, 0, -1)]
+            a, b = above if above[0] < above[1] else (e, e)
+            for lo, hi in ((s, min(e, a)), (max(s, b), e)):  # this row's cells outside the row above
+                if lo < hi:
+                    steps += [(lo, 1, i, 0), (hi, -1, -i, 0)]
+        above = (s, e)
+    steps.sort()
+    runs, on, top, covering = [], 0, 0, 0
+    for (left, d_on, d_top, d_covering), (right, *_) in zip(steps, steps[1:]):
+        on, top, covering = on + d_on, top + d_top, covering + d_covering
+        if left < right and covering:
+            if on != 1:
+                rows = [r + 1 for r, (s, e) in enumerate(spans) if s <= left < e]
+                raise ValueError(f"column {left + 1} is not contiguous: occupied rows {rows}")
+            runs.append((left, right, top, top + covering))
+    return runs
 
 
 class TruncatedShape(Record):
@@ -161,7 +178,7 @@ class TruncatedShape(Record):
             start, stop = spans[i]
             if cut > stop - start:
                 raise ValueError(f"cannot delete {cut} cells from row {i + 1} of length {stop - start}")
-        _check_line_convex(self.row_spans())
+        _column_runs(self.row_spans())
 
     def row_spans(self) -> tuple[tuple[int, int], ...]:
         cuts = self.truncation + (0,) * (len(self.base.outer) - len(self.truncation))

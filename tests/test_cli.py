@@ -472,6 +472,16 @@ def test_a_truncated_shape_of_10_to_the_20_cells_exits_3_within_5_s():
     assert done.stderr.startswith("error: method 'dp' not applicable")
 
 
+def test_a_truncated_staircase_of_20000_rows_exits_3_within_5_s():
+    # the column check is one sweep over the row ends; listing the covering
+    # rows of each of the 20,000 column runs would take 20,000 x 20,000 steps.
+    # The argument is 108,905 bytes, under Linux's 128 KiB per-argument limit
+    done = _count_in_a_fresh_process("truncated:" + ",".join(map(str, range(20_000, 0, -1))) + "\\1")
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: method 'dp' not applicable: it needs at most 120 cells")
+
+
 @pytest.mark.parametrize("args, route", [
     (["partition:99999999999999999999"], "hlf"),
     (["battery:rect:99999999999999999999x2,a=1,k=2", "--method", "hyper"], "hyper"),

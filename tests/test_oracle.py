@@ -1,4 +1,5 @@
 import io
+import time
 from contextlib import redirect_stdout
 from math import comb, factorial, prod
 
@@ -533,6 +534,22 @@ def test_conjugate_spans_known_layouts():
     assert conjugate_spans(SkewShape((3, 3), (3, 1)).row_spans()) == ((1, 2), (1, 2))  # row 0 empty
     assert conjugate_spans(((10**9, 10**9 + 2), (10**9, 10**9 + 1))) == ((0, 2), (0, 1))
     assert conjugate_spans(()) == conjugate_spans(((4, 4),)) == ()
+
+
+def test_conjugate_spans_refuses_a_column_that_is_not_contiguous():
+    # column 1 lies in rows 1 and 3 but not 2, so no conjugate row spans it
+    with pytest.raises(ValueError, match=r"^column 1 is not contiguous: occupied rows \[1, 3\]$"):
+        conjugate_spans(((0, 1), (1, 2), (0, 1)))
+
+
+def test_conjugate_spans_of_a_100000_row_staircase_within_2_s():
+    # one sweep over the span ends; listing each column run's covering rows
+    # would take 100,000 x 100,000 steps
+    n = 100_000
+    start = time.perf_counter()
+    layout = conjugate_spans(tuple((0, n - i) for i in range(n)))
+    assert time.perf_counter() - start < 2
+    assert layout == tuple((0, n - j) for j in range(n))
 
 
 def _spans_of(expr):

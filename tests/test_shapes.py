@@ -3,14 +3,14 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from battery_syt import cli, oracle, shapes
 from battery_syt.shapes import (
     BatteryShape,
     SkewShape,
     TruncatedShape,
-    _check_line_convex,
+    _column_runs,
     as_partition,
     conjugate,
     hook_lengths,
@@ -220,11 +220,15 @@ def test_truncated_shape_validation():
 
 
 def line_convex_by_columns(spans):
-    """Reference for ``_check_line_convex``: every occupied column tested."""
+    """Reference for ``_column_runs``: every occupied column tested; returns
+    each one's first covering row and one past its last."""
+    cover = {}
     for col in sorted({col for s, e in spans for col in range(s, e)}):
         rows = [i for i, (s, e) in enumerate(spans) if s <= col < e]
         if rows and rows[-1] - rows[0] + 1 != len(rows):
             raise ValueError(f"column {col + 1} is not contiguous: occupied rows {[r + 1 for r in rows]}")
+        cover[col] = (rows[0], rows[-1] + 1)
+    return cover
 
 
 def _refusal(check, spans):
@@ -242,8 +246,18 @@ spans_strategy = st.lists(
 
 
 @given(spans_strategy)
+@example([(0, 2), (1, 1), (0, 2)])  # an empty middle row: column 1 lies in rows 1 and 3
+@example([(3, 1), (0, 2), (1, 2)])  # a row that ends before it starts covers nothing
+@example([(-2, 1), (-1, 1)])  # a negative start
 def test_line_convex_check_matches_the_column_by_column_reference(spans):
-    assert _refusal(_check_line_convex, spans) == _refusal(line_convex_by_columns, spans)
+    refusal = _refusal(line_convex_by_columns, spans)
+    assert _refusal(_column_runs, spans) == refusal
+    if refusal is None:
+        # the runs cover each occupied column once, with its first row and one past its last
+        runs = _column_runs(spans)
+        by_run = {col: (top, bottom) for left, right, top, bottom in runs for col in range(left, right)}
+        assert sum(right - left for left, right, _, _ in runs) == len(by_run)
+        assert by_run == line_convex_by_columns(spans)
 
 
 def test_line_convex_check_does_not_walk_the_columns():
