@@ -198,22 +198,6 @@ def _with_spans(shape: Shape) -> SkewShape | TruncatedShape | BatteryShape:
     return BatteryShape(shape, 0, 1) if isinstance(shape, tuple) else shape
 
 
-# name -> its count of (shape, size_cap); the one place a count lives, which
-# run() counts through, fault-injection tests patch and span tracing wraps
-METHODS = {
-    "hyper": lambda shape, size_cap: count_hyper(*_rect(shape)),
-    "general": lambda shape, size_cap: count_general(*_rect(shape)),
-    "closed": lambda shape, size_cap: (lambda case_id, params: closed_form(case_id, **params))(
-        *match_closed_form(*_rect(shape))
-    ),
-    "dp": lambda shape, size_cap: count_linear_extensions(_with_spans(shape), size_cap),
-    "hlf": lambda shape, size_cap: syt_count_straight(shape),
-    "frobenius": lambda shape, size_cap: syt_count_frobenius(shape),
-    "conjugate": lambda shape, size_cap: count_line_convex(
-        conjugate_spans(_with_spans(shape).row_spans()), size_cap
-    ),
-}
-
 def _on_rect(shape: Shape, size_cap: int) -> str | None:
     return None if _rect(shape) else "a battery over a rectangle"
 
@@ -222,7 +206,8 @@ def _straight(shape: Shape, size_cap: int) -> str | None:
     return None if isinstance(shape, tuple) else "a straight partition"
 
 
-# hyper's walk takes about 1 µs a leaf-level, so this cap is 20-30 s of walking
+# hyper's cap bounds leaf-levels, not time: a leaf-level takes about 1 µs on short
+# nests, 1 ms on 2x100000,a=1,k=2's one long level (ROADMAP items 4 and 26)
 HYPER_LEAF_LEVELS = 2 * 10**7
 # the most leaf-levels hyper's rule measures out, so it stays cheap on any shape
 _LEAF_LEVELS_SHOWN = 10**30
@@ -250,26 +235,36 @@ def _hyper_rule(shape: Shape, size_cap: int) -> str | None:
     return f"at most {HYPER_LEAF_LEVELS} leaf-levels of its nested sum, the shape has {shown}"
 
 
-# name -> its rule of (shape, size_cap): None when the method counts the shape,
-# else the text printed after "it needs", which the rule measures itself. A rule
-# never counts, so auto and --verify pick methods without running them
-REGISTRY = {
-    "hyper": _hyper_rule,
-    "general": _on_rect,
-    "closed": lambda shape, size_cap: None if _rect(shape) and match_closed_form(*_rect(shape)) else (
-        "a battery over a rectangle covered by a closed-form case"),
-    "dp": lambda shape, size_cap: dp_refusal(dp_cells(shape), size_cap),
-    "hlf": _straight,
-    "frobenius": _straight,
+# each route once, as (name, count, rule), both of (shape, size_cap). METHODS
+# holds the counts, which run() calls, fault-injection tests patch and span
+# tracing wraps; REGISTRY the rules, which return None when the route counts
+# the shape, else the text printed after "it needs", and never count, so auto
+# and --verify pick routes without running them
+_ROUTES = (
+    ("hyper", lambda shape, size_cap: count_hyper(*_rect(shape)), _hyper_rule),
+    ("general", lambda shape, size_cap: count_general(*_rect(shape)), _on_rect),
+    ("closed", lambda shape, size_cap: (lambda case_id, params: closed_form(case_id, **params))(
+        *match_closed_form(*_rect(shape))),
+     lambda shape, size_cap: None if _rect(shape) and match_closed_form(*_rect(shape)) else (
+         "a battery over a rectangle covered by a closed-form case")),
+    ("dp", lambda shape, size_cap: count_linear_extensions(_with_spans(shape), size_cap),
+     lambda shape, size_cap: dp_refusal(dp_cells(shape), size_cap)),
+    ("hlf", lambda shape, size_cap: syt_count_straight(shape), _straight),
+    ("frobenius", lambda shape, size_cap: syt_count_frobenius(shape), _straight),
     # the conjugate layout walks a battery's stacked cells, which the DP weighs
-    "conjugate": lambda shape, size_cap: dp_refusal(_shape_size(shape), size_cap),
-}
+    ("conjugate",
+     lambda shape, size_cap: count_line_convex(conjugate_spans(_with_spans(shape).row_spans()), size_cap),
+     lambda shape, size_cap: dp_refusal(_shape_size(shape), size_cap)),
+)
+METHODS = {name: count for name, count, _ in _ROUTES}
+REGISTRY = {name: rule for name, _, rule in _ROUTES}
 
 # auto runs the first applicable method, falling back to dp for its size-cap
 # refusal; --verify checks against the first applicable other method, and
-# tests/test_independence.py pins what each pair may share
+# tests/test_independence.py pins what each pair may share. general comes
+# before hyper, as closed and hyper both multiply one rectangle count
 AUTO_ORDER = ("closed", "general", "hlf", "dp")
-PARTNER_ORDER = ("frobenius", "dp", "hyper", "general", "conjugate")
+PARTNER_ORDER = ("frobenius", "dp", "general", "hyper", "conjugate")
 
 
 def _note(line: str) -> None:

@@ -190,7 +190,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
         side = r
         weights = _weights(m, n, k) if r else []  # k = 1: an empty determinant, 1, reads no moment
         den = factorial(n + k - 1) * prod(perm(d + n + k - 1, n + k - 1) for d in range(1, m - k + 1))
-        den *= factorial(big) ** r
+        den *= factorial(big) ** r if r else 1  # k = 1: no N!, not N!^0
     shift = side * (side - 1) // 2
     # the coefficient rows of mu_0 .. mu_{2 side-2}: x^p times the weight
     table = [weights]

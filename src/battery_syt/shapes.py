@@ -216,7 +216,7 @@ class BatteryShape(Record):
         return sum(self.lam) + self.a
 
     def is_rectangle(self) -> bool:
-        return bool(self.lam) and all(row == self.lam[0] for row in self.lam)
+        return bool(self.lam) and self.lam[0] == self.lam[-1]  # a partition's rows weakly decrease
 
     def row_spans(self) -> tuple[tuple[int, int], ...]:
         """A stacked cells, then the base rows: the layout ``conjugate_spans`` reads; the DP weighs the battery."""

@@ -232,9 +232,9 @@ def test_criterion_10_cli_contract(capsys, monkeypatch):
     assert cli.run(["count", "battery:rect:2x2,a=1,k=2", "--method", "dp", "--verify"]) == 0
     out = capsys.readouterr()
     assert out.out.strip() == "5"
-    assert "hyper" in out.err
+    assert "general" in out.err
 
-    monkeypatch.setitem(cli.METHODS, "hyper", lambda shape, size_cap: -1)
+    monkeypatch.setitem(cli.METHODS, "general", lambda shape, size_cap: -1)
     assert cli.run(["count", "battery:rect:2x2,a=1,k=2", "--method", "dp", "--verify"]) == 4
     capsys.readouterr()
     _report(10, "documented CLI invocations succeed; fault-injected verify exits 4")

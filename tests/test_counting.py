@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -73,6 +74,16 @@ def test_count_general_known_values():
         for n in range(1, 4):
             for a in range(0, 4):
                 assert count_general(m, n, a, 1) == rect_syt_count(m, n)
+
+
+def test_count_general_at_k_1_builds_no_power_of_n_minus_1_factorial(monkeypatch):
+    # at k = 1 the profile is empty: its determinant is 1 and N!^0 is 1, so
+    # (n-1)! is never built; it cost seconds at n = 300000
+    factorials = []
+    monkeypatch.setattr(counting, "factorial", lambda x: factorials.append(x) or math.factorial(x))
+    assert count_general(1, 2000, 1, 1) == 1
+    assert 2000 in factorials and 1999 not in factorials
+    assert count_general(3, 4, 2, 1) == rect_syt_count(3, 4)
 
 
 def test_count_general_rejects_bad_column():

@@ -289,4 +289,6 @@ def test_battery_shape_helpers():
     shape = BatteryShape((3, 3), 2, 2)
     assert shape.is_rectangle()
     assert not BatteryShape((3, 1), 0, 1).is_rectangle()
+    assert not BatteryShape((3, 3, 3, 2), 0, 1).is_rectangle()  # the last row alone differs
+    assert not BatteryShape((), 0, 1).is_rectangle()
     assert shape.row_spans() == ((1, 2), (1, 2), (0, 3), (0, 3))
