@@ -52,7 +52,9 @@ ROUNDS_UNDER_S = 1.0
 # `battery-syt count` makes; factorize and str time that call on a count built
 # untimed by the route COUNTED_BY names. The digest is that of str() of the
 # result. One case a route, then the slow targets of ROADMAP items 21
-# (general's moments), 1 (general at large k) and 12 (hook products).
+# (general's moments), 1 (general at large k) and 12 (hook products), and two
+# long products: the 200,000 hooks of the rectangle closed multiplies, and
+# general's column-side denominator of 50,000 factors.
 CASES = {
     "closed 100x100,a=1,k=2": ("closed", "battery:rect:100x100,a=1,k=2",
         "9071b6a7e228dabbc01b04a9f7184e3b6f776b8600360aeca274abd5139078ba"),
@@ -78,6 +80,10 @@ CASES = {
         "907b2ba9f107d5f5406d917e3040ff5efb6784b0a2ae829e4081af66532d8f2f"),
     "str rect:400x400": ("str", "rect:400x400",
         "907b2ba9f107d5f5406d917e3040ff5efb6784b0a2ae829e4081af66532d8f2f"),
+    "closed battery:rect:2x100000,a=1,k=2": ("closed", "battery:rect:2x100000,a=1,k=2",
+        "878ea0c8848d7e3a57a769846cbb782e3089d0d35ef751810d4f74c203e7915b"),
+    "general battery:rect:50000x4,a=4,k=2": ("general", "battery:rect:50000x4,a=4,k=2",
+        "736cee79a24e3f3dc3d0caeef772e2078d20cadf18ab2eb45b61809b0fa4d7f3"),
 }
 COUNTED_BY = {"factorize": "general", "str": "frobenius"}
 

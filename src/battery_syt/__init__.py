@@ -84,6 +84,17 @@ def _integral(value) -> int:
     return whole
 
 
+def _product(values: list[int]) -> int:
+    """The product of ``values`` by a balanced tree of multiplications (Borwein 1985):
+    a running product of many big factors takes time quadratic in their count."""
+    while len(values) > 1:
+        paired = [values[i] * values[i + 1] for i in range(0, len(values) - 1, 2)]
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0] if values else 1
+
+
 class Record:
     """Immutable value whose fields are its class's ``__slots__``, in order: the
     base of every record type in the package (factorizations and shapes).

@@ -19,9 +19,9 @@ with the primes it proved and the cofactors it could not take apart.
 """
 
 from functools import cache
-from math import gcd, isqrt, log10, log2, prod
+from math import gcd, isqrt, log10, log2
 
-from . import _EXPORTS, Record, _integral
+from . import _EXPORTS, Record, _integral, _product
 
 __all__ = list(_EXPORTS["arith"])
 
@@ -164,7 +164,7 @@ class Factorization(Record):
 
     def value(self) -> int:
         """Reconstruct the factored integer."""
-        return prod(prime ** exponent for prime, exponent in self.factors)
+        return _product([prime ** exponent for prime, exponent in self.factors])
 
     def __str__(self):
         if not self.factors:
@@ -282,9 +282,7 @@ def _pm1_exponent() -> tuple[int, int]:
                 q *= p
             powers.append(q)
     charge = sum(q.bit_length() + q.bit_count() - 2 for q in powers)
-    while len(powers) > 1:  # balanced: a third of the time of one running product
-        powers = [prod(powers[i:i + 2]) for i in range(0, len(powers), 2)]
-    return powers[0], charge
+    return _product(powers), charge
 
 
 def _pollard_pm1(n: int, budget: _Budget) -> int | None:

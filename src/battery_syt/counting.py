@@ -37,10 +37,10 @@ factoring module.
 
 from itertools import accumulate, repeat
 from math import comb as binomial  # the closed forms' binomials; a binding that span tracing rebinds
-from math import factorial, perm, prod
+from math import factorial, perm
 from operator import mul
 
-from . import _EXPORTS, _lazy
+from . import _EXPORTS, _lazy, _product
 from .shapes import (
     _rect_battery,
     rotated_complement,  # noqa: F401  (kept as a module binding that span tracing rebinds)
@@ -189,7 +189,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     else:  # the column side: r points a profile, weight W(x)
         side = r
         weights = _weights(m, n, k) if r else []  # k = 1: an empty determinant, 1, reads no moment
-        den = factorial(n + k - 1) * prod(perm(d + n + k - 1, n + k - 1) for d in range(1, m - k + 1))
+        den = _product([factorial(n + k - 1)] + [perm(d + n + k - 1, n + k - 1) for d in range(1, m - k + 1)])
         den *= factorial(big) ** r if r else 1  # k = 1: no N!, not N!^0
     shift = side * (side - 1) // 2
     # the coefficient rows of mu_0 .. mu_{2 side-2}: x^p times the weight

@@ -15,7 +15,8 @@ private bodies ``_columns``, ``_hooks`` and ``_hlf`` take it as read, as does
 the DP's middle-cut check, which calls ``_hlf`` on a rectangle it built.
 """
 
-from math import factorial, prod
+from math import factorial
+from operator import mul
 
 from . import _EXPORTS, Record, _integral
 
@@ -90,7 +91,13 @@ def _hlf(p: Partition) -> int:
     # hooks walk every cell; n! is divisible by the hook product, so a
     # remainder can only mean wrong hooks
     total = factorial(sum(p))
-    count, rem = divmod(total, prod(_hooks(p)))
+    # the hooks pairwise (an odd last one carries over), as a running product is
+    # quadratic in their count; in its own loop, as frobenius, this route's
+    # --verify partner, calls battery_syt._product and the pair shares no code
+    hooks = list(_hooks(p))
+    while len(hooks) > 1:
+        hooks = [*map(mul, hooks[::2], hooks[1::2]), *hooks[len(hooks) & ~1:]]
+    count, rem = divmod(total, hooks[0])
     if rem:
         raise ArithmeticError(f"the hook product does not divide {sum(p)}!")
     return count

@@ -511,6 +511,21 @@ def test_a_hook_shape_of_20000_rows_exits_0_within_5_s(int_str_limit):
     assert done.stdout == f"{syt_count_frobenius(p)}\n"
 
 
+def test_a_two_row_rectangle_battery_of_200000_cells_exits_0_within_8_s():
+    # closed multiplies the rectangle's count: 200,000 hooks, whose running
+    # product took about 10 s
+    done = _count_in_a_fresh_process("battery:rect:2x100000,a=1,k=2", timeout=8)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "7ca374b30d90c837267d1a2d8a19a10b2e4c3243638ecf6e2a54d0c79dbafd53"
+    )
+
+
+def test_a_straight_shape_of_200000_rows_exits_0_within_6_s():
+    done = _count_in_a_fresh_process("rect:1x200000", timeout=6)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+
+
 def test_a_rectangle_battery_past_hyper_s_cap_has_no_partner_and_exits_3_within_5_s():
     # hyper would walk C(44, 14) leaves 14 levels deep, days of work; every
     # partner is refused before any count, each with its reason

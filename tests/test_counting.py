@@ -376,6 +376,14 @@ def test_a_battery_at_column_1_builds_no_weights_within_2_5_s():
     assert time.perf_counter() - start < 2.5
 
 
+def test_a_column_of_300000_cells_is_counted_within_8_s():
+    # the column-side denominator is a product of 300,000 factors, which a
+    # running product multiplied in tens of seconds
+    start = time.perf_counter()
+    assert count_general(300000, 1, 1, 1) == 1
+    assert time.perf_counter() - start < 8
+
+
 def test_a_whole_float_counts_as_its_integer():
     assert count_general(3.0, 2, 1, 2) == 12
     assert closed_form("k2-a1", m=3.0, n=2) == 12

@@ -5,6 +5,7 @@ that verifies a straight shape."""
 
 import ast
 import hashlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import battery_syt
 from battery_syt import cli, frobenius
 from battery_syt.frobenius import syt_count_frobenius
 from battery_syt.oracle import count_linear_extensions
@@ -130,20 +132,21 @@ def test_a_lost_pair_is_a_verify_mismatch(capsys, monkeypatch):
 
 
 def test_the_route_shares_no_code_with_the_hook_length_formula():
-    # it imports only the package's export table, and names no hook, conjugate,
-    # factorial or DP code
+    # it imports only the package's export table and balanced product, and
+    # names no hook, conjugate, factorial or DP code
     tree = ast.parse(Path(frobenius.__file__).read_text())
     imported = {
         (node.module, node.level, alias.name) if isinstance(node, ast.ImportFrom) else (alias.name, 0, None)
         for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    assert imported == {("math", 0, "isqrt"), (None, 1, "_EXPORTS")}
+    assert imported == {("math", 0, "isqrt"), (None, 1, "_EXPORTS"), (None, 1, "_product")}
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not names & {"hook_lengths", "syt_count_straight", "conjugate", "factorial", "oracle", "shapes"}
     # no big integer is divided: the only divisions are of a sieve index by its
-    # smallest prime and of a list length by 2
-    divisions = {ast.unparse(node) for node in ast.walk(tree)
+    # smallest prime, and, in the product, of a list length by 2
+    product = ast.parse(inspect.getsource(battery_syt._product))
+    divisions = {ast.unparse(node) for node in [*ast.walk(tree), *ast.walk(product)]
                  if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod))}
     assert divisions == {"x // q", "len(values) % 2"}
 

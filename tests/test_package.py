@@ -4,9 +4,11 @@ its modules."""
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import battery_syt
 from conftest import run_fresh
@@ -110,3 +112,15 @@ def test_the_readme_library_example_runs():
     ]
     assert imported and set(imported) <= set(battery_syt.__all__)
     exec(example, {})
+
+
+@given(st.lists(st.integers(-10**300, 10**300) | st.integers(-3, 3), max_size=40))
+@example([])
+@example([0])
+@example([7, 0, -2])
+@example([-1] * 39)
+@example([10**300] * 40)
+def test_the_balanced_product_is_the_running_product(values):
+    # the one product tree of the package: Frobenius's prime powers, the
+    # factoring module's, and count_general's column-side denominator
+    assert battery_syt._product(list(values)) == math.prod(values)
