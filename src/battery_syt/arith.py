@@ -19,6 +19,7 @@ with the primes it proved and the cofactors it could not take apart.
 """
 
 from functools import cache
+from itertools import compress
 from math import gcd, isqrt, log10, log2
 
 from . import _EXPORTS, Record, _integral, _product
@@ -273,14 +274,15 @@ def _pm1_exponent() -> tuple[int, int]:
     prime at most the bound. A run is charged for 2**E mod n what binary
     powering by each q in turn costs, q + w - 2 multiplications for a q-bit
     q with w one bits: more than ``pow`` spends on E itself."""
-    sieve, powers = bytearray([1]) * (_PM1_BOUND + 1), []
-    for p in range(2, _PM1_BOUND + 1):
+    sieve, powers = bytearray(b"\0\0" + b"\1" * (_PM1_BOUND - 1)), []
+    for p in range(2, isqrt(_PM1_BOUND) + 1):  # a composite to the bound has a factor to its root
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, _PM1_BOUND + 1, p)))
-            q = p
-            while q * p <= _PM1_BOUND:
-                q *= p
-            powers.append(q)
+    for p in compress(range(_PM1_BOUND + 1), sieve):
+        q = p
+        while q * p <= _PM1_BOUND:
+            q *= p
+        powers.append(q)
     charge = sum(q.bit_length() + q.bit_count() - 2 for q in powers)
     return _product(powers), charge
 

@@ -148,6 +148,8 @@ def _parse_battery(text: str, offset: int) -> BatteryShape:
     return _constructed(BatteryShape, offset, lam, named["a"], named["k"])
 
 
+# kind -> the parser of its spec, given the spec's offset
+_PARSERS = {"partition": _parse_partition, "rect": _parse_rect, "battery": _parse_battery}
 # kind -> (separator, name of the second partition, constructor from both partitions)
 _OUTER_AND_OTHER = {
     "skew": ("/", "inner", SkewShape),
@@ -164,12 +166,8 @@ def parse_shape_expr(text: str) -> Shape:
     if not sep:
         raise ShapeParseError("expected <kind>:<spec>", 0)
     offset = len(kind) + 1
-    if kind == "partition":
-        return _parse_partition(rest, offset)
-    if kind == "rect":
-        return _parse_rect(rest, offset)
-    if kind == "battery":
-        return _parse_battery(rest, offset)
+    if kind in _PARSERS:
+        return _PARSERS[kind](rest, offset)
     if kind in _OUTER_AND_OTHER:
         separator, other_name, build = _OUTER_AND_OTHER[kind]
         outer_text, found, other_text = rest.partition(separator)
@@ -259,7 +257,7 @@ _ROUTES = (
 METHODS = {name: count for name, count, _ in _ROUTES}
 REGISTRY = {name: rule for name, _, rule in _ROUTES}
 
-# auto runs the first applicable method, falling back to dp for its size-cap
+# auto runs the first applicable method, its pass ending at dp's size-cap
 # refusal; --verify checks against the first applicable other method, and
 # tests/test_independence.py pins what each pair may share. general comes
 # before hyper, as closed and hyper both multiply one rectangle count
@@ -304,8 +302,16 @@ def _run_method(name: str, shape: Shape, size_cap: int) -> tuple[int | None, int
         return None, EXIT_MISMATCH
 
 
-def _first_applicable(shape: Shape, order, size_cap: int, skip: str | None = None) -> str | None:
-    return next((name for name in order if name != skip and REGISTRY[name](shape, size_cap) is None), None)
+def _first_applicable(shape: Shape, order, size_cap: int, skip: str | None = None, read=()):
+    """(the first route of ``order`` but ``skip`` that admits ``shape``, or None; the
+    (name, needs) of each route refused before it, those in ``read`` not asked again)."""
+    read, refused = dict(read), []
+    for name in (name for name in order if name != skip):
+        needs = read[name] if name in read else REGISTRY[name](shape, size_cap)
+        if needs is None:
+            return name, refused
+        refused.append((name, needs))
+    return None, refused
 
 
 # option -> its choices, int for a non-negative integer, or None for a flag
@@ -316,10 +322,8 @@ _OPTIONS = {
     "--size-cap": int,
 }
 
-USAGE = (
-    "usage: battery-syt count SHAPE [--method {auto,hyper,general,closed,dp}]\n"
-    "                               [--output {decimal,factored,json}] [--verify] [--size-cap N]"
-)
+USAGE = (f"usage: battery-syt count SHAPE [--method {{{','.join(_OPTIONS['--method'])}}}]\n{'':31}"
+         f"[--output {{{','.join(_OPTIONS['--output'])}}}] [--verify] [--size-cap N]")
 
 HELP = f"""{USAGE}
 
@@ -416,29 +420,25 @@ def _run(argv) -> int:
         print(HELP, end="")
         return EXIT_OK
 
-    expr, size_cap = args["shape"], args["size_cap"]
+    expr, size_cap, method = args["shape"], args["size_cap"], args["method"]
     try:
         shape = parse_shape_expr(expr)
     except ShapeParseError as exc:
         _note(f"error: cannot parse {expr!r}: {exc}")
         return EXIT_PARSE
 
-    method = args["method"]
-    if method == "auto":
-        method = _first_applicable(shape, AUTO_ORDER, size_cap) or "dp"
-    needs = REGISTRY[method](shape, size_cap)
-    if needs is not None:
+    # one pass over the rules, so each is read once a call; --method's reads its own
+    method, refused = _first_applicable(shape, AUTO_ORDER if method == "auto" else (method,), size_cap)
+    if method is None:
+        method, needs = refused[-1]
         _note(f"error: method {method!r} not applicable: it needs {needs}")
         return EXIT_METHOD
-    partner = None
-    if args["verify"]:
-        # refuse before counting, so a shape with no partner costs no primary count
-        partner = _first_applicable(shape, PARTNER_ORDER, size_cap, skip=method)
-        if partner is None:
-            why = "; ".join(f"{name} needs {REGISTRY[name](shape, size_cap)}"
-                            for name in PARTNER_ORDER if name != method)
-            _note(f"error: no second method available to verify {expr!r}: {why}")
-            return EXIT_METHOD
+    # --verify's pass reads those refusals, and refuses before any count runs
+    partner, refused = _first_applicable(shape, PARTNER_ORDER if args["verify"] else (), size_cap, method, refused)
+    if args["verify"] and partner is None:
+        why = "; ".join(f"{name} needs {needs}" for name, needs in refused)
+        _note(f"error: no second method available to verify {expr!r}: {why}")
+        return EXIT_METHOD
     started = time.perf_counter()
     count, status = _run_method(method, shape, size_cap)
     if status:

@@ -189,7 +189,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     else:  # the column side: r points a profile, weight W(x)
         side = r
         weights = _weights(m, n, k) if r else []  # k = 1: an empty determinant, 1, reads no moment
-        den = _product([factorial(n + k - 1)] + [perm(d + n + k - 1, n + k - 1) for d in range(1, m - k + 1)])
+        den = _product([perm(d + n + k - 1, n + k - 1) for d in range(1, m - k + 1)])  # (n+k-1)! joins below
         den *= factorial(big) ** r if r else 1  # k = 1: no N!, not N!^0
     shift = side * (side - 1) // 2
     # the coefficient rows of mu_0 .. mu_{2 side-2}: x^p times the weight
@@ -218,7 +218,17 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     for j, q in enumerate(coeffs):
         total = total * (cells - j + 1) + q * rising
         rising *= a + j
-    num = total * factorial(cells - deg) * perm(m * n + a, known)
+    num = total * perm(m * n + a, known)
+    # (cells-deg)! over the column side's (n+k-1)! (the row side has none): by
+    # one perm on the larger's side when the two are near (both are n! at
+    # k = m = 1), else each by factorial, which is faster a factor than perm
+    free, top = cells - deg, 0 if n < r else n + k - 1
+    if 4 * min(free, top) < max(free, top):
+        num, den = num * factorial(free), den * factorial(top)
+    elif free >= top:
+        num *= perm(free, free - top)
+    else:
+        den *= perm(top, top - free)
     return _exact(num, den, context)
 
 

@@ -196,6 +196,23 @@ class TruncatedShape(Record):
         return self.base.size - sum(self.truncation)
 
 
+def _battery_column(a: int, k: int, width: int, named: "Callable[[], str]") -> tuple[int, int]:
+    """(a, k) as integers, refused unless a column of a cells can stand above
+    column k of a base whose widest row is ``width`` (0 for an empty base, which
+    carries only a = 0). ``named()`` names the base, called only to refuse k."""
+    a, k = _integral(a), _integral(k)
+    if a < 0:
+        raise ValueError(f"battery column length must be non-negative, got {a}")
+    if k < 1:
+        raise ValueError(f"column index must be at least 1, got {k}")
+    if not width:
+        if a > 0:
+            raise ValueError("an empty base cannot carry a battery column")
+    elif k > width:
+        raise ValueError(f"{named()} has no column {k} (widest row is {width})")
+    return a, k
+
+
 class BatteryShape(Record):
     """A partition with a column of a extra cells attached above its k-th column.
 
@@ -206,17 +223,8 @@ class BatteryShape(Record):
     __slots__ = ("lam", "a", "k")
 
     def __init__(self, lam: Partition, a: int, k: int) -> None:
-        self._set(as_partition(lam), _integral(a), _integral(k))
-        a, k = self.a, self.k
-        if a < 0:
-            raise ValueError(f"battery column length must be non-negative, got {a}")
-        if k < 1:
-            raise ValueError(f"column index must be at least 1, got {k}")
-        if not self.lam:
-            if a > 0:
-                raise ValueError("an empty base cannot carry a battery column")
-        elif k > self.lam[0]:
-            raise ValueError(f"base {self.lam} has no column {k} (widest row is {self.lam[0]})")
+        lam = as_partition(lam)
+        self._set(lam, *_battery_column(a, k, lam[0] if lam else 0, lambda: f"base {lam}"))
 
     @property
     def size(self) -> int:
@@ -232,17 +240,12 @@ class BatteryShape(Record):
 
 def _rect_battery(m: int, n: int, a: int, k: int) -> tuple[int, int, int, int]:
     """(m, n, a, k) as the integers of the battery [(m^n), a, k], refused as
-    ``BatteryShape`` refuses it: over a rectangle the first row carries the
-    whole rule, so the battery over that row is built alone, and a refusal
-    names the rectangle by its sides, never by its n rows."""
+    ``BatteryShape`` refuses it: by the column rule on the width m, naming the
+    rectangle by its sides, never by its n rows."""
     m, n = _integral(m), _integral(n)
     if m < 1 or n < 1:
         raise ValueError(f"a rectangle needs sides of at least 1, got {m}x{n}")
-    try:
-        shape = BatteryShape((m,), a, k)
-    except ValueError as exc:
-        raise ValueError(str(exc).replace(f"base {(m,)}", f"rectangle {m}x{n}")) from None
-    return m, n, shape.a, shape.k
+    return (m, n, *_battery_column(a, k, m, lambda: f"rectangle {m}x{n}"))
 
 
 def dp_cells(shape) -> int:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from math import comb
@@ -792,7 +793,48 @@ def test_auto_method_selection():
     }
     for expr, method in cases.items():
         shape = cli.parse_shape_expr(expr)
-        assert cli._first_applicable(shape, cli.AUTO_ORDER, cli.DEFAULT_SIZE_CAP) == method
+        assert cli._first_applicable(shape, cli.AUTO_ORDER, cli.DEFAULT_SIZE_CAP)[0] == method
+
+
+# each call's status and stderr; every rule it reads is read once
+ONE_PASS_CALLS = {
+    "auto picks a formula": (["battery:rect:3x2,a=1,k=2"], 0, ""),
+    "auto falls back to dp above the cap": (
+        ["skew:20,20,20,20,20,20,20/3"], 3,
+        "error: method 'dp' not applicable: it needs at most 120 cells (--size-cap), the shape has 137 to walk\n"),
+    "a refused --method": (
+        ["partition:3,2,1", "--method", "closed"], 3,
+        "error: method 'closed' not applicable: it needs a battery over a rectangle covered by a closed-form case\n"),
+    # auto refuses general on its way to dp, and the partner pass comes to general again
+    "a --verify with a partner": (["skew:4,3,2/2,1", "--verify"], 0, "verified: dp == conjugate\n"),
+    "a --verify with none": (
+        ["battery:rect:30x30,a=5,k=15", "--verify"], 3,
+        "error: no second method available to verify 'battery:rect:30x30,a=5,k=15': frobenius needs a straight "
+        "partition; dp needs at most 120 cells (--size-cap), the shape has 901 to walk; hyper needs at most "
+        "20000000 leaf-levels of its nested sum, the shape has 1609381319392; conjugate needs at most 120 cells "
+        "(--size-cap), the shape has 905 to walk\n"),
+}
+
+
+@pytest.mark.parametrize("args, status, err", ONE_PASS_CALLS.values(), ids=list(ONE_PASS_CALLS))
+def test_a_call_reads_each_route_rule_at_most_once(args, status, err, capsys, monkeypatch):
+    reads = []
+    for name, rule in cli.REGISTRY.items():
+        monkeypatch.setitem(cli.REGISTRY, name, lambda shape, size_cap, name=name, rule=rule:
+                            reads.append(name) or rule(shape, size_cap))
+    assert cli.run(["count", *args]) == status
+    assert capsys.readouterr().err == err
+    assert reads and len(reads) == len(set(reads)), reads
+
+
+def test_the_usage_line_lists_the_choices_of_the_option_table():
+    assert cli.USAGE == (
+        "usage: battery-syt count SHAPE [--method {auto,hyper,general,closed,dp}]\n"
+        "                               [--output {decimal,factored,json}] [--verify] [--size-cap N]")
+    listed = dict(re.findall(r"\[(--[a-z-]+)(?: \{([a-z,]+)\}| N)?\]", cli.USAGE))
+    assert list(listed) == list(cli._OPTIONS)
+    assert {name: tuple(choices.split(",")) for name, choices in listed.items() if choices} == {
+        name: kind for name, kind in cli._OPTIONS.items() if isinstance(kind, tuple)}
 
 
 def test_every_auto_and_partner_entry_is_chosen_by_some_call(capsys, monkeypatch):

@@ -78,11 +78,16 @@ def test_count_general_known_values():
 
 def test_count_general_at_k_1_builds_no_power_of_n_minus_1_factorial(monkeypatch):
     # at k = 1 the profile is empty: its determinant is 1 and N!^0 is 1, so
-    # (n-1)! is never built; it cost seconds at n = 300000
-    factorials = []
-    monkeypatch.setattr(counting, "factorial", lambda x: factorials.append(x) or math.factorial(x))
-    assert count_general(1, 2000, 1, 1) == 1
-    assert 2000 in factorials and 1999 not in factorials
+    # (n-1)! is never built; it cost seconds at n = 300000. At m = 1 the
+    # numerator's (cells-deg)! and the denominator's (n+k-1)! are both n!, so
+    # their ratio is one empty perm and n! is not built either
+    factors = []  # the factors of each factorial and perm built
+    monkeypatch.setattr(counting, "factorial", lambda x: factors.append(x) or math.factorial(x))
+    monkeypatch.setattr(counting, "perm", lambda x, j: factors.append(j) or math.perm(x, j))
+    for n in (2000, 300000):
+        factors.clear()
+        assert count_general(1, n, 1, 1) == 1
+        assert max(factors) < n - 1, n
     assert count_general(3, 4, 2, 1) == rect_syt_count(3, 4)
 
 

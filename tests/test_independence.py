@@ -41,11 +41,11 @@ HOOK_BODIES = {
     "shapes._hlf", "shapes._hooks", "shapes._columns",
 }
 
-# both read (m, n, a, k) by one rectangle rule, which builds a one-row
-# battery, and both divide by counting's exact division
+# both read (m, n, a, k) by one rectangle rule, which checks the battery's
+# column against the width, and both divide by counting's exact division
 RECTANGLE_RULE = {
-    "battery_syt.call", "battery_syt._integral", "battery_syt._set", "cli._rect", "counting._exact",
-    "shapes.__init__", "shapes._rect_battery", "shapes.as_partition", "shapes.is_rectangle",
+    "battery_syt.call", "battery_syt._integral", "cli._rect", "counting._exact",
+    "shapes._battery_column", "shapes._rect_battery", "shapes.is_rectangle",
 }
 # the DP checks its middle cut against the rectangle's hook length count,
 # which the catalog and the series multiply by too; a wrong hook count makes
@@ -76,11 +76,11 @@ def _pairs(shape) -> set[tuple[str, str]]:
     """Each (primary, partner) that ``--verify`` forms on ``shape``, for ``auto``
     and for every ``--method`` choice, as ``cli.run`` picks them."""
     size_cap = cli.DEFAULT_SIZE_CAP
-    choices = {cli._first_applicable(shape, cli.AUTO_ORDER, size_cap) or "dp"}
+    choices = {cli._first_applicable(shape, cli.AUTO_ORDER, size_cap)[0] or "dp"}
     choices |= set(cli._OPTIONS["--method"]) - {"auto"}
     pairs = set()
     for primary in choices:
-        partner = cli._first_applicable(shape, cli.PARTNER_ORDER, size_cap, skip=primary)
+        partner, _ = cli._first_applicable(shape, cli.PARTNER_ORDER, size_cap, skip=primary)
         if cli.REGISTRY[primary](shape, size_cap) is None and partner is not None:
             pairs.add((primary, partner))
     return pairs
