@@ -8,12 +8,11 @@ Each case runs in a child interpreter that imports the package from a tree's
 that of ``git archive REV``, unpacked in a temporary directory.
 
 A case builds its input untimed (a count to factor, say), then times one call:
-best of 3, or once when the first run takes over 5 s. That is one round, one
-child per tree. A case whose first round took under 1 s on every tree runs 5
-rounds, since one process's minimum of a sub-second call moves with the
-process; the tree that goes first alternates by round. Each count's sha256 is
-checked against the one pinned in ``CASES``; a mismatch exits 1. ``--check``
-runs each count once and times nothing.
+best of 3, or once when the first run takes over 1 s. That is one round, one
+child per tree. Every case runs 5 rounds, since one process's minimum of a
+call moves with the process; the tree that goes first alternates by round.
+Each count's sha256 is checked against the one pinned in ``CASES``; a
+mismatch exits 1. ``--check`` runs each count once and times nothing.
 
 The report is JSON, on stdout or in ``--out`` (``BENCH_<pr>.json``): the
 commit and whether the work tree differs from it (both null outside a git
@@ -42,9 +41,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 3
-ONCE_OVER_S = 5.0
+ONCE_OVER_S = 1.0
 ROUNDS = 5
-ROUNDS_UNDER_S = 1.0
 
 
 # name -> (route, shape expression, sha256). A route's case times
@@ -177,12 +175,9 @@ def main(argv=None) -> int:
         for i, name in enumerate(names):
             route, _, pinned = CASES[name]
             rounds = []  # per round: each tree's worker report
-            while True:
-                order = list(trees) if (i + len(rounds)) % 2 == 0 else list(reversed(trees))
+            for r in range(1 if args.check else ROUNDS):
+                order = list(trees) if (i + r) % 2 == 0 else list(reversed(trees))
                 rounds.append({side: _run_case(trees[side], name, timed=not args.check) for side in order})
-                if args.check or len(rounds) == ROUNDS or any(
-                        run["min_s"] >= ROUNDS_UNDER_S for run in rounds[0].values()):
-                    break
             case = {"route": route}
             for side in trees:  # the working tree's figures first
                 runs = [each[side] for each in rounds]

@@ -14,6 +14,8 @@ the routes it uses.
 """
 
 from importlib import import_module
+from itertools import compress
+from math import isqrt
 
 __version__ = "0.1.0"
 
@@ -93,6 +95,18 @@ def _product(values: list[int]) -> int:
             paired.append(values[-1])
         values = paired
     return values[0] if values else 1
+
+
+def _primes(limit: int) -> list[int]:
+    """The primes up to ``limit``, ascending, by the sieve of Eratosthenes: the
+    package's one sieve. A ``limit`` past machine size raises ``OverflowError``
+    before any table is built."""
+    sieve = bytearray(limit + 1)
+    sieve[2:] = b"\1" * (limit - 1)
+    for p in range(2, isqrt(limit) + 1):  # a composite to the limit has a factor to its root
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), sieve))
 
 
 class Record:

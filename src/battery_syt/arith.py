@@ -19,10 +19,9 @@ with the primes it proved and the cofactors it could not take apart.
 """
 
 from functools import cache
-from itertools import compress
 from math import gcd, isqrt, log10, log2
 
-from . import _EXPORTS, Record, _integral, _product
+from . import _EXPORTS, Record, _integral, _primes, _product
 
 __all__ = list(_EXPORTS["arith"])
 
@@ -274,11 +273,8 @@ def _pm1_exponent() -> tuple[int, int]:
     prime at most the bound. A run is charged for 2**E mod n what binary
     powering by each q in turn costs, q + w - 2 multiplications for a q-bit
     q with w one bits: more than ``pow`` spends on E itself."""
-    sieve, powers = bytearray(b"\0\0" + b"\1" * (_PM1_BOUND - 1)), []
-    for p in range(2, isqrt(_PM1_BOUND) + 1):  # a composite to the bound has a factor to its root
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, _PM1_BOUND + 1, p)))
-    for p in compress(range(_PM1_BOUND + 1), sieve):
+    powers = []
+    for p in _primes(_PM1_BOUND):
         q = p
         while q * p <= _PM1_BOUND:
             q *= p
@@ -340,11 +336,10 @@ def _power_root(v: int, least: int) -> tuple[int, int]:
     Every prime factor of v is at least ``least``, so r >= least and only the
     exponents up to log(v) / log(least) are tried.
     """
-    for e in range(2, v.bit_length() // (least.bit_length() - 1) + 1):
-        if all(e % d for d in range(2, isqrt(e) + 1)):
-            root = _iroot(v, e)
-            if root ** e == v:
-                return root, e
+    for e in _primes(v.bit_length() // (least.bit_length() - 1)):
+        root = _iroot(v, e)
+        if root ** e == v:
+            return root, e
     return v, 1
 
 

@@ -325,6 +325,13 @@ _OPTIONS = {
 USAGE = (f"usage: battery-syt count SHAPE [--method {{{','.join(_OPTIONS['--method'])}}}]\n{'':31}"
          f"[--output {{{','.join(_OPTIONS['--output'])}}}] [--verify] [--size-cap N]")
 
+
+def _in_prose(name: str) -> str:
+    """The choices of option ``name`` as the help text lists them; the first is the default."""
+    first, *middle, last = _OPTIONS[name]
+    return f"{first} (the default), {', '.join(middle)} or {last}"
+
+
 HELP = f"""{USAGE}
 
 Count standard Young tableaux of battery, straight, skew, and truncated shapes.
@@ -334,8 +341,8 @@ battery:part:L1,...,a=A,k=K | skew:OUTER/INNER | truncated:OUTER\\TRUNC
 
 options (each as --option VALUE or --option=VALUE, before or after SHAPE):
   -h, --help      show this help message and exit
-  --method M      auto (the default), hyper, general, closed or dp
-  --output F      decimal (the default), factored or json
+  --method M      {_in_prose('--method')}
+  --output F      {_in_prose('--output')}
   --verify        compute by a second independent method and compare
   --size-cap N    cell limit for the dynamic-programming counter (default {DEFAULT_SIZE_CAP})
 """
@@ -371,7 +378,8 @@ def _parse_args(argv) -> dict | None:
     if not argv or argv[0] != "count":
         got = f"got {argv[0]!r}" if argv else "none given"
         raise _UsageError(f"the command must be count, {got}")
-    args = {"method": "auto", "output": "decimal", "verify": False, "size_cap": DEFAULT_SIZE_CAP}
+    args = {"method": _OPTIONS["--method"][0], "output": _OPTIONS["--output"][0], "verify": False,
+            "size_cap": DEFAULT_SIZE_CAP}
     shapes = []
     tokens = iter(argv[1:])
     for token in tokens:

@@ -242,9 +242,9 @@ def test_the_p_minus_1_exponent_is_the_product_of_the_prime_powers():
 
 def test_p_minus_1_takes_one_pow_a_run_and_one_sieve_a_process(monkeypatch):
     p = 132 * prod((100003, 100019, 100043, 100049, 100057, 100069, 100103)) + 1
-    sieves, pows = [], []
-    # module globals shadow the builtins the p-1 code calls
-    monkeypatch.setattr(arith, "bytearray", lambda *args: sieves.append(args) or bytearray(*args), raising=False)
+    sieves, pows, primes = [], [], arith._primes
+    monkeypatch.setattr(arith, "_primes", lambda limit: sieves.append(limit) or primes(limit))
+    # a module global shadows the builtin the p-1 code calls
     monkeypatch.setattr(arith, "pow", lambda *args: pows.append(args) or pow(*args), raising=False)
     arith._pm1_exponent.cache_clear()
     for run in (1, 2):

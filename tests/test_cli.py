@@ -837,6 +837,20 @@ def test_the_usage_line_lists_the_choices_of_the_option_table():
         name: kind for name, kind in cli._OPTIONS.items() if isinstance(kind, tuple)}
 
 
+def test_the_help_lists_each_choice_on_its_options_line():
+    assert hashlib.sha256(cli.HELP.encode()).hexdigest() == (
+        "774191f9f16ddd00d7c25502047c2b0ab9d297a3ac5bc215abfd0f9be23a56a3")
+    lines = {line.split()[0]: line for line in cli.HELP.splitlines() if line.startswith("  --")}
+    for name, kind in cli._OPTIONS.items():
+        if isinstance(kind, tuple):
+            assert f" {kind[0]} (the default), " in lines[name], name
+            for choice in kind:
+                assert re.search(rf"\b{choice}\b", lines[name]), (name, choice)
+    # a call that names no option runs the first choice of each
+    assert cli._parse_args(["count", "rect:2x2"]) == {
+        "method": "auto", "output": "decimal", "verify": False, "size_cap": 120, "shape": "rect:2x2"}
+
+
 def test_every_auto_and_partner_entry_is_chosen_by_some_call(capsys, monkeypatch):
     # each method stands in by one that records its name and counts 1, so run()
     # picks the primary and the partner exactly as it would for a real count

@@ -132,23 +132,23 @@ def test_a_lost_pair_is_a_verify_mismatch(capsys, monkeypatch):
 
 
 def test_the_route_shares_no_code_with_the_hook_length_formula():
-    # it imports only the package's export table and balanced product, and
-    # names no hook, conjugate, factorial or DP code
+    # it imports only the package's export table, balanced product and sieve,
+    # and names no hook, conjugate, factorial or DP code
     tree = ast.parse(Path(frobenius.__file__).read_text())
     imported = {
         (node.module, node.level, alias.name) if isinstance(node, ast.ImportFrom) else (alias.name, 0, None)
         for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    assert imported == {("math", 0, "isqrt"), (None, 1, "_EXPORTS"), (None, 1, "_product")}
+    assert imported == {(None, 1, "_EXPORTS"), (None, 1, "_primes"), (None, 1, "_product")}
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not names & {"hook_lengths", "syt_count_straight", "conjugate", "factorial", "oracle", "shapes"}
-    # no big integer is divided: the only divisions are of a sieve index by its
-    # smallest prime, and, in the product, of a list length by 2
-    product = ast.parse(inspect.getsource(battery_syt._product))
-    divisions = {ast.unparse(node) for node in [*ast.walk(tree), *ast.walk(product)]
+    # no big integer is divided: the only divisions are of n by a prime power
+    # (Legendre's formula), and, in the product, of a list length by 2
+    sources = [tree, *(ast.parse(inspect.getsource(f)) for f in (battery_syt._product, battery_syt._primes))]
+    divisions = {ast.unparse(node) for source in sources for node in ast.walk(source)
                  if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod))}
-    assert divisions == {"x // q", "len(values) % 2"}
+    assert divisions == {"n // power", "len(values) % 2"}
 
 
 def test_only_a_call_that_verifies_a_straight_shape_loads_the_route():

@@ -124,3 +124,20 @@ def test_the_balanced_product_is_the_running_product(values):
     # the one product tree of the package: Frobenius's prime powers, the
     # factoring module's, and count_general's column-side denominator
     assert battery_syt._product(list(values)) == math.prod(values)
+
+
+@given(st.integers(0, 5000))
+@example(0)
+@example(1)
+@example(2)
+@example(3)
+@example(4)
+@example(25)
+@example(49)
+def test_the_sieve_lists_the_primes_trial_division_finds(limit):
+    # the one sieve of the package: Frobenius's primes, p-1's prime powers and
+    # the perfect-power search's exponents
+    def prime(x):
+        return x >= 2 and all(x % d for d in range(2, math.isqrt(x) + 1))
+
+    assert battery_syt._primes(limit) == [x for x in range(limit + 1) if prime(x)]
