@@ -23,6 +23,7 @@ ends the process at its last write, without the interpreter's teardown.
 import os
 import sys
 import time
+from math import comb
 
 from . import _lazy
 from .shapes import (
@@ -207,29 +208,21 @@ def _straight(shape: Shape, size_cap: int) -> str | None:
 # hyper's cap bounds leaf-levels, not time: a leaf-level takes about 1 µs on short
 # nests, 1 ms on 2x100000,a=1,k=2's one long level (ROADMAP items 4 and 26)
 HYPER_LEAF_LEVELS = 2 * 10**7
-# the most leaf-levels hyper's rule measures out, so it stays cheap on any shape
-_LEAF_LEVELS_SHOWN = 10**30
-
-
-def _leaf_levels(n: int, k: int) -> int:
-    """C(n+k-1, k-1)·(k-1): the leaves of hyper's (k-1)-level nested sum over
-    an n-row rectangle, times their depth. Built a binomial step at a time,
-    none of which lowers it, and left at the first value past _LEAF_LEVELS_SHOWN."""
-    levels, top = k - 1, n + k - 1
-    for j in range(min(n, k - 1)):
-        if levels > _LEAF_LEVELS_SHOWN:
-            break
-        levels = levels * (top - j) // (j + 1)
-    return levels
 
 
 def _hyper_rule(shape: Shape, size_cap: int) -> str | None:
     if not _rect(shape):
         return _on_rect(shape, size_cap)
-    levels = _leaf_levels(len(shape.lam), shape.k)
-    if levels <= HYPER_LEAF_LEVELS:
-        return None
-    shown = levels if levels <= _LEAF_LEVELS_SHOWN else "more than 10^30"
+    # C(n+k-1, k-1)·(k-1): the leaves of the (k-1)-level nested sum over an
+    # n-row rectangle, times their depth; over 10^30 once min(n, k-1) is over 100
+    n, r = len(shape.lam), shape.k - 1
+    if min(n, r) > 100:
+        shown = "more than 10^30"
+    else:
+        levels = comb(n + r, min(n, r)) * r
+        if levels <= HYPER_LEAF_LEVELS:
+            return None
+        shown = levels if levels <= 10**30 else "more than 10^30"
     return f"at most {HYPER_LEAF_LEVELS} leaf-levels of its nested sum, the shape has {shown}"
 
 

@@ -30,9 +30,9 @@ nested sum's numerator by its denominator, as ``closed_form`` does with a
 case's ratio. A non-integer intermediate or an inexact division aborts
 loudly, since it can only mean a wrong parameter table. The series engine
 (``hypergeom``) is imported on the first hyper count; the other routes never
-load it. Binomials are ``math.comb``, or a row of them built by exact steps
-(``_binomials``), and rising factorials ``math.perm``, so no route loads the
-factoring module.
+load it. Binomials are ``math.comb``, rising factorials ``math.perm``, and
+``count_general``'s weight rows (x+1)_c C(top, x) are built by exact steps
+(``_weights``), so no route loads the factoring module.
 """
 
 from itertools import accumulate, repeat
@@ -66,7 +66,9 @@ def _exact(num: int, den: int, context: str) -> int:
 
 
 def rect_syt_count(m: int, n: int) -> int:
-    """Number of standard Young tableaux of the m-by-n rectangle."""
+    """Number of standard Young tableaux of the m-by-n rectangle, its sides read
+    as every rectangle counter reads them (``_rect_battery``)."""
+    m, n, _, _ = _rect_battery(m, n, 0, 1)
     return syt_count_straight((m,) * n)
 
 
@@ -100,22 +102,15 @@ COUNT_BY_COLUMN: "dict[int, Callable[[int, int, int], int]]" = {
 }
 
 
-def _binomials(top: int, count: int) -> list[int]:
-    """C(top, x) for x = 0..count-1, each from the one before by the exact step
-    C(top, x+1) = C(top, x) (top-x) / (x+1): one small multiplication and
-    division each, where a ``binomial`` call per x redoes the row's work."""
-    row = [1]
+def _weights(top: int, c: int, count: int) -> list[int]:
+    """W(x) = (x+1)_c * C(top, x) for x = 0..count-1, each from the one before by
+    the exact step W(x+1) = W(x) (x+1+c) (top-x) / (x+1)^2: one small
+    multiplication and division each, where a ``perm`` and a ``binomial`` call
+    per x redo the row's work. With c = 0 it is the binomial row C(top, x)."""
+    row = [factorial(c)]
     for x in range(count - 1):
-        row.append(row[-1] * (top - x) // (x + 1))
+        row.append(row[-1] * (x + 1 + c) * (top - x) // (x + 1) ** 2)
     return row
-
-
-def _weights(m: int, n: int, k: int) -> list[int]:
-    """W(x) = (x+1)_{m-k+1} * C(N, x) at each point x = 0..N, N = n+k-2, that a
-    profile's shifted column height can take; W / N! is the per-point factor of
-    the two hook length formulas (see ``count_general``)."""
-    big = n + k - 2
-    return [perm(x + m - k + 1, m - k + 1) * c for x, c in enumerate(_binomials(big, big + 1))]
 
 
 def _hankel_det(moments: list[int], r: int, context: str) -> int:
@@ -184,22 +179,24 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     deg = r * n - known
     if n < r:  # the row side: n points a profile, weight C(m+n-1, x)
         side = n
-        weights = _binomials(m + n - 1, big + 1)
+        weights = _weights(m + n - 1, 0, big + 1)
         den = factorial(m + n - 1) ** n
     else:  # the column side: r points a profile, weight W(x)
         side = r
-        weights = _weights(m, n, k) if r else []  # k = 1: an empty determinant, 1, reads no moment
+        weights = _weights(big, m - k + 1, big + 1) if r else []  # k = 1: an empty determinant, 1, reads no moment
         den = _product([perm(d + n + k - 1, n + k - 1) for d in range(1, m - k + 1)])  # (n+k-1)! joins below
         den *= factorial(big) ** r if r else 1  # k = 1: no N!, not N!^0
     shift = side * (side - 1) // 2
-    # the coefficient rows of mu_0 .. mu_{2 side-2}: x^p times the weight
-    table = [weights]
-    for _ in range(2 * side - 2):
-        table.append(list(map(mul, range(big + 1), table[-1])))
     values = []
     for y in range(1, deg + 2):
-        powers = list(accumulate(repeat(y, big), mul, initial=1))
-        moments = [sum(map(mul, row, powers)) for row in table]
+        # mu_p(y) = sum_x x^p W(x) y^x: one row W(x) y^x, times x once per moment
+        row = map(mul, weights, accumulate(repeat(y, big), mul, initial=1))
+        moments = []
+        for _ in range(2 * side - 2):
+            row = list(row)
+            moments.append(sum(row))
+            row = map(mul, range(big + 1), row)
+        moments.append(sum(row))  # the last moment's row is summed as it is made
         values.append(_exact(_hankel_det(moments, side, context), y**shift * (y + 1) ** known, context))
     # forward differences at y = 1 give Q in the basis (y-1)(y-2)...(y-j);
     # an integer polynomial has its j-th difference divisible by j!

@@ -64,7 +64,11 @@ def eval_multi_pfq(params, depth: int) -> tuple[int, int]:
     numerator factor a+j, so a vanishing denominator factor is an error. With
     inner values p_j/q_j and step ratios num_j/den_j = prod(a+j) / ((j+1)*prod(b+j)),
     P/Q <- p_j/q_j + num_j/den_j * P/Q, the ratio applied on the way to j.
+    ``depth`` is a whole number, at least 0; depth 0 is the empty sum's 1.
     """
+    depth = _integral(depth)
+    if depth < 0:
+        raise ValueError(f"nested sum depth must be non-negative, got {depth}")
     levels, outer = [], []
     while True:
         while len(outer) < depth and outer[-1:] != [0]:

@@ -970,13 +970,20 @@ def test_every_method_choice_has_a_refused_shape():
 
 
 def test_hyper_s_rule_measures_its_walk_exactly_up_to_the_shown_bound():
+    # C(n+k-1, k-1)·(k-1) leaf-levels over an n-row rectangle, shown up to 10^30
     for n in range(1, 40):
         for k in range(1, 80):
             levels = comb(n + k - 1, k - 1) * (k - 1)
-            if levels <= cli._LEAF_LEVELS_SHOWN:
-                assert cli._leaf_levels(n, k) == levels, (n, k)
+            needs = cli.REGISTRY["hyper"](cli.parse_shape_expr(f"battery:rect:{k}x{n},a=1,k={k}"), 0)
+            if levels <= cli.HYPER_LEAF_LEVELS:
+                assert needs is None, (n, k)
             else:
-                assert cli._leaf_levels(n, k) > cli._LEAF_LEVELS_SHOWN, (n, k)
+                shown = levels if levels <= 10**30 else "more than 10^30"
+                assert needs == f"at most {cli.HYPER_LEAF_LEVELS} leaf-levels of its nested sum, the shape has {shown}"
+    # both sides past 100: C(202, 101)·101 alone is over 10^60
+    for n, k in ((101, 102), (150, 300)):
+        needs = cli.REGISTRY["hyper"](cli.parse_shape_expr(f"battery:rect:{k}x{n},a=1,k={k}"), 0)
+        assert needs.endswith(", the shape has more than 10^30"), (n, k)
     # the largest --method hyper shape the suite counts is under the cap
     assert cli.REGISTRY["hyper"](cli.parse_shape_expr("battery:rect:300x2,a=1,k=300"), 0) is None
 

@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from battery_syt.counting import (
     CLOSED_FORM_CASES,
@@ -15,6 +15,7 @@ from battery_syt.counting import (
     NonIntegerCountError,
     _case_coords,
     _exact,
+    _weights,
     closed_form,
     count_general,
     count_hyper,
@@ -32,6 +33,27 @@ def test_rect_syt_count():
     assert rect_syt_count(3, 2) == 5
     assert rect_syt_count(1, 4) == 1
     assert rect_syt_count(2, 2) == 2
+
+
+def test_rect_syt_count_reads_its_sides_as_the_other_rectangle_counters_do():
+    assert rect_syt_count(3, 3.0) == rect_syt_count(3.0, 3) == 42
+    for m, n in ((3, -1), (0, 0), (0, 3)):
+        with pytest.raises(ValueError, match=f"^a rectangle needs sides of at least 1, got {m}x{n}$"):
+            rect_syt_count(m, n)
+    with pytest.raises(ValueError, match="expected an integer, got 2.5"):
+        rect_syt_count(3, 2.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 12), st.integers(1, 70))
+@example(7, 0, 5)
+@example(7, 3, 1)
+@example(7, 3, 8)
+@example(0, 0, 1)
+def test_weights_are_rising_factorials_times_binomials(top, c, count):
+    # c = 0 is the row side's binomial row; count = top + 1 the column side's
+    # whole row, and past it every weight is 0
+    assert _weights(top, c, count) == [math.perm(x + c, c) * math.comb(top, x) for x in range(count)]
 
 
 def test_count_k2_known_values():
@@ -371,6 +393,20 @@ def test_a_tall_rectangle_battery_is_counted_within_3_s():
     start = time.perf_counter()
     assert count_general(2, 8000, 3, 2) == closed_form("k2-a3", m=2, n=8000)
     assert time.perf_counter() - start < 3
+
+
+def test_a_tall_battery_far_from_its_edge_is_counted_within_10_s():
+    # each point's moments come from one row W(x) y^x multiplied by x, a small
+    # factor, once per moment; a table of 2r-1 moment rows multiplied big by big
+    # by a row of powers y^x at each point took about 20 s (2-vCPU VM)
+    start = time.perf_counter()
+    count = count_general(10, 5000, 2, 5)
+    assert time.perf_counter() - start < 10
+    # pinned from the moment table's count, as bytes: str() of 165,556 bits is slow
+    assert count.bit_length() == 165556
+    assert hashlib.sha256(count.to_bytes(165556 // 8 + 1, "big")).hexdigest() == (
+        "bd77ea72cad1c12d7332a5f03cdc83ae1ad2c81338ebd0a200e19d5d5fbb19d8"
+    )
 
 
 def test_a_battery_at_column_1_builds_no_weights_within_2_5_s():

@@ -235,6 +235,17 @@ def test_multi_pfq_walks_a_nest_of_any_depth():
     assert eval_multi_pfq(lambda outer: ([-1], []), 5001) == (0, 1)
 
 
+def test_multi_pfq_reads_its_depth_as_a_whole_non_negative_number():
+    # read as int, depth 1.5 would sum two levels, (3, 1), and depth -1 none, (1, 1)
+    params = lambda outer: ([-2], [])  # noqa: E731
+    assert eval_multi_pfq(params, 2.0) == eval_multi_pfq(params, 2) == (3, 1)
+    assert eval_multi_pfq(params, 0) == (1, 1)
+    with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+        eval_multi_pfq(params, 1.5)
+    with pytest.raises(ValueError, match="nested sum depth must be non-negative, got -1"):
+        eval_multi_pfq(params, -1)
+
+
 def test_multi_pfq_rejects_non_terminating_level_zero():
     levels = ((_constants((2,)), _constants((1,))),)
     with pytest.raises(NonTerminatingSeriesError):
