@@ -31,11 +31,10 @@ case's ratio. A non-integer intermediate or an inexact division aborts
 loudly, since it can only mean a wrong parameter table. The series engine
 (``hypergeom``) is imported on the first hyper count; the other routes never
 load it. Binomials are ``math.comb``, rising factorials ``math.perm``, and
-``count_general``'s weight rows (x+1)_c C(top, x) are built by exact steps
-(``_weights``), so no route loads the factoring module.
+``count_general`` steps each point's row (x+1)_c C(top, x) y^x term by term
+from the one before (``_weights``), so no route loads the factoring module.
 """
 
-from itertools import accumulate, repeat
 from math import comb as binomial  # the closed forms' binomials; a binding that span tracing rebinds
 from math import factorial, perm
 from operator import mul
@@ -102,15 +101,16 @@ COUNT_BY_COLUMN: "dict[int, Callable[[int, int, int], int]]" = {
 }
 
 
-def _weights(top: int, c: int, count: int) -> list[int]:
-    """W(x) = (x+1)_c * C(top, x) for x = 0..count-1, each from the one before by
-    the exact step W(x+1) = W(x) (x+1+c) (top-x) / (x+1)^2: one small
-    multiplication and division each, where a ``perm`` and a ``binomial`` call
-    per x redo the row's work. With c = 0 it is the binomial row C(top, x)."""
-    row = [factorial(c)]
+def _weights(top: int, c: int, count: int, y: int):
+    """W(x) y^x = (x+1)_c C(top, x) y^x for x = 0..count-1, each stepped from the
+    one before by the exact W(x+1) y^(x+1) = W(x) y^x y (x+1+c) (top-x) / (x+1)^2:
+    the small factors multiplied first, one big-by-small multiplication and
+    division a term, and no row held. With c = 0 it is the binomial row C(top, x)."""
+    term = factorial(c)
+    yield term
     for x in range(count - 1):
-        row.append(row[-1] * (x + 1 + c) * (top - x) // (x + 1) ** 2)
-    return row
+        term = term * (y * (x + 1 + c) * (top - x)) // ((x + 1) * (x + 1))
+        yield term
 
 
 def _hankel_det(moments: list[int], r: int, context: str) -> int:
@@ -178,19 +178,18 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     known = r * max(n - (m - k + 1), 0)  # A: (1+y)^A divides E
     deg = r * n - known
     if n < r:  # the row side: n points a profile, weight C(m+n-1, x)
-        side = n
-        weights = _weights(m + n - 1, 0, big + 1)
+        side, top, c = n, m + n - 1, 0
         den = factorial(m + n - 1) ** n
     else:  # the column side: r points a profile, weight W(x)
-        side = r
-        weights = _weights(big, m - k + 1, big + 1) if r else []  # k = 1: an empty determinant, 1, reads no moment
+        side, top, c = r, big, m - k + 1
         den = _product([perm(d + n + k - 1, n + k - 1) for d in range(1, m - k + 1)])  # (n+k-1)! joins below
         den *= factorial(big) ** r if r else 1  # k = 1: no N!, not N!^0
     shift = side * (side - 1) // 2
     values = []
     for y in range(1, deg + 2):
         # mu_p(y) = sum_x x^p W(x) y^x: one row W(x) y^x, times x once per moment
-        row = map(mul, weights, accumulate(repeat(y, big), mul, initial=1))
+        # (k = 1: an empty determinant, 1, steps no row)
+        row = _weights(top, c, big + 1, y) if side else ()
         moments = []
         for _ in range(2 * side - 2):
             row = list(row)
@@ -219,13 +218,13 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     # (cells-deg)! over the column side's (n+k-1)! (the row side has none): by
     # one perm on the larger's side when the two are near (both are n! at
     # k = m = 1), else each by factorial, which is faster a factor than perm
-    free, top = cells - deg, 0 if n < r else n + k - 1
-    if 4 * min(free, top) < max(free, top):
-        num, den = num * factorial(free), den * factorial(top)
-    elif free >= top:
-        num *= perm(free, free - top)
+    free, fixed = cells - deg, 0 if n < r else n + k - 1
+    if 4 * min(free, fixed) < max(free, fixed):
+        num, den = num * factorial(free), den * factorial(fixed)
+    elif free >= fixed:
+        num *= perm(free, free - fixed)
     else:
-        den *= perm(top, top - free)
+        den *= perm(fixed, fixed - free)
     return _exact(num, den, context)
 
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -45,15 +47,17 @@ def test_rect_syt_count_reads_its_sides_as_the_other_rectangle_counters_do():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 60), st.integers(0, 12), st.integers(1, 70))
-@example(7, 0, 5)
-@example(7, 3, 1)
-@example(7, 3, 8)
-@example(0, 0, 1)
-def test_weights_are_rising_factorials_times_binomials(top, c, count):
+@given(st.integers(0, 60), st.integers(0, 12), st.integers(1, 70), st.integers(1, 40))
+@example(7, 0, 5, 1)
+@example(7, 3, 1, 1)
+@example(7, 3, 8, 1)
+@example(0, 0, 1, 1)
+def test_weights_are_rising_factorials_times_binomials(top, c, count, y):
     # c = 0 is the row side's binomial row; count = top + 1 the column side's
-    # whole row, and past it every weight is 0
-    assert _weights(top, c, count) == [math.perm(x + c, c) * math.comb(top, x) for x in range(count)]
+    # whole row, and past it every weight is 0; y marks the row at one point
+    assert list(_weights(top, c, count, y)) == [
+        math.perm(x + c, c) * math.comb(top, x) * y**x for x in range(count)
+    ]
 
 
 def test_count_k2_known_values():
@@ -243,19 +247,21 @@ def test_general_refuses_a_perturbed_weight(monkeypatch, capsys):
     # one leaves a non-integer count here (not at every shape)
     weights = counting._weights
 
-    def perturbed(m, n, k):
-        w = weights(m, n, k)
+    def perturbed(*args):
+        w = list(weights(*args))
         w[1] += 1
         return w
 
     monkeypatch.setattr(counting, "_weights", perturbed)
-    with pytest.raises(NonIntegerCountError):
-        count_general(6, 4, 2, 4)
-    # no closed form covers it, so auto runs general
-    assert cli.run(["count", "battery:rect:6x4,a=2,k=4"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: inconsistent count from general" in captured.err
+    # the column side (r = 3 points a profile) and the row side (n = 3 < r = 5)
+    for m, n, a, k in ((6, 4, 2, 4), (6, 3, 2, 6)):
+        with pytest.raises(NonIntegerCountError):
+            count_general(m, n, a, k)
+        # no closed form covers it, so auto runs general
+        assert cli.run(["count", f"battery:rect:{m}x{n},a={a},k={k}"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: inconsistent count from general" in captured.err
 
 
 def test_counts_match_dp_oracle_small():
@@ -396,9 +402,10 @@ def test_a_tall_rectangle_battery_is_counted_within_3_s():
 
 
 def test_a_tall_battery_far_from_its_edge_is_counted_within_10_s():
-    # each point's moments come from one row W(x) y^x multiplied by x, a small
-    # factor, once per moment; a table of 2r-1 moment rows multiplied big by big
-    # by a row of powers y^x at each point took about 20 s (2-vCPU VM)
+    # each point's moments come from one row W(x) y^x, stepped term by term and
+    # multiplied by x, a small factor, once per moment; a table of 2r-1 moment
+    # rows multiplied big by big by a row of powers y^x at each point took
+    # about 20 s, and a held weight row times that power row about 4 s (2-vCPU VM)
     start = time.perf_counter()
     count = count_general(10, 5000, 2, 5)
     assert time.perf_counter() - start < 10
@@ -407,6 +414,42 @@ def test_a_tall_battery_far_from_its_edge_is_counted_within_10_s():
     assert hashlib.sha256(count.to_bytes(165556 // 8 + 1, "big")).hexdigest() == (
         "bd77ea72cad1c12d7332a5f03cdc83ae1ad2c81338ebd0a200e19d5d5fbb19d8"
     )
+
+
+def test_a_battery_three_cells_wide_and_20000_tall_is_counted_within_3_s():
+    # two points of a 2x2 determinant: each point's row is stepped term by
+    # term, where a held weight row times a row of powers y^x, big by big,
+    # took 3.4-6.7 s (2-vCPU VM)
+    start = time.perf_counter()
+    count = count_general(3, 20000, 1, 3)
+    assert time.perf_counter() - start < 3
+    # pinned from the held row's count, as bytes, like the one below
+    assert count.bit_length() == 95043
+    assert hashlib.sha256(count.to_bytes(95043 // 8 + 1, "big")).hexdigest() == (
+        "abe979ffa8b00868c4de617da9045fd9aace4908d3300d7653c19b12e8c06367"
+    )
+
+
+def test_a_tall_battery_s_verify_holds_no_weight_row():
+    # at k = 2 a point's one moment is summed as its row is stepped, so the
+    # general partner of 2x30000 holds no row of 30,001 big weights: 99 MB
+    # peak RSS with the row held, 19 MB stepped. A child started from pytest
+    # inherits pytest's high-water mark, so a small interpreter starts the
+    # CLI and reads its child's
+    probe = (
+        "import resource, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'battery_syt.cli', 'count', 'battery:rect:2x30000,a=1,k=2', '--verify']\n"
+        "done = subprocess.run(argv, capture_output=True, text=True)\n"
+        "print(done.returncode, done.stderr.strip())\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(counting.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "0 verified: closed == general"
+    assert int(out[1]) < 50 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_a_battery_at_column_1_builds_no_weights_within_2_5_s():
