@@ -18,13 +18,11 @@ The report is JSON, on stdout or in ``--out`` (``BENCH_<pr>.json``): the
 commit and whether the work tree differs from it (both null outside a git
 checkout, where ``--parent`` is refused), the Python version, the host, and
 for each case its route and, per tree, each round's minimum (``rounds_s``),
-their least (``min_s``) and their median, the least of the rounds' peak
-resident sizes (``peak_rss_mb``, the worker's ``ru_maxrss``; a worker starts
-at the bench's own peak, which sets its floor), and for the DP's case its
-states from one more, untimed run. With ``--parent`` each case also has the
-ratio of the two trees' minima in each round (``ratios``), their median
-(``ratio``) and the ratio of the trees' least (``min_ratio``). Compare only
-files written on one machine.
+their least (``min_s``) and their median, and for the DP's case its states
+from one more, untimed run. With ``--parent`` each case also has the ratio of
+the two trees' minima in each round (``ratios``), their median (``ratio``)
+and the ratio of the trees' least (``min_ratio``). Compare only files written
+on one machine.
 """
 
 import argparse
@@ -32,7 +30,6 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -53,10 +50,9 @@ ROUNDS = 5
 # `battery-syt count` makes; factorize and str time that call on a count built
 # untimed by the route COUNTED_BY names. The digest is that of str() of the
 # result. One case a route, then the slow targets of ROADMAP items 21
-# (general's moments), 1 (general at large k) and 12 (hook products), two
+# (general's moments), 1 (general at large k) and 12 (hook products), and two
 # long products: the 200,000 hooks of the rectangle closed multiplies, and
-# general's column-side denominator of 50,000 factors, and general's row of
-# 40,001 weights at k = 2, where a point has one moment (ROADMAP item 30).
+# general's column-side denominator of 50,000 factors.
 CASES = {
     "closed 100x100,a=1,k=2": ("closed", "battery:rect:100x100,a=1,k=2",
         "9071b6a7e228dabbc01b04a9f7184e3b6f776b8600360aeca274abd5139078ba"),
@@ -86,8 +82,6 @@ CASES = {
         "878ea0c8848d7e3a57a769846cbb782e3089d0d35ef751810d4f74c203e7915b"),
     "general battery:rect:50000x4,a=4,k=2": ("general", "battery:rect:50000x4,a=4,k=2",
         "736cee79a24e3f3dc3d0caeef772e2078d20cadf18ab2eb45b61809b0fa4d7f3"),
-    "general battery:rect:2x40000,a=1,k=2": ("general", "battery:rect:2x40000,a=1,k=2",
-        "045065c3a0e59a4d8e5f7829bfbd9256215870a77555c700c278da446cab026a"),
 }
 COUNTED_BY = {"factorize": "general", "str": "frobenius"}
 
@@ -117,7 +111,6 @@ def _worker(name: str, timed: bool) -> dict:
         report["dp_states"] = oracle.linear_extension_profile(shape, cli.DEFAULT_SIZE_CAP)[1]
     if timed:
         report["min_s"] = min(times)
-    report["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)  # KiB on Linux
     return report
 
 
@@ -191,7 +184,6 @@ def main(argv=None) -> int:
                 digests = {run.pop("sha256") for run in runs}
                 mismatched += [f"{name} ({side}) has {digest}" for digest in sorted(digests - {pinned})]
                 case[side] = result = runs[0]
-                result["peak_rss_mb"] = min(run["peak_rss_mb"] for run in runs)
                 if not args.check:
                     minima = [run["min_s"] for run in runs]
                     result.update(rounds_s=minima, min_s=min(minima), median_s=statistics.median(minima))
