@@ -101,12 +101,11 @@ COUNT_BY_COLUMN: "dict[int, Callable[[int, int, int], int]]" = {
 }
 
 
-def _weights(top: int, c: int, count: int, y: int):
-    """W(x) y^x = (x+1)_c C(top, x) y^x for x = 0..count-1, each stepped from the
-    one before by the exact W(x+1) y^(x+1) = W(x) y^x y (x+1+c) (top-x) / (x+1)^2:
-    the small factors multiplied first, one big-by-small multiplication and
-    division a term, and no row held. With c = 0 it is the binomial row C(top, x)."""
-    term = factorial(c)
+def _weights(top: int, c: int, count: int, y: int, term: int):
+    """W(x) y^x = (x+1)_c C(top, x) y^x for x = 0..count-1 from W(0) = term = c!,
+    formed once a call, each the one before times y (x+1+c) (top-x) / (x+1)^2:
+    small factors first, one big-by-small multiply and exact divide a term,
+    and no row held. With c = 0 it is the binomial row C(top, x)."""
     yield term
     for x in range(count - 1):
         term = term * (y * (x + 1 + c) * (top - x)) // ((x + 1) * (x + 1))
@@ -185,11 +184,12 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
         den = _product([perm(d + n + k - 1, n + k - 1) for d in range(1, m - k + 1)])  # (n+k-1)! joins below
         den *= factorial(big) ** r if r else 1  # k = 1: no N!, not N!^0
     shift = side * (side - 1) // 2
+    lead = factorial(c) if side else 1  # W(0) = c!, once a call, not once a point
     values = []
     for y in range(1, deg + 2):
         # mu_p(y) = sum_x x^p W(x) y^x: one row W(x) y^x, times x once per moment
         # (k = 1: an empty determinant, 1, steps no row)
-        row = _weights(top, c, big + 1, y) if side else ()
+        row = _weights(top, c, big + 1, y, lead) if side else ()
         moments = []
         for _ in range(2 * side - 2):
             row = list(row)

@@ -55,7 +55,7 @@ def test_rect_syt_count_reads_its_sides_as_the_other_rectangle_counters_do():
 def test_weights_are_rising_factorials_times_binomials(top, c, count, y):
     # c = 0 is the row side's binomial row; count = top + 1 the column side's
     # whole row, and past it every weight is 0; y marks the row at one point
-    assert list(_weights(top, c, count, y)) == [
+    assert list(_weights(top, c, count, y, math.factorial(c))) == [
         math.perm(x + c, c) * math.comb(top, x) * y**x for x in range(count)
     ]
 
