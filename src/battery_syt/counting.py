@@ -31,13 +31,13 @@ case's ratio. A non-integer intermediate or an inexact division aborts
 loudly, since it can only mean a wrong parameter table. The series engine
 (``hypergeom``) is imported on the first hyper count; the other routes never
 load it. Binomials are ``math.comb``, rising factorials ``math.perm``, and
-``count_general`` steps each point's row (x+1)_c C(top, x) y^x term by term
-from the one before (``_weights``), so no route loads the factoring module.
+``count_general`` steps each point's N+1 terms (x+1)_c C(top, x) y^x, each
+from the one before, and sums every moment as each term is made
+(``_moments``): no point holds a row, and no route loads the factoring module.
 """
 
 from math import comb as binomial  # the closed forms' binomials; a binding that span tracing rebinds
 from math import factorial, perm
-from operator import mul
 
 from . import _EXPORTS, _lazy, _product
 from .shapes import (
@@ -101,15 +101,21 @@ COUNT_BY_COLUMN: "dict[int, Callable[[int, int, int], int]]" = {
 }
 
 
-def _weights(top: int, c: int, count: int, y: int, term: int):
-    """W(x) y^x = (x+1)_c C(top, x) y^x for x = 0..count-1 from W(0) = term = c!,
-    formed once a call, each the one before times y (x+1+c) (top-x) / (x+1)^2:
-    small factors first, one big-by-small multiply and exact divide a term,
-    and no row held. With c = 0 it is the binomial row C(top, x)."""
-    yield term
-    for x in range(count - 1):
-        term = term * (y * (x + 1 + c) * (top - x)) // ((x + 1) * (x + 1))
-        yield term
+def _moments(top: int, c: int, count: int, y: int, term: int, size: int) -> list[int]:
+    """mu_p = sum_x x^p W(x) y^x, p < size, x < count: W(x) y^x = (x+1)_c C(top, x) y^x
+    from W(0) = term = c!, each the one before times y (x+c) (top-x+1) / x^2, small
+    factors first: one big-by-small multiply and exact divide a term, added to each
+    moment as it is made, times x between moments but not after the last, so no
+    row is held. With c = 0, W is the binomial C(top, x)."""
+    *moments, last = [term] + [0] * (size - 1)  # x = 0 adds to mu_0 alone
+    higher = range(size - 1)
+    for x in range(1, count):
+        part = term = term * (y * (x + c) * (top - x + 1)) // (x * x)
+        for p in higher:
+            moments[p] += part
+            part *= x
+        last += part
+    return [*moments, last]
 
 
 def _hankel_det(moments: list[int], r: int, context: str) -> int:
@@ -147,12 +153,13 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     A profile with column heights t_1 >= ... >= t_r maps to the distinct
     points l_i = t_i + r - i of [0, N], N = n+r-1, with s = sum(l) - C(r,2).
     Its two tableau counts multiply to s! (mn-s)! C_fix Delta(l)^2 prod w(l_i),
-    w = W / N! (``_weights``) and C_fix = prod_{d<=m-k} d! / prod_{F=n+k-1}^{n+m-1} F!,
+    w = W / N! and C_fix = prod_{d<=m-k} d! / prod_{F=n+k-1}^{n+m-1} F!,
     formed as 1 / ((n+k-1)! prod_{d=1}^{m-k} (d+1)_{n+k-1}), each F! over its d!.
     Heine's identity sums Delta(l)^2 prod W(l_i) y^(l_i) over all point sets
-    as D(y) = det[mu_{i+j}(y)], mu_p(y) = sum_x x^p W(x) y^x. D(y) / y^C(r,2)
-    is an integer polynomial E of degree rn with coefficients e_s, so the count
-    is C_fix sum_s e_s (a)_s (mn-s)! / N!^r.
+    as D(y) = det[mu_{i+j}(y)], mu_p(y) = sum_x x^p W(x) y^x, each summed as the
+    point's N+1 terms are stepped (``_moments``): no point y holds a row. D(y) /
+    y^C(r,2) is an integer polynomial E of degree rn with coefficients e_s, so
+    the count is C_fix sum_s e_s (a)_s (mn-s)! / N!^r.
 
     W is the Krawtchouk weight C(N, x) y^x times a degree-c polynomial,
     c = m-k+1, and Christoffel's formula for it puts a known factor in E:
@@ -187,15 +194,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     lead = factorial(c) if side else 1  # W(0) = c!, once a call, not once a point
     values = []
     for y in range(1, deg + 2):
-        # mu_p(y) = sum_x x^p W(x) y^x: one row W(x) y^x, times x once per moment
-        # (k = 1: an empty determinant, 1, steps no row)
-        row = _weights(top, c, big + 1, y, lead) if side else ()
-        moments = []
-        for _ in range(2 * side - 2):
-            row = list(row)
-            moments.append(sum(row))
-            row = map(mul, range(big + 1), row)
-        moments.append(sum(row))  # the last moment's row is summed as it is made
+        moments = _moments(top, c, big + 1, y, lead, 2 * side - 1) if side else []  # k = 1: det [] = 1
         values.append(_exact(_hankel_det(moments, side, context), y**shift * (y + 1) ** known, context))
     # forward differences at y = 1 give Q in the basis (y-1)(y-2)...(y-j);
     # an integer polynomial has its j-th difference divisible by j!

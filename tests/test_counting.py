@@ -17,7 +17,7 @@ from battery_syt.counting import (
     NonIntegerCountError,
     _case_coords,
     _exact,
-    _weights,
+    _moments,
     closed_form,
     count_general,
     count_hyper,
@@ -47,16 +47,17 @@ def test_rect_syt_count_reads_its_sides_as_the_other_rectangle_counters_do():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 60), st.integers(0, 12), st.integers(1, 70), st.integers(1, 40))
-@example(7, 0, 5, 1)
-@example(7, 3, 1, 1)
-@example(7, 3, 8, 1)
-@example(0, 0, 1, 1)
-def test_weights_are_rising_factorials_times_binomials(top, c, count, y):
+@given(st.integers(0, 60), st.integers(0, 12), st.integers(1, 70), st.integers(1, 40), st.integers(1, 5))
+@example(7, 0, 5, 1, 3)
+@example(7, 3, 1, 1, 3)
+@example(7, 3, 8, 1, 3)
+@example(0, 0, 1, 1, 1)
+def test_moments_sum_powers_times_rising_factorials_times_binomials(top, c, count, y, size):
     # c = 0 is the row side's binomial row; count = top + 1 the column side's
     # whole row, and past it every weight is 0; y marks the row at one point
-    assert list(_weights(top, c, count, y, math.factorial(c))) == [
-        math.perm(x + c, c) * math.comb(top, x) * y**x for x in range(count)
+    assert _moments(top, c, count, y, math.factorial(c), size) == [
+        sum(x**p * math.perm(x + c, c) * math.comb(top, x) * y**x for x in range(count))
+        for p in range(size)
     ]
 
 
@@ -244,15 +245,14 @@ def test_general_column_side_on_a_long_base(m, n, a, k):
 
 def test_general_refuses_a_perturbed_weight(monkeypatch, capsys):
     # the final division by N!^r prod F! checks integrality; one weight off by
-    # one leaves a non-integer count here (not at every shape)
-    weights = counting._weights
+    # one (W(1) y + 1, which adds 1^p to every moment) leaves a non-integer
+    # count here (not at every shape)
+    moments = counting._moments
 
     def perturbed(*args):
-        w = list(weights(*args))
-        w[1] += 1
-        return w
+        return [mu + 1 for mu in moments(*args)]
 
-    monkeypatch.setattr(counting, "_weights", perturbed)
+    monkeypatch.setattr(counting, "_moments", perturbed)
     # the column side (r = 3 points a profile) and the row side (n = 3 < r = 5)
     for m, n, a, k in ((6, 4, 2, 4), (6, 3, 2, 6)):
         with pytest.raises(NonIntegerCountError):
@@ -402,10 +402,11 @@ def test_a_tall_rectangle_battery_is_counted_within_3_s():
 
 
 def test_a_tall_battery_far_from_its_edge_is_counted_within_10_s():
-    # each point's moments come from one row W(x) y^x, stepped term by term and
-    # multiplied by x, a small factor, once per moment; a table of 2r-1 moment
-    # rows multiplied big by big by a row of powers y^x at each point took
-    # about 20 s, and a held weight row times that power row about 4 s (2-vCPU VM)
+    # each point's 2r-1 moments are summed as its N+1 terms W(x) y^x are
+    # stepped, each term times x, a small factor, between moments, and no point
+    # holds a row; a table of 2r-1 moment rows multiplied big by big by a row
+    # of powers y^x at each point took about 20 s, and a held weight row times
+    # that power row about 4 s (2-vCPU VM)
     start = time.perf_counter()
     count = count_general(10, 5000, 2, 5)
     assert time.perf_counter() - start < 10
@@ -417,9 +418,9 @@ def test_a_tall_battery_far_from_its_edge_is_counted_within_10_s():
 
 
 def test_a_battery_three_cells_wide_and_20000_tall_is_counted_within_3_s():
-    # two points of a 2x2 determinant: each point's row is stepped term by
-    # term, where a held weight row times a row of powers y^x, big by big,
-    # took 3.4-6.7 s (2-vCPU VM)
+    # a 2x2 determinant at three points y: each point's three moments are
+    # summed as its terms are stepped, and no point holds a row, where a held
+    # weight row times a row of powers y^x, big by big, took 3.4-6.7 s (2-vCPU VM)
     start = time.perf_counter()
     count = count_general(3, 20000, 1, 3)
     assert time.perf_counter() - start < 3
@@ -430,17 +431,19 @@ def test_a_battery_three_cells_wide_and_20000_tall_is_counted_within_3_s():
     )
 
 
-def test_a_tall_battery_s_verify_holds_no_weight_row():
-    # at k = 2 a point's one moment is summed as its row is stepped, so the
-    # general partner of 2x30000 holds no row of 30,001 big weights: 99 MB
-    # peak RSS with the row held, 19 MB stepped. A child started from pytest
-    # inherits pytest's high-water mark, so a small interpreter starts the
-    # CLI and reads its child's
+def test_a_tall_battery_s_count_holds_no_weight_row():
+    # each point's moments are summed as its terms are stepped, so neither
+    # the general partner of 2x30000 (one moment a point) nor the general
+    # count of 3x20000 (three) holds a row of N+1 big weights: 99 and 170 MB
+    # peak RSS with rows held, 19 and 14 MB stepped. A child started from
+    # pytest inherits pytest's high-water mark, so a small interpreter starts
+    # the CLI and reads its children's
     probe = (
         "import resource, subprocess, sys\n"
-        "argv = [sys.executable, '-m', 'battery_syt.cli', 'count', 'battery:rect:2x30000,a=1,k=2', '--verify']\n"
-        "done = subprocess.run(argv, capture_output=True, text=True)\n"
-        "print(done.returncode, done.stderr.strip())\n"
+        "for args in (['battery:rect:2x30000,a=1,k=2', '--verify'], ['battery:rect:3x20000,a=1,k=3']):\n"
+        "    argv = [sys.executable, '-m', 'battery_syt.cli', 'count', *args]\n"
+        "    done = subprocess.run(argv, capture_output=True, text=True)\n"
+        "    print(done.returncode, done.stderr.strip())\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
     src = str(Path(counting.__file__).resolve().parents[1])
@@ -449,7 +452,8 @@ def test_a_tall_battery_s_verify_holds_no_weight_row():
         capture_output=True, text=True, timeout=60, check=True,
     ).stdout.splitlines()
     assert out[0] == "0 verified: closed == general"
-    assert int(out[1]) < 50 * 1024  # ru_maxrss is in KiB on Linux
+    assert out[1].rstrip() == "0"  # no partner admits 3x20000 at k = 3: auto runs general alone
+    assert int(out[2]) < 50 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_a_battery_at_column_1_builds_no_weights_within_2_5_s():
