@@ -118,12 +118,14 @@ def _moments(top: int, c: int, count: int, y: int, term: int, size: int) -> list
     return [*moments, last]
 
 
-def _hankel_det(moments: list[int], r: int, context: str) -> int:
+def _hankel_det(moments: list[int], r: int) -> int:
     """det[moments[i+j]] for i, j < r by fraction-free (Bareiss) elimination.
 
     The matrix is the moment matrix of positive weights on at least r points,
     hence positive definite: no pivot vanishes and none needs a row swap. It
     stays symmetric under elimination, so only the upper triangle is updated.
+    No step is checked: each quotient is a minor of the integer matrix
+    (Sylvester's identity), so every division is exact on any integer input.
     """
     rows = [moments[i:i + r] for i in range(r)]
     prev = 1
@@ -134,10 +136,7 @@ def _hankel_det(moments: list[int], r: int, context: str) -> int:
             row = rows[i]
             lead = top[i]
             for j in range(i, r):
-                q, rem = divmod(pivot * row[j] - lead * top[j], prev)
-                if rem:
-                    raise NonIntegerCountError(f"inexact elimination step in {context}")
-                row[j] = q
+                row[j] = (pivot * row[j] - lead * top[j]) // prev
         prev = pivot
     return rows[-1][-1] if r else 1
 
@@ -164,7 +163,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     W is the Krawtchouk weight C(N, x) y^x times a degree-c polynomial,
     c = m-k+1, and Christoffel's formula for it puts a known factor in E:
     E = (1+y)^A Q with A = r max(n-c, 0), so Q, of degree r min(n, c), is
-    interpolated instead, from r min(n, c) + 1 values (every division is
+    interpolated instead, from r min(n, c) + 1 values (its divisions are
     checked). Chu-Vandermonde, sum_t C(A,t) (b)_t (M-t)! = (M+b)! (M-A)! / (M+b-A)!,
     turns the sum over e into (mn+a)! / (mn+a-A)! sum_j q_j (a)_j (mn-A-j)!.
 
@@ -176,6 +175,9 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     C(m+n-1, x) y^x, that is det[mu_{i+j}(y)] of size n with D(y) / y^C(n,2)
     equal to E up to a constant factor, so the same (1+y)^A divides it, the
     same points interpolate it and the count divides by (m+n-1)!^n alone.
+    One statement picks the side, (side, top, c, fixed) = (n, m+n-1, 0, 0) if
+    n < r else (r, N, m-k+1, n+k-1), and one denominator serves both:
+    prod_{0<d<c} (d+1)_fixed times top!^side, times fixed! at the end.
     """
     m, n, a, k = _rect_battery(m, n, a, k)
     context = f"[({m}^{n}), {a}, {k}]"
@@ -183,19 +185,16 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     big = n + r - 1
     known = r * max(n - (m - k + 1), 0)  # A: (1+y)^A divides E
     deg = r * n - known
-    if n < r:  # the row side: n points a profile, weight C(m+n-1, x)
-        side, top, c = n, m + n - 1, 0
-        den = factorial(m + n - 1) ** n
-    else:  # the column side: r points a profile, weight W(x)
-        side, top, c = r, big, m - k + 1
-        den = _product([perm(d + n + k - 1, n + k - 1) for d in range(1, m - k + 1)])  # (n+k-1)! joins below
-        den *= factorial(big) ** r if r else 1  # k = 1: no N!, not N!^0
+    # the row side (n < r): n points a profile, weight C(m+n-1, x); else r points, W(x)
+    side, top, c, fixed = (n, m + n - 1, 0, 0) if n < r else (r, big, m - k + 1, n + k - 1)
+    # each F! over its d! (none at c = 0), (n+k-1)! joins below; k = 1: no N!, not N!^0
+    den = _product([perm(d + fixed, fixed) for d in range(1, c)]) * (factorial(top) ** side if side else 1)
     shift = side * (side - 1) // 2
     lead = factorial(c) if side else 1  # W(0) = c!, once a call, not once a point
     values = []
     for y in range(1, deg + 2):
         moments = _moments(top, c, big + 1, y, lead, 2 * side - 1) if side else []  # k = 1: det [] = 1
-        values.append(_exact(_hankel_det(moments, side, context), y**shift * (y + 1) ** known, context))
+        values.append(_exact(_hankel_det(moments, side), y**shift * (y + 1) ** known, context))
     # forward differences at y = 1 give Q in the basis (y-1)(y-2)...(y-j);
     # an integer polynomial has its j-th difference divisible by j!
     newton = []
@@ -217,7 +216,7 @@ def count_general(m: int, n: int, a: int, k: int) -> int:
     # (cells-deg)! over the column side's (n+k-1)! (the row side has none): by
     # one perm on the larger's side when the two are near (both are n! at
     # k = m = 1), else each by factorial, which is faster a factor than perm
-    free, fixed = cells - deg, 0 if n < r else n + k - 1
+    free = cells - deg
     if 4 * min(free, fixed) < max(free, fixed):
         num, den = num * factorial(free), den * factorial(fixed)
     elif free >= fixed:

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from battery_syt.counting import (
     CLOSED_FORM_CASES,
@@ -17,6 +17,7 @@ from battery_syt.counting import (
     NonIntegerCountError,
     _case_coords,
     _exact,
+    _hankel_det,
     _moments,
     closed_form,
     count_general,
@@ -28,7 +29,7 @@ from battery_syt import cli, counting
 from battery_syt.cli import parse_shape_expr
 from battery_syt.oracle import count_linear_extensions
 from battery_syt.shapes import BatteryShape
-from conftest import bullet_profiles, general_all_points, general_by_profiles
+from conftest import bullet_profiles, det_by_cross_multiplying, general_all_points, general_by_profiles
 
 
 def test_rect_syt_count():
@@ -193,6 +194,21 @@ def test_general_matches_all_points_reference():
                     assert count_general(m, n, a, k) == general_all_points(m, n, a, k), (m, n, a, k)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.integers(-50, 50), min_size=2 * r - 1, max_size=2 * r - 1))))
+@example((1, [-7]))
+@example((3, [16, 32, 80, 224, 680]))  # sum_x x^p C(4, x): positive definite
+@example((3, [1, -1, 2, -5, 14]))  # signed Catalan numbers: every minor is 1
+def test_hankel_det_is_exact_on_any_integer_input(case):
+    # each fraction-free quotient is a minor (Sylvester's identity), so no step
+    # is checked; a pivot is a leading principal minor below size r
+    r, moments = case
+    hankel = [[moments[i + j] for j in range(r)] for i in range(r)]
+    assume(all(det_by_cross_multiplying([row[:s] for row in hankel[:s]]) for s in range(1, r)))
+    assert _hankel_det(moments, r) == det_by_cross_multiplying(hankel)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda m: st.tuples(
     st.just(m), st.integers(1, 12), st.integers(0, 6), st.integers(1, m))))
@@ -231,7 +247,7 @@ def test_general_row_side_takes_n_by_n_determinants(monkeypatch):
     monkeypatch.setattr(counting, "_hankel_det", lambda *args: calls.append(args) or hankel_det(*args))
     assert count_general(40, 2, 1, 40) == 202278371832757962680400
     assert len(calls) == 40
-    assert {size for _, size, _ in calls} == {2}
+    assert {size for _, size in calls} == {2}
 
 
 @pytest.mark.parametrize("m, n, a, k", [
@@ -262,6 +278,19 @@ def test_general_refuses_a_perturbed_weight(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: inconsistent count from general" in captured.err
+
+
+def test_general_exits_4_on_a_vanishing_pivot(monkeypatch, capsys):
+    # all-ones moments make a rank-one Hankel matrix: the 4x4 column side's
+    # third pivot is 0, and dividing by it is an inconsistent count (exit 4)
+    monkeypatch.setattr(counting, "_moments", lambda top, c, count, y, term, size: [1] * size)
+    with pytest.raises(ZeroDivisionError):
+        count_general(8, 6, 2, 5)
+    # no closed form covers it, so auto runs general
+    assert cli.run(["count", "battery:rect:8x6,a=2,k=5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: inconsistent count from general")
 
 
 def test_counts_match_dp_oracle_small():

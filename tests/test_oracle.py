@@ -134,6 +134,15 @@ def test_line_convex_refuses_an_end_that_is_not_whole():
     assert count_line_convex([(0.0, 2.0), (0, 1)]) == 2
 
 
+def test_line_convex_refuses_spans_above_its_own_cap():
+    # the CLI's conjugate rule refuses an 11x11 square first, so only a direct
+    # call reaches the cap of the span walk itself
+    spans = [(0, 11)] * 11
+    with pytest.raises(ValueError, match=r"^at most 120 cells \(--size-cap\), the shape has 121 to walk$"):
+        count_line_convex(spans)
+    assert count_line_convex(spans, size_cap=121) == syt_count_straight((11,) * 11)
+
+
 @pytest.mark.parametrize("shape", [
     SkewShape((6, 6), (1,)),
     TruncatedShape(SkewShape((6, 6)), (1,)),
