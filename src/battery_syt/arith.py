@@ -8,8 +8,8 @@ the shape, so past 2**11 trial division stops at the end of the first octave
 integer root when it is a perfect power, and otherwise by Brent's rho, then
 (once, if rho's first slice of the work budget did not split it) Pollard's
 p-1 stage 1, then rho again. ``is_prime`` (Miller-Rabin, exact below
-3.3 * 10**24, BPSW above) proves each prime reported that trial division did
-not, once.
+3.3 * 10**24, BPSW above) proves each prime that trial division did not
+divide out, once.
 
 The work past trial division is bounded by one fixed budget counted in
 modular multiplications, each weighted by its modulus's size in 64-bit
@@ -248,7 +248,7 @@ def _brent_rho(n: int):
                 steps = min(128, r - k)
                 for _ in range(steps):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += 128
                 yield 2 * steps
@@ -258,7 +258,7 @@ def _brent_rho(n: int):
         steps, g = 0, 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
+            g = gcd(x - ys, n)
             steps += 1
         yield steps
         if g != n:
@@ -349,10 +349,10 @@ def factorize(n: int) -> Factorization:
     Small factors come off by trial division: 2, 3, then a 6k+-1 wheel that
     runs to 2**11 and past it an octave [2**j, 2**(j+1)) at a time, stopping
     at the end of the first octave in which no prime divides n, at 10**6,
-    or once f*f > n, which proves the cofactor prime. ``is_prime`` tests
-    each cofactor left. A composite one that is a perfect power r**e is
-    replaced by its root, counted e times; any other is split by Pollard rho,
-    with p-1 stage 1 run once if rho's first slice of the budget fails.
+    or once f*f > n. ``is_prime`` tests each cofactor left, prime or not,
+    once. A composite one that is a perfect power r**e is replaced by its
+    root, counted e times; any other is split by Pollard rho, with p-1
+    stage 1 run once if rho's first slice of the budget fails.
 
     Raises ``FactorizationBudgetError`` when the work past trial division
     (rho, p-1 and the primality tests of cofactors from ``_PSI13`` on) would
@@ -377,10 +377,6 @@ def factorize(n: int) -> Factorization:
                 counts[p] = counts.get(p, 0) + 1
                 n //= p
         f += 6
-    if 1 < n and f * f > n:
-        # trial division already proved the cofactor prime
-        counts[n] = counts.get(n, 0) + 1
-        n = 1
     # (cofactor, times it divides n); every prime left is at least f, which
     # bounds the exponents _power_root tries. A perfect power goes on as its
     # root, since rho would take about sqrt(p) steps to split p off p**e

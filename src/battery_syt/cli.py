@@ -499,16 +499,16 @@ def main(argv=None) -> int:
 
 
 def console() -> None:
-    """Run ``main``, flush both streams and end the process with its status.
+    """Run ``main``, flush stderr and end the process with its status.
 
-    After the last write the interpreter's exit would only tear down the
-    modules loaded since start-up, ``site``'s included, which can cost more
-    than the count. The package registers no ``atexit`` hook and leaves no
-    file open, so ``os._exit`` loses nothing. An exception that escapes
-    ``main`` or a flush ends the process the normal way, with its traceback.
+    ``main`` has flushed stdout, or pointed a closed one at devnull. After
+    the last write the interpreter's exit would only tear down the modules
+    loaded since start-up, ``site``'s included, which can cost more than the
+    count. The package registers no ``atexit`` hook and leaves no file open,
+    so ``os._exit`` loses nothing. An exception that escapes ``main`` or the
+    flush ends the process the normal way, with its traceback.
     """
     status = main()
-    sys.stdout.flush()
     try:
         sys.stderr.flush()
     except BrokenPipeError:  # a closed stderr loses only the diagnostics

@@ -107,17 +107,18 @@ def test_factorize_stops_trial_division_where_the_small_primes_end(monkeypatch):
     assert split == [5003 * large[1]]
 
 
-def test_factorize_proves_a_cofactor_prime_by_trial_division(monkeypatch):
-    # a cofactor below f*f is proven prime without is_prime, and the result
-    # does not test it again; 10000019 needs the first octave past 2**11 (its
-    # square root is 3162); a prime cofactor past the stop goes to is_prime,
-    # looked up as a module global, once
+def test_factorize_proves_each_leftover_prime_once_by_is_prime(monkeypatch):
+    # is_prime, looked up as a module global, proves each prime cofactor that
+    # trial division left once, and the result does not test it again; 1009
+    # and 10000019 are below f*f when trial division ends, the second only
+    # in the first octave past 2**11 (its square root is 3162), and
+    # 2839893182041 is left at the octave stop
     calls = []
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    for p, checks in ((1009, []), (10000019, []), (2839893182041, [2839893182041])):
+    for p in (1009, 10000019, 2839893182041):
         calls.clear()
         assert factorize(2 ** 40 * p).factors == ((2, 40), (p, 1))
-        assert calls == checks
+        assert calls == [p]
 
 
 _SMALL_OR_MIDDLE_PRIME_POWERS = st.tuples(
