@@ -21,8 +21,8 @@ check each other:
   k rather than the C(n+k-1, k-1) profiles the sum has;
 * the closed-form catalog: multiplicative formulas, over the rectangle count,
   for families with the column and one more coordinate fixed at small values;
-  a case's id names the coordinates it fixes, so a battery's case is found
-  by looking up its own.
+  a case's id names the coordinates it fixes, and a battery's case is the
+  first in catalog order whose fixed coordinates are the battery's.
 
 Counts are integers by construction. Every route ends in one checked integer
 division (``_exact``): ``count_hyper`` divides the rectangle count times the
@@ -267,8 +267,7 @@ def _poly_k5_n2(m, a):
 # above column 2, k2-m3 column 2 over width 3. Its ratio takes the other two of
 # m, n, a, in that order, and gives the battery count over the rectangle count
 # as an integer (numerator, denominator) pair, which closed_form divides once.
-# Every column lists its a cases, then its m cases, then its n cases, so
-# match_closed_form's lookups in that order find the first match in this order.
+# The first case in this order whose fixed coordinates are a battery's is its match.
 CLOSED_FORM_CASES: "dict[str, Callable[[int, int], tuple[int, int]]]" = {
     "k2-a1": lambda m, n: (binomial(m * n + m, m), binomial(m * n + m - n, m)),
     "k2-a2": lambda m, n: (
@@ -347,15 +346,14 @@ def closed_form(case_id: str, **params: int) -> int:
 
 
 def match_closed_form(m: int, n: int, a: int, k: int) -> tuple[str, dict[str, int]] | None:
-    """First catalog case whose fixed coordinates are those of the battery [(m^n), a, k], if any:
-    the battery's column with its a, then its m, then its n."""
+    """The first catalog case, in catalog order, whose fixed coordinates are those of the
+    battery [(m^n), a, k], with the battery's other two of m, n, a as its parameters; if any."""
     try:
-        m, n, a, k = _rect_battery(m, n, a, k)
+        coords = dict(zip("mnak", _rect_battery(m, n, a, k)))
     except ValueError:
         return None
-    coords = {"m": m, "n": n, "a": a}
-    for name in "amn":
-        case_id = f"k{k}-{name}{coords[name]}"
-        if case_id in CLOSED_FORM_CASES:
-            return case_id, {other: coords[other] for other in "mna" if other != name}
+    for case_id in CLOSED_FORM_CASES:
+        fixed, names = _case_coords(case_id)
+        if fixed.items() <= coords.items():
+            return case_id, {name: coords[name] for name in names}
     return None

@@ -28,7 +28,7 @@ from battery_syt.counting import (
 from battery_syt import cli, counting
 from battery_syt.cli import parse_shape_expr
 from battery_syt.oracle import count_linear_extensions
-from battery_syt.shapes import BatteryShape
+from battery_syt.shapes import BatteryShape, _rect_battery
 from conftest import bullet_profiles, det_by_cross_multiplying, general_all_points, general_by_profiles
 
 
@@ -384,6 +384,49 @@ def test_match_closed_form_is_the_first_match_in_catalog_order():
     assert matches == 246
 
 
+def test_every_catalog_case_is_the_match_of_some_battery():
+    first = {}  # case id -> the params and coordinates of the first battery it matches
+    for m in range(1, 9):
+        for n in range(1, 9):
+            for a in range(0, 7):
+                for k in range(1, m + 1):
+                    match = match_closed_form(m, n, a, k)
+                    if match is not None:
+                        first.setdefault(match[0], (match[1], (m, n, a, k)))
+    assert set(first) == set(CLOSED_FORM_CASES)
+    for case_id, (params, battery) in first.items():
+        assert closed_form(case_id, **params) == count_general(*battery), (case_id, battery)
+
+
+CASE_ID = re.compile(r"k(\d+)-([amn])(\d+)")
+
+
+def _first_match_by_id_pattern(m, n, a, k):
+    """The first case in catalog order whose id, read by CASE_ID rather than by
+    _case_coords, fixes the battery's column and one more of its coordinates."""
+    try:
+        _rect_battery(m, n, a, k)
+    except ValueError:
+        return None
+    coords = {"m": m, "n": n, "a": a}
+    for case_id in CLOSED_FORM_CASES:
+        column, name, value = CASE_ID.fullmatch(case_id).groups()
+        if int(column) == k and coords[name] == int(value):
+            return case_id, {other: coords[other] for other in "mna" if other != name}
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 8), st.integers(-1, 12))
+@example(3, 2, 1, 2)  # k2-a1 before k2-m3 and k2-n2
+@example(4, 3, 5, 2)  # k2-m4 before k2-n3
+@example(7, 3, 0, 3)
+@example(6, 2, 4, 5)
+@example(4, 2, 1, 5)  # no column 5 in a width-4 rectangle
+def test_match_closed_form_is_the_first_id_that_names_the_battery(m, n, a, k):
+    assert match_closed_form(m, n, a, k) == _first_match_by_id_pattern(m, n, a, k)
+
+
 def _refusal(m, n, a, k):
     """Why the battery [(m^n), a, k] is refused, or None when it is one: a side
     below 1, or else BatteryShape's message for the whole rectangle, with the
@@ -517,8 +560,8 @@ def test_catalog_keys_read_back_and_list_a_then_m_then_n():
         column, coordinate = fixed
         assert column == "k" and coordinate in "amn"
         order.append((fixed["k"], "amn".index(coordinate)))
-    # match_closed_form looks a column's cases up by a, then m, then n, which
-    # is the first match in catalog order only while the catalog lists them so
+    # match_closed_form takes the first match in catalog order, so listing a
+    # column's a cases, then its m cases, then its n cases keeps that precedence
     for k in {k for k, _ in order}:
         ranks = [rank for column, rank in order if column == k]
         assert ranks == sorted(ranks), k
