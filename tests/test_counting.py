@@ -420,8 +420,8 @@ def _first_match_by_id_pattern(m, n, a, k):
 @given(st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 8), st.integers(-1, 12))
 @example(3, 2, 1, 2)  # k2-a1 before k2-m3 and k2-n2
 @example(4, 3, 5, 2)  # k2-m4 before k2-n3
-@example(7, 3, 0, 3)
-@example(6, 2, 4, 5)
+@example(7, 3, 0, 3)  # k3-n3
+@example(6, 2, 4, 5)  # k5-n2
 @example(4, 2, 1, 5)  # no column 5 in a width-4 rectangle
 def test_match_closed_form_is_the_first_id_that_names_the_battery(m, n, a, k):
     assert match_closed_form(m, n, a, k) == _first_match_by_id_pattern(m, n, a, k)
@@ -561,7 +561,8 @@ def test_catalog_keys_read_back_and_list_a_then_m_then_n():
         assert column == "k" and coordinate in "amn"
         order.append((fixed["k"], "amn".index(coordinate)))
     # match_closed_form takes the first match in catalog order, so listing a
-    # column's a cases, then its m cases, then its n cases keeps that precedence
+    # column's a cases, then its m cases, then its n cases puts a battery's a
+    # case ahead of its m case, and its m case ahead of its n case
     for k in {k for k, _ in order}:
         ranks = [rank for column, rank in order if column == k]
         assert ranks == sorted(ranks), k
